@@ -57,7 +57,7 @@ __all__ = [
     "correlation_time_domain",
     "integrated_gamma_matrix",
     "integrated_S_matrix",
-    "pv_spectral_integral",
+    "pair_measure",
 ]
 
 
@@ -162,6 +162,17 @@ def as_measure(bath):
     return bath if isinstance(bath, SpectralMeasure) else gamma_spectral(bath)
 
 
+def pair_measure(baths, a, b):
+    """Shared spectral measure of couplings a and b, or None if independent."""
+    if not isinstance(baths, (list, tuple)):
+        baths = (baths,)
+    bath_a = baths[a if len(baths) > 1 else 0]
+    bath_b = baths[b if len(baths) > 1 else 0]
+    if bath_a != bath_b:
+        return None
+    return as_measure(bath_a)
+
+
 def measure_value(measure, omega):
     """Pointwise gamma(omega) of the smooth part (atoms carry no density)."""
     measure = as_measure(measure)
@@ -184,29 +195,6 @@ def _smooth_domain(measure, omega=0.0):
 def _structure_scale(measure):
     """Variation scale of the smooth density (thermal factor or cutoff)."""
     return min(measure.scale, 1.0 / measure.beta)
-
-
-def pv_spectral_integral(measure, f, pole, config=DEFAULT_QUAD):
-    """PV int gamma(W) f(W) dW where f has one simple pole at `pole`.
-
-    The atoms are summed exactly (they must not sit on the pole); the smooth
-    part uses symmetric pairing around the pole.
-    """
-    measure = as_measure(measure)
-    _check_atom_pole(measure, pole)
-    total = 0.0
-    for loc, wgt in measure.atoms:
-        total += wgt * float(np.real(f(np.asarray(loc))))
-    if measure.density is not None:
-        lo, hi = _smooth_domain(measure, pole)
-        cap = min(abs(pole) + 5.0 * measure.scale, config.pairing_mult * measure.scale)
-
-        def integrand(w):
-            w = np.asarray(w)
-            return measure.density(w) * f(w)
-
-        total += principal_value(integrand, pole, lo, hi, config, pairing_cap=cap)
-    return total
 
 
 def _lamb_shift(measure, omega, config):

@@ -14,17 +14,20 @@ Config schema (complex numbers are [re, im] pairs):
       "evolve": {"initial_state": [...], "times": [...],
                  "equations": ["cumulant","davies","redfield"]},
       "validate": {"skip_oracle": false, "break_detailed_balance": false},
-      "quadrature": {"abs_tol": 1e-9, "rel_tol": 1e-8},
+      "quadrature": {"abs_tol": 1e-9, "rel_tol": 1e-8, "limit": 400},
       "output": "out.csv"
     }
 
 CSV output is byte-deterministic: header line, comma separated, 12 significant
 digits, LF line endings, fixed row order.  Exit status is 0 iff every executed
-check passed (validate) or the run completed (other tasks).
+check passed (validate) or the run completed (other tasks), and 2 for a
+malformed config (the message names the field path) or a library error.
 """
 
 import argparse
 import json
+import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,13 +36,8 @@ import numpy as np
 
 from ._quad import DEFAULT_QUAD, QuadratureConfig
 from .bath import DiscreteBath, OhmicBath
-from .corrections import (
-    build_upsilon_table,
-    kossakowski_custom,
-    kossakowski_redfield,
-    upsilon_steady_offdiag,
-)
-from .errors import DetailedBalanceError, MeanforceError, NumericsError, ValidationError
+from .corrections import build_upsilon_table
+from .errors import MeanforceError, NumericsError, ValidationError
 from .generators import (
     build_davies_generator,
     build_redfield_generator,
@@ -60,6 +58,7 @@ from .validation import (
     SWEEP_NAMES,
     CheckResult,
     ReferenceCase,
+    check_detailed_balance_guard,
     qubit_sweep_point,
     run_checks,
 )
@@ -71,13 +70,25 @@ def _fmt(x):
     return FMT % float(x)
 
 
+def _finite(x):
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
+def _object(obj, path):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: must be an object")
+    return obj
+
+
 def _parse_complex_matrix(obj, path):
     try:
         arr = np.array([[complex(e[0], e[1]) for e in row] for row in obj])
-    except (TypeError, IndexError):
+    except (TypeError, IndexError, KeyError):
         raise ValidationError(f"{path}: expected a nested list of [re, im] pairs") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{path}: matrix must be square")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{path}: entries must be finite")
     return arr
 
 
@@ -121,20 +132,20 @@ def parse_config(data):
         raise ValidationError(f"task: expected one of corrections/evolve/steadystate/validate, got {task!r}")
 
     beta = data.get("beta")
-    if not isinstance(beta, (int, float)) or beta <= 0:
-        raise ValidationError("beta: must be a positive number")
+    if not _finite(beta) or beta <= 0:
+        raise ValidationError("beta: must be a positive finite number")
     lam = data.get("lambda", 0.05)
-    if not isinstance(lam, (int, float)) or lam < 0:
-        raise ValidationError("lambda: must be a nonnegative number")
+    if not _finite(lam) or lam < 0:
+        raise ValidationError("lambda: must be a nonnegative finite number")
 
     system = data.get("system")
     omega0 = None
     if not isinstance(system, dict):
         raise ValidationError("system: must be an object with 'tls' or 'hamiltonian'")
     if "tls" in system:
-        omega0 = system["tls"].get("omega0")
-        if not isinstance(omega0, (int, float)) or omega0 <= 0:
-            raise ValidationError("system.tls.omega0: must be a positive number")
+        omega0 = _object(system["tls"], "system.tls").get("omega0")
+        if not _finite(omega0) or omega0 <= 0:
+            raise ValidationError("system.tls.omega0: must be a positive finite number")
         h0 = tls_hamiltonian(float(omega0))
     elif "hamiltonian" in system:
         h0 = _parse_complex_matrix(system["hamiltonian"], "system.hamiltonian")
@@ -149,18 +160,20 @@ def parse_config(data):
     baths = {}
     for bid, b in baths_cfg.items():
         path = f"baths.{bid}"
-        kind = b.get("type")
+        kind = _object(b, path).get("type")
         if kind == "ohmic":
             gc, wc = b.get("gamma_c"), b.get("cutoff")
-            if not isinstance(gc, (int, float)) or gc < 0:
-                raise ValidationError(f"{path}.gamma_c: must be a nonnegative number")
-            if not isinstance(wc, (int, float)) or wc <= 0:
-                raise ValidationError(f"{path}.cutoff: must be a positive number")
+            if not _finite(gc) or gc < 0:
+                raise ValidationError(f"{path}.gamma_c: must be a nonnegative finite number")
+            if not _finite(wc) or wc <= 0:
+                raise ValidationError(f"{path}.cutoff: must be a positive finite number")
             baths[bid] = OhmicBath(beta=float(beta), coupling=float(gc), cutoff=float(wc))
         elif kind == "discrete":
             modes = b.get("modes")
-            if not isinstance(modes, list) or not modes:
-                raise ValidationError(f"{path}.modes: must be a non-empty list of [frequency, coupling]")
+            if not isinstance(modes, list) or not modes or not all(
+                    isinstance(m, list) and len(m) == 2 and all(map(_finite, m)) for m in modes):
+                raise ValidationError(
+                    f"{path}.modes: must be a non-empty list of finite [frequency, coupling] pairs")
             try:
                 baths[bid] = DiscreteBath(beta=float(beta), modes=tuple((m[0], m[1]) for m in modes))
             except (ValidationError, TypeError, IndexError) as exc:
@@ -174,9 +187,13 @@ def parse_config(data):
     couplings = []
     for i, c in enumerate(couplings_cfg):
         path = f"couplings[{i}]"
-        if "pauli" in c:
-            p = c["pauli"]
-            op = pauli_coupling(p.get("x", 0.0), p.get("y", 0.0), p.get("z", 0.0))
+        if "pauli" in _object(c, path):
+            p = _object(c["pauli"], f"{path}.pauli")
+            weights = [p.get(k, 0.0) for k in "xyz"]
+            for k, v in zip("xyz", weights):
+                if not _finite(v):
+                    raise ValidationError(f"{path}.pauli.{k}: must be a finite number")
+            op = pauli_coupling(*weights)
             if h0.shape[0] != 2:
                 raise ValidationError(f"{path}.pauli: pauli couplings need a two-level system")
         elif "operator" in c:
@@ -192,12 +209,14 @@ def parse_config(data):
 
     quad = DEFAULT_QUAD
     if "quadrature" in data:
-        q = data["quadrature"]
-        quad = QuadratureConfig(
-            abs_tol=q.get("abs_tol", DEFAULT_QUAD.abs_tol),
-            rel_tol=q.get("rel_tol", DEFAULT_QUAD.rel_tol),
-            limit=q.get("limit", DEFAULT_QUAD.limit),
-        )
+        q = _object(data["quadrature"], "quadrature")
+        fields = {k: q.get(k, getattr(DEFAULT_QUAD, k)) for k in ("abs_tol", "rel_tol", "limit")}
+        for k in ("abs_tol", "rel_tol"):
+            if not _finite(fields[k]) or fields[k] <= 0:
+                raise ValidationError(f"quadrature.{k}: must be a positive finite number")
+        if not isinstance(fields["limit"], int) or fields["limit"] < 10:
+            raise ValidationError("quadrature.limit: must be an integer of at least 10")
+        quad = QuadratureConfig(**fields)
 
     cfg = RunConfig(
         task=task, beta=float(beta), lam=float(lam), h0=h0,
@@ -207,10 +226,10 @@ def parse_config(data):
 
     sweep = data.get("sweep")
     if sweep is not None:
-        if sweep.get("parameter") != "omega0":
+        if _object(sweep, "sweep").get("parameter") != "omega0":
             raise ValidationError("sweep.parameter: only 'omega0' sweeps are supported")
         vals = sweep.get("values")
-        if not isinstance(vals, list) or not all(isinstance(v, (int, float)) and np.isfinite(v) and v > 0 for v in vals):
+        if not isinstance(vals, list) or not all(_finite(v) and v > 0 for v in vals):
             raise ValidationError("sweep.values: must be a list of positive finite numbers")
         cfg.sweep_values = [float(v) for v in vals]
     elif task == "corrections":
@@ -221,10 +240,12 @@ def parse_config(data):
         if not isinstance(ev, dict):
             raise ValidationError("evolve: required for the evolve task")
         times = ev.get("times")
-        if not isinstance(times, list) or not all(isinstance(t, (int, float)) and t >= 0 for t in times):
-            raise ValidationError("evolve.times: must be a list of nonnegative numbers")
+        if not isinstance(times, list) or not all(_finite(t) and t >= 0 for t in times):
+            raise ValidationError("evolve.times: must be a list of nonnegative finite numbers")
         cfg.evolve_times = sorted(float(t) for t in times)
         eqs = ev.get("equations", ["cumulant", "davies"])
+        if not isinstance(eqs, list):
+            raise ValidationError("evolve.equations: must be a list")
         for e in eqs:
             if e not in ("cumulant", "davies", "redfield"):
                 raise ValidationError(f"evolve.equations: unknown equation kind {e!r}")
@@ -238,7 +259,7 @@ def parse_config(data):
         cfg.initial_state = rho0
 
     if "validate" in data:
-        v = data["validate"]
+        v = _object(data["validate"], "validate")
         cfg.skip_oracle = bool(v.get("skip_oracle", False))
         cfg.break_detailed_balance = bool(v.get("break_detailed_balance", False))
 
@@ -265,14 +286,17 @@ def _write_csv(path, header, rows):
 
 
 def _sweep_point(payload):
-    """One sweep point; module-level for the worker pool."""
-    bw0, beta, gamma_c, cutoff, abs_tol, rel_tol = payload
-    quad = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
-    bath = OhmicBath(beta=beta, coupling=gamma_c, cutoff=cutoff)
+    """One sweep point (bw0, Ohmic bath, quadrature config); module-level for the worker pool."""
+    bw0, bath, quad = payload
     try:
-        return bw0, qubit_sweep_point(bath, bw0 / beta, gamma_c, quad), None
+        return bw0, qubit_sweep_point(bath, bw0 / bath.beta, bath.coupling, quad), None
     except NumericsError as exc:
         return bw0, None, str(exc)
+
+
+def pool_size(threads, points):
+    """Worker count for a sweep: never more than the points or the machine's CPUs."""
+    return max(1, min(threads, points, os.cpu_count() or 1))
 
 
 def run_corrections(cfg, threads=1):
@@ -283,12 +307,10 @@ def run_corrections(cfg, threads=1):
     if cfg.is_tls and len(cfg.couplings) == 1 \
             and isinstance(cfg.bath_list()[0], OhmicBath):
         bath = cfg.bath_list()[0]
-        payloads = [
-            (bw0, cfg.beta, bath.coupling, bath.cutoff, cfg.quad.abs_tol, cfg.quad.rel_tol)
-            for bw0 in cfg.sweep_values
-        ]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+        payloads = [(bw0, bath, cfg.quad) for bw0 in cfg.sweep_values]
+        workers = pool_size(threads, len(payloads))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_sweep_point, payloads))
         else:
             results = [_sweep_point(p) for p in payloads]
@@ -392,24 +414,6 @@ def run_steadystate(cfg):
 # --- validate task ----------------------------------------------------------------
 
 
-def _broken_balance_check(cfg):
-    bath = cfg.bath_list()[0]
-    base = kossakowski_redfield(bath, cfg.quad)
-
-    def bad_k(a, b, w, wp):
-        return base.K(a, b, w, wp) * (1.1 if w > 0 else 1.0)
-
-    spec = kossakowski_custom(cfg.beta, bad_k, base.upsilon_dyn)
-    w0 = cfg.omega0 or 1.0
-    try:
-        upsilon_steady_offdiag(spec, bath, w0, 0.0, config=cfg.quad)
-    except DetailedBalanceError as exc:
-        return CheckResult("steady_coherence_detailed_balance_precondition", False, 1.0, 0.0,
-                           f"rejected as required: {exc}")
-    return CheckResult("steady_coherence_detailed_balance_precondition", False, 1.0, 0.0,
-                       "skewed Kossakowski diagonal was not rejected")
-
-
 def read_corrections_csv(path):
     """Parse a corrections CSV back into the (bw0, kind, name) -> value map."""
     rows = {}
@@ -432,8 +436,11 @@ def run_validate(cfg):
         config=cfg.quad,
     )
     if cfg.break_detailed_balance:
-        # injected-fault mode: only the detailed-balance precondition is probed
-        results = [_broken_balance_check(cfg)]
+        # injected-fault mode: only the detailed-balance precondition is probed,
+        # and the run fails whether or not the guard rejects the skewed diagonal
+        guard = check_detailed_balance_guard(case)
+        results = [CheckResult("steady_coherence_detailed_balance_precondition", False,
+                               1.0, 0.0, guard.detail)]
     else:
         results = run_checks(case, skip_oracle=cfg.skip_oracle)
     lines = [r.line() for r in results]
@@ -463,6 +470,9 @@ def main(argv=None):
             p.add_argument("--skip-oracle", action="store_true",
                            help="skip the exact-diagonalisation scaling check")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        print("error: --threads must be at least 1", file=sys.stderr)
+        return 2
 
     try:
         cfg = load_config(args.config)
@@ -476,11 +486,15 @@ def main(argv=None):
     if args.out:
         cfg.output = args.out
     if args.tol_abs or args.tol_rel:
-        cfg.quad = QuadratureConfig(
-            abs_tol=args.tol_abs or cfg.quad.abs_tol,
-            rel_tol=args.tol_rel or cfg.quad.rel_tol,
-            limit=cfg.quad.limit,
-        )
+        try:
+            cfg.quad = QuadratureConfig(
+                abs_tol=args.tol_abs or cfg.quad.abs_tol,
+                rel_tol=args.tol_rel or cfg.quad.rel_tol,
+                limit=cfg.quad.limit,
+            )
+        except ValidationError as exc:
+            print(f"error: --tol-abs/--tol-rel: {exc}", file=sys.stderr)
+            return 2
     if getattr(args, "skip_oracle", False):
         cfg.skip_oracle = True
 

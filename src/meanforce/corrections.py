@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import DEFAULT_QUAD, adaptive_quad, principal_value
-from .bath import OhmicBath, as_measure, lamb_shift_S, measure_value
+from .bath import OhmicBath, as_measure, lamb_shift_S, measure_value, pair_measure
 from .errors import (
     DetailedBalanceError,
     DomainError,
@@ -225,23 +225,12 @@ class KossakowskiSpec:
                         )
 
 
-def _pair_measure(baths, a, b):
-    """Shared spectral measure of couplings a and b, or None if independent."""
-    if not isinstance(baths, (list, tuple)):
-        baths = (baths,)
-    bath_a = baths[a if len(baths) > 1 else 0]
-    bath_b = baths[b if len(baths) > 1 else 0]
-    if bath_a != bath_b:
-        return None
-    return as_measure(bath_a)
-
-
 def kossakowski_redfield(baths, config=DEFAULT_QUAD):
     """Long-time Bloch-Redfield spec: K = gamma(w,w',oo), Y_dyn = S(w,w',oo)."""
     beta = as_measure(baths if not isinstance(baths, (list, tuple)) else baths[0]).beta
 
     def kmat(a, b, w, wp):
-        m = _pair_measure(baths, a, b)
+        m = pair_measure(baths, a, b)
         if m is None:
             return 0.0
         return 0.5 * (measure_value(m, w) + measure_value(m, wp)) + 1j * (
@@ -249,7 +238,7 @@ def kossakowski_redfield(baths, config=DEFAULT_QUAD):
         )
 
     def dyn(a, b, w, wp):
-        m = _pair_measure(baths, a, b)
+        m = pair_measure(baths, a, b)
         if m is None:
             return 0.0
         return upsilon_dynamical(m, w, wp, config)
@@ -268,13 +257,13 @@ def kossakowski_secular(baths, config=DEFAULT_QUAD):
     beta = as_measure(baths if not isinstance(baths, (list, tuple)) else baths[0]).beta
 
     def kmat(a, b, w, wp):
-        m = _pair_measure(baths, a, b)
+        m = pair_measure(baths, a, b)
         if m is None or w != wp:
             return 0.0
         return measure_value(m, w)
 
     def dyn(a, b, w, wp):
-        m = _pair_measure(baths, a, b)
+        m = pair_measure(baths, a, b)
         if m is None:
             return 0.0
         return upsilon_dynamical(m, w, wp, config)
@@ -420,7 +409,7 @@ def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_
 
     for a, ja in enumerate(jumps):
         for b, jb in enumerate(jumps):
-            measure = _pair_measure(baths, a, b)
+            measure = pair_measure(baths, a, b)
             if measure is None:
                 continue
             for w in ja.frequencies:

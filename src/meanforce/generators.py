@@ -25,13 +25,14 @@ from scipy.linalg import expm
 
 from ._quad import DEFAULT_QUAD
 from .bath import (
-    finite_time_Gamma,
+    S_finite_time,
+    gamma_finite_time,
     integrated_S_matrix,
     integrated_gamma_matrix,
     lamb_shift_S,
     measure_value,
+    pair_measure,
 )
-from .corrections import _pair_measure
 from .errors import (
     DegenerateSteadyStateError,
     NumericsError,
@@ -76,9 +77,6 @@ class Superoperator:
     def apply(self, rho):
         return unvectorize(self.matrix @ vectorize(rho))
 
-    def norm(self):
-        return np.linalg.norm(self.matrix, 2)
-
     def expm(self, scale=1.0):
         return Superoperator(self.dim, expm(scale * self.matrix))
 
@@ -111,52 +109,66 @@ def _hamiltonian_term(x):
     return 1j * (_right(x) - _left(x))
 
 
-def _dissipator_term(a_side, b_side):
-    """A_b rho A_a^dag - (1/2){A_a^dag A_b, rho} for given A_a(w), A_b(w')."""
-    adag = a_side.conj().T
-    p = adag @ b_side
-    return _sandwich(b_side, adag) - 0.5 * (_left(p) + _right(p))
+def _assemble(jumps, kmat, smat):
+    """lam^2-part of the generator for coefficient arrays over the stacked jump index.
+
+    Index I runs over (coupling, Bohr frequency) in jump order, A_I = A_a(w);
+    the result is i[., sum S_IJ A_I^dag A_J] + sum K_IJ (A_J . A_I^dag
+    - {A_I^dag A_J, .}/2).
+    """
+    ops = np.array([j.op(w) for j in jumps for w in j.frequencies])
+    d = ops.shape[1]
+    hs = np.einsum("ij,iyx,jyz->xz", smat, ops.conj(), ops, optimize=True)
+    hk = np.einsum("ij,iyx,jyz->xz", kmat, ops.conj(), ops, optimize=True)
+    sandwich = np.einsum("ij,ipr,jqs->pqrs", kmat, ops.conj(), ops, optimize=True)
+    return (_hamiltonian_term(hs) + sandwich.reshape(d * d, d * d)
+            - 0.5 * (_left(hk) + _right(hk)))
+
+
+def _coefficients(jumps, baths, pair):
+    """Stacked (K, S) arrays; pair(measure, freqs) -> (K, S) blocks over freqs.
+
+    Each coupling pair that shares a bath gets the block of its frequency
+    union (the integrated tables depend on, and are cached by, that list),
+    sliced to the rows of coupling a and the columns of coupling b; pairs on
+    independent baths stay zero.
+    """
+    offsets = np.cumsum([0] + [len(j.frequencies) for j in jumps])
+    kmat = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    smat = np.zeros_like(kmat)
+    for a, ja in enumerate(jumps):
+        for b, jb in enumerate(jumps):
+            m = pair_measure(baths, a, b)
+            if m is None:
+                continue
+            freqs = tuple(sorted(set(ja.frequencies) | set(jb.frequencies)))
+            block = np.ix_([freqs.index(w) for w in ja.frequencies],
+                           [freqs.index(w) for w in jb.frequencies])
+            k, s = pair(m, freqs)
+            rows = slice(offsets[a], offsets[a + 1])
+            cols = slice(offsets[b], offsets[b + 1])
+            kmat[rows, cols] = k[block]
+            smat[rows, cols] = s[block]
+    return kmat, smat
 
 
 def dissipative_generator(jumps, kmat, dyn):
     """lam^2-part of the generator for coefficient accessors kmat/dyn(a,b,w,w')."""
-    dim = jumps[0].dim
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a, ja in enumerate(jumps):
-        for b, jb in enumerate(jumps):
-            for w in ja.frequencies:
-                aw = ja.op(w)
-                for wp in jb.frequencies:
-                    bwp = jb.op(wp)
-                    s = dyn(a, b, w, wp)
-                    if s != 0.0:
-                        out += s * _hamiltonian_term(aw.conj().T @ bwp)
-                    k = kmat(a, b, w, wp)
-                    if k != 0.0:
-                        out += k * _dissipator_term(aw, bwp)
-    return out
+    index = [(a, w) for a, j in enumerate(jumps) for w in j.frequencies]
+    k = np.array([[kmat(a, b, w, wp) for b, wp in index] for a, w in index], dtype=complex)
+    s = np.array([[dyn(a, b, w, wp) for b, wp in index] for a, w in index], dtype=complex)
+    return _assemble(jumps, k, s)
 
 
-def _finite_coefficients(baths, t, config):
-    """(gamma, S)(a, b, w, w') accessors at time t (t = inf for the long-time limit)."""
+def _redfield_pair(t, config):
+    """Finite-time Bloch-Redfield coefficients gamma(w,w',t), S(w,w',t)."""
 
-    def gamma_ab(a, b, w, wp):
-        m = _pair_measure(baths, a, b)
-        if m is None:
-            return 0.0
-        g1 = finite_time_Gamma(m, wp, t, config)
-        g2 = finite_time_Gamma(m, w, t, config)
-        return g1 + np.conj(g2)
+    def pair(m, freqs):
+        k = np.array([[gamma_finite_time(m, w, wp, t, config) for wp in freqs] for w in freqs])
+        s = np.array([[S_finite_time(m, w, wp, t, config) for wp in freqs] for w in freqs])
+        return k, s
 
-    def s_ab(a, b, w, wp):
-        m = _pair_measure(baths, a, b)
-        if m is None:
-            return 0.0
-        g1 = finite_time_Gamma(m, wp, t, config)
-        g2 = finite_time_Gamma(m, w, t, config)
-        return (g1 - np.conj(g2)) / 2.0j
-
-    return gamma_ab, s_ab
+    return pair
 
 
 def build_redfield_generator(h0, jumps, baths, lam, t=np.inf, config=DEFAULT_QUAD):
@@ -166,25 +178,23 @@ def build_redfield_generator(h0, jumps, baths, lam, t=np.inf, config=DEFAULT_QUA
     h = require_hermitian(h0, name="H0")
     gen = commutator_superop(h)
     if lam > 0:
-        gamma_ab, s_ab = _finite_coefficients(baths, t, config)
-        gen = gen + lam**2 * dissipative_generator(jumps, gamma_ab, s_ab)
+        coeffs = _coefficients(jumps, baths, _redfield_pair(t, config))
+        gen = gen + lam**2 * _assemble(jumps, *coeffs)
     return Superoperator(h.shape[0], gen)
 
 
 def interaction_redfield_generator(jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Interaction-picture Bloch-Redfield generator: coefficients carry e^{i(w-w')t}."""
-    gamma_ab, s_ab = _finite_coefficients(baths, t, config)
+    redfield = _redfield_pair(t, config)
 
-    def phase(w, wp):
-        return np.exp(1j * (w - wp) * t)
+    def pair(m, freqs):
+        f = np.array(freqs)
+        phase = np.exp(1j * (f[:, None] - f[None, :]) * t)
+        k, s = redfield(m, freqs)
+        return phase * k, phase * s
 
-    gen = dissipative_generator(
-        jumps,
-        lambda a, b, w, wp: phase(w, wp) * gamma_ab(a, b, w, wp),
-        lambda a, b, w, wp: phase(w, wp) * s_ab(a, b, w, wp),
-    )
-    dim = jumps[0].dim
-    return Superoperator(dim, lam**2 * gen)
+    gen = _assemble(jumps, *_coefficients(jumps, baths, pair))
+    return Superoperator(jumps[0].dim, lam**2 * gen)
 
 
 def build_davies_generator(h0, jumps, baths, lam, config=DEFAULT_QUAD):
@@ -192,73 +202,28 @@ def build_davies_generator(h0, jumps, baths, lam, config=DEFAULT_QUAD):
     if lam < 0:
         raise ValidationError("coupling constant must be nonnegative")
     h = require_hermitian(h0, name="H0")
-    freqs = sorted({w for j in jumps for w in j.frequencies})
+
+    def pair(m, freqs):
+        k = np.diag([measure_value(m, w) for w in freqs])
+        s = np.diag([lamb_shift_S(m, w, config) for w in freqs])
+        return k, s
+
+    kmat, smat = _coefficients(jumps, baths, pair)
     # per-frequency Kossakowski matrix must be PSD (diagnostic for bad spectra)
-    for w in freqs:
-        kw = np.zeros((len(jumps), len(jumps)), dtype=complex)
-        for a in range(len(jumps)):
-            for b in range(len(jumps)):
-                m = _pair_measure(baths, a, b)
-                if m is not None and w in jumps[a].frequencies and w in jumps[b].frequencies:
-                    kw[a, b] = measure_value(m, w)
+    stacked = np.array([w for j in jumps for w in j.frequencies])
+    for w in sorted(set(stacked)):
+        at_w = np.flatnonzero(stacked == w)
+        kw = kmat[np.ix_(at_w, at_w)]
         low = np.linalg.eigvalsh(0.5 * (kw + kw.conj().T)).min()
         if low < -1e-10 * max(1.0, np.abs(kw).max()):
             raise NumericsError(
                 f"secular Kossakowski matrix at w = {w:g} is not PSD (min eig {low:.2e})"
             )
 
-    def kmat(a, b, w, wp):
-        if w != wp:
-            return 0.0
-        m = _pair_measure(baths, a, b)
-        return 0.0 if m is None else measure_value(m, w)
-
-    def dyn(a, b, w, wp):
-        if w != wp:
-            return 0.0
-        m = _pair_measure(baths, a, b)
-        return 0.0 if m is None else lamb_shift_S(m, w, config)
-
     gen = commutator_superop(h)
     if lam > 0:
-        gen = gen + lam**2 * dissipative_generator(jumps, kmat, dyn)
+        gen = gen + lam**2 * _assemble(jumps, kmat, smat)
     return Superoperator(h.shape[0], gen)
-
-
-def _grouped_integrated(jumps, baths, t, config):
-    """Per coupling pair: integrated (xi, Xi) accessors from shared grids."""
-    if not isinstance(baths, (list, tuple)):
-        baths = (baths,) * len(jumps)
-    cache = {}
-
-    def tables(a, b):
-        m = _pair_measure(baths, a, b)
-        if m is None:
-            return None
-        freqs = tuple(sorted(set(jumps[a].frequencies) | set(jumps[b].frequencies)))
-        key = (m, freqs)
-        if key not in cache:
-            xi = integrated_gamma_matrix(m, freqs, t, config)
-            big_xi = integrated_S_matrix(m, freqs, t, config)
-            index = {w: i for i, w in enumerate(freqs)}
-            cache[key] = (xi, big_xi, index)
-        return cache[key]
-
-    def xi_ab(a, b, w, wp):
-        tab = tables(a, b)
-        if tab is None:
-            return 0.0
-        xi, _, index = tab
-        return xi[index[w], index[wp]]
-
-    def big_xi_ab(a, b, w, wp):
-        tab = tables(a, b)
-        if tab is None:
-            return 0.0
-        _, big_xi, index = tab
-        return big_xi[index[w], index[wp]]
-
-    return xi_ab, big_xi_ab
 
 
 def build_cumulant_exponent(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
@@ -269,8 +234,12 @@ def build_cumulant_exponent(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
     dim = h.shape[0]
     if t == 0 or lam == 0:
         return Superoperator(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
-    xi_ab, big_xi_ab = _grouped_integrated(jumps, baths, t, config)
-    gen = dissipative_generator(jumps, xi_ab, big_xi_ab)
+
+    def pair(m, freqs):
+        return (integrated_gamma_matrix(m, freqs, t, config),
+                integrated_S_matrix(m, freqs, t, config))
+
+    gen = _assemble(jumps, *_coefficients(jumps, baths, pair))
     return Superoperator(dim, lam**2 * gen)
 
 

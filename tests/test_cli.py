@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from meanforce.cli import load_config, main, parse_config, read_corrections_csv
+from meanforce.cli import load_config, main, parse_config, pool_size, read_corrections_csv
 from meanforce.errors import ValidationError
 
 BASE = {
@@ -70,6 +70,37 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="line"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("edit, path", [
+        pytest.param(lambda c: c.update(system={"tls": 1.0}), "system.tls", id="tls"),
+        pytest.param(lambda c: c["baths"].update(b1=[1, 2]), "baths.b1", id="bath"),
+        pytest.param(lambda c: c.update(couplings=[5]), r"couplings\[0\]", id="coupling"),
+        pytest.param(lambda c: c["couplings"][0]["pauli"].update(x="a"),
+                     r"couplings\[0\].pauli.x", id="pauli_weight"),
+        pytest.param(lambda c: c.update(quadrature={"abs_tol": "tight"}), "quadrature.abs_tol",
+                     id="abs_tol"),
+        pytest.param(lambda c: c.update(beta=float("inf")), "beta", id="beta_inf"),
+        pytest.param(lambda c: c.update({"lambda": float("nan")}), "lambda", id="lambda_nan"),
+        pytest.param(lambda c: c.update(system={"tls": {"omega0": float("inf")}}),
+                     "system.tls.omega0", id="omega0_inf"),
+        pytest.param(lambda c: c["baths"]["b1"].update(gamma_c=float("inf")), "baths.b1.gamma_c",
+                     id="gamma_c_inf"),
+        pytest.param(lambda c: c["baths"]["b1"].update(cutoff=float("inf")), "baths.b1.cutoff",
+                     id="cutoff_inf"),
+        pytest.param(lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[1.0, float("inf")]]}),
+                     "baths.b1.modes", id="mode_inf"),
+    ])
+    def test_malformed_field_named(self, edit, path):
+        cfg = json.loads(json.dumps(BASE))
+        edit(cfg)
+        with pytest.raises(ValidationError, match=path):
+            parse_config(cfg)
+
+    def test_malformed_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(BASE).replace('"beta": 1.0', '"beta": Infinity'))
+        assert main(["corrections", "--config", str(path)]) == 2
+        assert "beta" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def csv_pair(tmp_path_factory):
@@ -110,6 +141,28 @@ class TestCorrectionsTask:
                            output=str(tmp_path / "p.csv"))
         assert main(["corrections", "--config", cfg, "--threads", "2"]) == 0
         assert (tmp_path / "p.csv").read_bytes() == a
+
+    def test_quadrature_limit_reaches_workers(self, tmp_path, capsys):
+        # limit 10 cannot resolve the spectral integrals at beta*w0 = 1
+        cfg = write_config(tmp_path, sweep={"parameter": "omega0", "values": [1.0]},
+                           quadrature={"limit": 10}, output=str(tmp_path / "lim.csv"))
+        assert main(["corrections", "--config", cfg]) == 0
+        rows = (tmp_path / "lim.csv").read_text().strip().split("\n")[1:]
+        assert rows and all(r.endswith(",nan,nan") for r in rows)
+        assert "warning: sweep value 1" in capsys.readouterr().err
+
+    def test_pool_size_clamp(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert pool_size(8, 20) == 2
+        assert pool_size(8, 1) == 1
+        assert pool_size(1, 20) == 1
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert pool_size(4, 20) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--tol-abs", "-1")])
+    def test_bad_argument_rejected(self, tmp_path, capsys, flag, value):
+        assert main(["corrections", "--config", write_config(tmp_path), flag, value]) == 2
+        assert flag in capsys.readouterr().err
 
     def test_general_system_emits_full_table(self, tmp_path):
         cfg = write_config(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from meanforce.bath import DiscreteBath, OhmicBath
 from meanforce.corrections import build_upsilon_table
 from meanforce.errors import DegenerateSteadyStateError, ValidationError
 from meanforce.generators import (
@@ -10,6 +11,7 @@ from meanforce.generators import (
     build_davies_generator,
     build_redfield_generator,
     choi_matrix,
+    commutator_superop,
     cumulant_map,
     interaction_redfield_generator,
     propagate,
@@ -207,3 +209,72 @@ class TestSteadyState:
         assert abs(davies[0, 1]) <= 1e-14
         assert abs(rho_c[0, 1]) > 10.0 * abs(davies[0, 1])
         assert abs(rho_c[0, 1]) > 1e-5
+
+
+def _random_hermitian(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (z + z.conj().T)
+
+
+@pytest.fixture(scope="module")
+def qutrit():
+    """Seeded d=3 H0 with two random couplings, their sum, and two baths."""
+    rng = np.random.default_rng(11)
+    h0, a1, a2 = (_random_hermitian(rng, 3) for _ in range(3))
+    dec = spectral_decompose(h0)
+    ops = {
+        "a1": bohr_decompose(dec, a1, index=0),
+        "a2": bohr_decompose(dec, a2, index=1),
+        "sum": bohr_decompose(dec, a1 + a2, index=0),
+    }
+    baths = {"ohmic": OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0),
+             "discrete": DiscreteBath(beta=1.0, modes=((0.7, 0.3), (1.9, 0.2)))}
+    return h0, ops, baths
+
+
+GENERATORS = {
+    "redfield_inf": lambda h0, jumps, baths: build_redfield_generator(h0, jumps, baths, LAM),
+    "redfield_t1": lambda h0, jumps, baths: build_redfield_generator(h0, jumps, baths, LAM, t=1.0),
+    "davies": lambda h0, jumps, baths: build_davies_generator(h0, jumps, baths, LAM),
+    "interaction_t1": lambda h0, jumps, baths: interaction_redfield_generator(jumps, baths, LAM, 1.0),
+    "cumulant_t1": lambda h0, jumps, baths: build_cumulant_exponent(h0, jumps, baths, LAM, 1.0),
+}
+
+
+def _dissipative_part(kind, h0, jumps, baths):
+    m = GENERATORS[kind](h0, jumps, baths).matrix
+    if kind in ("redfield_inf", "redfield_t1", "davies"):
+        m = m - commutator_superop(h0)
+    return m
+
+
+class TestMultipleCouplings:
+    @pytest.mark.parametrize("bath_name", ["ohmic", "discrete"])
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_shared_bath_couplings_add_as_operators(self, qutrit, kind, bath_name):
+        h0, ops, baths = qutrit
+        bath = baths[bath_name]
+        pair = _dissipative_part(kind, h0, [ops["a1"], ops["a2"]], [bath, bath])
+        single = _dissipative_part(kind, h0, [ops["sum"]], [bath])
+        assert np.abs(pair - single).max() <= 1e-12 * np.abs(single).max()
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_independent_baths_add_dissipators(self, qutrit, kind):
+        h0, ops, baths = qutrit
+        both = _dissipative_part(kind, h0, [ops["a1"], ops["a2"]],
+                                 [baths["ohmic"], baths["discrete"]])
+        parts = (_dissipative_part(kind, h0, [ops["a1"]], [baths["ohmic"]])
+                 + _dissipative_part(kind, h0, [ops["a2"]], [baths["discrete"]]))
+        assert np.abs(both - parts).max() <= 1e-12 * np.abs(parts).max()
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_trace_preserving(self, qutrit, kind):
+        h0, ops, baths = qutrit
+        gen = GENERATORS[kind](h0, [ops["a1"], ops["a2"]], [baths["ohmic"], baths["discrete"]])
+        assert gen.trace_defect() <= 1e-12 * np.linalg.norm(gen.matrix)
+
+    def test_davies_steady_state_is_gibbs(self, qutrit):
+        h0, ops, baths = qutrit
+        gen = build_davies_generator(h0, [ops["a1"], ops["a2"]], baths["ohmic"], LAM)
+        rho = steady_state_of_generator(gen)
+        assert np.abs(rho - thermal_state(h0, 1.0)).max() <= 1e-10

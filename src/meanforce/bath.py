@@ -32,7 +32,6 @@ from ._quad import (
     DEFAULT_QUAD,
     QuadratureConfig,
     adaptive_quad,
-    oscillatory_quad,
     panel_nodes,
     phi_diff_quotient,
     phi_kernel,
@@ -225,20 +224,28 @@ def lamb_shift_S(bath, omega, config=DEFAULT_QUAD):
     return _lamb_shift_cached(measure, float(omega), config)
 
 
-@lru_cache(maxsize=16384)
-def _finite_gamma_cached(measure, omega, t, config):
-    total = 0.0 + 0.0j
-    for loc, wgt in measure.atoms:
-        total += wgt * complex(phi_kernel(omega - loc, t)) / (2.0 * np.pi)
+def _discretize(measure, rate, reach):
+    """Nodes W_k and weights c_k >= 0 with (1/2pi) int gamma(W) f(W) dW ~ sum_k c_k f(W_k).
+
+    Atoms are exact nodes of weight w_k/2pi.  The density is sampled on the
+    panel rule that resolves oscillation rate `rate` on the smooth domain
+    widened by `reach`; a panel edge falls on the |W| cusp at W = 0 only when
+    the panel count is even.
+    """
+    atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
+    nodes, c = [atoms[:, 0]], [atoms[:, 1] / (2.0 * np.pi)]
     if measure.density is not None:
-        lo, hi = _smooth_domain(measure, omega)
+        lo, hi = _smooth_domain(measure, reach)
+        panel, weights = panel_nodes(lo, hi, rate, structure_scale=_structure_scale(measure))
+        nodes.append(panel)
+        c.append(weights * measure.density(panel) / (2.0 * np.pi))
+    return np.concatenate(nodes), np.concatenate(c)
 
-        def integrand(w):
-            return measure.density(w) * phi_kernel(omega - w, t)
 
-        total += oscillatory_quad(integrand, lo, hi, t,
-                                  structure_scale=_structure_scale(measure)) / (2.0 * np.pi)
-    return total
+@lru_cache(maxsize=16384)
+def _finite_gamma_cached(measure, omega, t):
+    nodes, c = _discretize(measure, t, abs(omega))
+    return complex(np.sum(c * phi_kernel(omega - nodes, t)))
 
 
 def finite_time_Gamma(bath, omega, t, config=DEFAULT_QUAD):
@@ -254,7 +261,7 @@ def finite_time_Gamma(bath, omega, t, config=DEFAULT_QUAD):
         raise ValidationError("t must be nonnegative")
     if t == 0:
         return 0.0 + 0.0j
-    return _finite_gamma_cached(measure, float(omega), float(t), config)
+    return _finite_gamma_cached(measure, float(omega), float(t))
 
 
 def gamma_finite_time(bath, w, wp, t, config=DEFAULT_QUAD):
@@ -317,43 +324,24 @@ def _log_tail_integral(delta, t0, t1):
     return complex(exp1(-1j * delta * t0) - exp1(-1j * delta * t1))
 
 
-def _gamma_matrix_direct(measure, freqs, t, config):
-    n = len(freqs)
-    xi = np.zeros((n, n), dtype=complex)
+def _gamma_matrix_direct(measure, freqs, t):
     fa = np.array(freqs, dtype=float)
-    for loc, wgt in measure.atoms:
-        v = phi_kernel(fa - loc, t)
-        xi += (wgt / (2.0 * np.pi)) * np.outer(v, v.conj())
-    if measure.density is not None:
-        lo, hi = _smooth_domain(measure, max(abs(f) for f in freqs))
-        nodes, weights = panel_nodes(lo, hi, t, structure_scale=_structure_scale(measure))
-        c = weights * measure.density(nodes) / (2.0 * np.pi)
-        phi = phi_kernel(fa[None, :] - nodes[:, None], t)
-        xi += np.einsum("n,ni,nj->ij", c, phi, phi.conj())
-    return xi
+    nodes, c = _discretize(measure, t, np.abs(fa).max())
+    phi = phi_kernel(fa[None, :] - nodes[:, None], t)
+    return np.einsum("n,ni,nj->ij", c, phi, phi.conj())
 
 
-def _S_matrix_direct(measure, freqs, t, config):
-    n = len(freqs)
-    out = np.zeros((n, n), dtype=complex)
+def _S_matrix_direct(measure, freqs, t):
     fa = np.array(freqs, dtype=float)
-
-    def accumulate(points, coeffs):
-        for i in range(n):
-            for j in range(n):
-                delta = fa[i] - fa[j]
-                term = phi_diff_quotient(fa[i] - points, delta, t) \
-                    - phi_diff_quotient(points - fa[j], delta, t)
-                out[i, j] += -0.5 * np.sum(coeffs * term) / (2.0 * np.pi)
-
-    if measure.atoms:
-        locs = np.array([a[0] for a in measure.atoms])
-        wgts = np.array([a[1] for a in measure.atoms])
-        accumulate(locs, wgts)
-    if measure.density is not None:
-        lo, hi = _smooth_domain(measure, max(abs(f) for f in freqs))
-        nodes, weights = panel_nodes(lo, hi, t, structure_scale=_structure_scale(measure))
-        accumulate(nodes, weights * measure.density(nodes))
+    nodes, c = _discretize(measure, t, np.abs(fa).max())
+    n = len(fa)
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            delta = fa[i] - fa[j]
+            term = phi_diff_quotient(fa[i] - nodes, delta, t) \
+                - phi_diff_quotient(nodes - fa[j], delta, t)
+            out[i, j] = -0.5 * np.sum(c * term)
     return out
 
 
@@ -367,27 +355,16 @@ def _integrated_matrices_cached(measure, freqs, t, config):
     """
     t0 = _split_time(measure)
     if measure.density is None or t <= t0:
-        return (
-            _gamma_matrix_direct(measure, freqs, t, config),
-            _S_matrix_direct(measure, freqs, t, config),
-        )
-    xi = _gamma_matrix_direct(measure, freqs, t0, config)
-    sig = _S_matrix_direct(measure, freqs, t0, config)
-    n = len(freqs)
-    for i in range(n):
-        for j in range(n):
-            w, wp = freqs[i], freqs[j]
+        return _gamma_matrix_direct(measure, freqs, t), _S_matrix_direct(measure, freqs, t)
+    xi = _gamma_matrix_direct(measure, freqs, t0)
+    sig = _S_matrix_direct(measure, freqs, t0)
+    c = measure.tail_zero_coeff
+    for i, w in enumerate(freqs):
+        for j, wp in enumerate(freqs):
             delta = w - wp
-            ginf = 0.5 * (measure_value(measure, w) + measure_value(measure, wp)) + 1j * (
-                _lamb_shift_cached(measure, wp, config) - _lamb_shift_cached(measure, w, config)
-            )
-            sinf = 0.5 * (
-                _lamb_shift_cached(measure, w, config) + _lamb_shift_cached(measure, wp, config)
-            ) + 0.25j * (measure_value(measure, w) - measure_value(measure, wp))
             step = complex(phi_kernel(delta, t) - phi_kernel(delta, t0))
-            xi[i, j] += ginf * step
-            sig[i, j] += sinf * step
-            c = measure.tail_zero_coeff
+            xi[i, j] += gamma_finite_time(measure, w, wp, np.inf, config) * step
+            sig[i, j] += S_finite_time(measure, w, wp, np.inf, config) * step
             if c != 0.0:
                 tail = _log_tail_integral(delta, t0, t)
                 xi[i, j] += c * ((wp == 0.0) + (w == 0.0)) * tail

@@ -45,6 +45,7 @@ from .generators import (
     propagate,
     steady_state_of_generator,
     thermal_state,
+    validate_density_matrix,
 )
 from .operators import (
     assemble_correction,
@@ -71,7 +72,10 @@ def _fmt(x):
 
 
 def _finite(x):
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
 
 
 def _object(obj, path):
@@ -83,7 +87,7 @@ def _object(obj, path):
 def _parse_complex_matrix(obj, path):
     try:
         arr = np.array([[complex(e[0], e[1]) for e in row] for row in obj])
-    except (TypeError, IndexError, KeyError):
+    except (TypeError, IndexError, KeyError, ValueError, OverflowError):
         raise ValidationError(f"{path}: expected a nested list of [re, im] pairs") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{path}: matrix must be square")
@@ -201,7 +205,7 @@ def parse_config(data):
         else:
             raise ValidationError(f"{path}: needs 'pauli' or 'operator'")
         bid = c.get("bath")
-        if bid not in baths:
+        if not isinstance(bid, str) or bid not in baths:
             raise ValidationError(f"{path}.bath: unknown bath id {bid!r}")
         if op.shape[0] != h0.shape[0]:
             raise ValidationError(f"{path}: operator dimension {op.shape[0]} != system dimension {h0.shape[0]}")
@@ -218,10 +222,14 @@ def parse_config(data):
             raise ValidationError("quadrature.limit: must be an integer of at least 10")
         quad = QuadratureConfig(**fields)
 
+    output = data.get("output", "out.csv")
+    if not isinstance(output, str) or not output:
+        raise ValidationError("output: must be a non-empty file path string")
+
     cfg = RunConfig(
         task=task, beta=float(beta), lam=float(lam), h0=h0,
         couplings=couplings, baths=baths, omega0=omega0,
-        quad=quad, output=data.get("output", "out.csv"),
+        quad=quad, output=output,
     )
 
     sweep = data.get("sweep")
@@ -254,8 +262,15 @@ def parse_config(data):
         if state is None:
             raise ValidationError("evolve.initial_state: required")
         rho0 = _parse_complex_matrix(state, "evolve.initial_state")
-        if abs(np.trace(rho0) - 1.0) > 1e-10:
-            raise ValidationError("evolve.initial_state: trace must be 1")
+        if rho0.shape != h0.shape:
+            raise ValidationError(
+                f"evolve.initial_state: dimension {rho0.shape[0]} != system dimension {h0.shape[0]}")
+        try:
+            validate_density_matrix(rho0)
+        except ValidationError as exc:
+            raise ValidationError(f"evolve.initial_state: {exc}") from None
+        if np.linalg.eigvalsh(rho0).min() < -1e-10:
+            raise ValidationError("evolve.initial_state: density matrix is not positive semi-definite")
         cfg.initial_state = rho0
 
     if "validate" in data:
@@ -506,7 +521,7 @@ def main(argv=None):
         if cfg.task == "steadystate":
             return run_steadystate(cfg)
         return run_validate(cfg)
-    except MeanforceError as exc:
+    except (MeanforceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

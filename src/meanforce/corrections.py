@@ -52,9 +52,8 @@ def _exp_factor(x):
 
 # --- stable building blocks -------------------------------------------------
 #
-# E(x) = (e^{beta x} - 1)/x       (E(0) = beta)
-# G(u) = (1 - e^{-beta u})/u      (G(0) = beta)
-# both entire up to the removable point; difference quotients of E switch to
+# E(x) = (e^{beta x} - 1)/x       (E(0) = beta), and (1 - e^{-beta u})/u = E(-u);
+# entire up to the removable point; difference quotients of E switch to
 # a midpoint-derivative branch once the increment is below 1e-5/beta, a
 # crossover validated against extended-precision evaluation in the tests.
 
@@ -74,24 +73,6 @@ def _E_prime(x, beta):
     safe = np.where(small, 1.0, x)
     exact = (beta * safe * np.exp(beta * safe) - np.expm1(beta * safe)) / safe**2
     series = beta**2 * (0.5 + bx * (2.0 / 6.0 + bx * (3.0 / 24.0 + bx * 4.0 / 120.0)))
-    return np.where(small, series, exact)
-
-
-def _G(u, beta):
-    u = np.asarray(u, dtype=float)
-    bu = beta * u
-    small = np.abs(bu) < 1e-12
-    safe = np.where(small, 1.0, u)
-    return np.where(small, beta * (1.0 - 0.5 * bu), -np.expm1(-beta * safe) / safe)
-
-
-def _G_prime(u, beta):
-    u = np.asarray(u, dtype=float)
-    bu = beta * u
-    small = np.abs(bu) < 1e-4
-    safe = np.where(small, 1.0, u)
-    exact = (beta * safe * np.exp(-beta * safe) + np.expm1(-beta * safe)) / safe**2
-    series = -(beta**2) * (0.5 - bu * (2.0 / 6.0 - bu * (3.0 / 24.0 - bu * 4.0 / 120.0)))
     return np.where(small, series, exact)
 
 
@@ -124,22 +105,22 @@ def kernel_D(beta, w, wp, big_omega):
 def _kernel_D_folded_negative(beta, w, wp, big_omega):
     """e^{-beta W} D(w, w', -W) for W >= 0, computed without large exponentials.
 
-    e^{-bW} E(w + W) = e^{bw} G(w + W), so the numerator
-    N(W) = e^{bw} G(w+W) - e^{-bW} E(a) stays bounded; its zero at W = -w'
+    e^{-bW} E(w + W) = e^{bw} E(-w - W), so the numerator
+    N(W) = e^{bw} E(-w-W) - e^{-bW} E(a) stays bounded; its zero at W = -w'
     is removable and handled by a midpoint-derivative branch.
     """
     a = w - wp
     big_omega = np.asarray(big_omega, dtype=float)
     ea = float(_E(a, beta))
     ebw = _exp_factor(beta * w)
-    num = ebw * _G(w + big_omega, beta) - np.exp(-beta * big_omega) * _E(a, beta)
+    num = ebw * _E(-(w + big_omega), beta) - np.exp(-beta * big_omega) * _E(a, beta)
     den = wp + big_omega
     small = np.abs(beta * den) < 1e-5
     densafe = np.where(small, 1.0, den)
     direct = num / densafe
     # derivative of N at the midpoint of [W, -w']
     mid = 0.5 * (big_omega + (-wp))
-    nprime = ebw * _G_prime(w + mid, beta) + beta * np.exp(-beta * mid) * ea
+    nprime = -ebw * _E_prime(-(w + mid), beta) + beta * np.exp(-beta * mid) * ea
     return -np.where(small, nprime, direct) / ea
 
 
@@ -299,7 +280,7 @@ def tls_time_integrated_balance(bath, w, config=DEFAULT_QUAD):
     Each summand alone diverges linearly; detailed balance cancels the secular
     growth, leaving the principal-value integral
     (1/pi) PV int gamma(W) (1 - e^{beta(w-W)}) / (w-W)^2 dW, folded onto W >= 0
-    as gamma(W) [G(W-w)/(W-w) - e^{beta w} G(W+w)/(W+w)] with one simple pole
+    as gamma(W) [E(w-W)/(W-w) - e^{beta w} E(-W-w)/(W+w)] with one simple pole
     at W = |w|.
     """
     if w == 0.0:
@@ -311,7 +292,7 @@ def tls_time_integrated_balance(bath, w, config=DEFAULT_QUAD):
         d = loc - w
         if abs(d) <= 1e-12 * max(1.0, abs(loc)):
             raise PoleError(f"frequency {w:g} sits on the atom at {loc:g}")
-        total += wgt * float(_G(d, beta)) / d / np.pi
+        total += wgt * float(_E(-d, beta)) / d / np.pi
     if measure.density is not None:
         ebw = _exp_factor(beta * w)
         pole = abs(w)
@@ -321,7 +302,7 @@ def tls_time_integrated_balance(bath, w, config=DEFAULT_QUAD):
         def integrand(om):
             om = np.asarray(om)
             return measure.density(om) * (
-                _G(om - w, beta) / (om - w) - ebw * _G(om + w, beta) / (om + w)
+                _E(w - om, beta) / (om - w) - ebw * _E(-(om + w), beta) / (om + w)
             ) / np.pi
 
         total += principal_value(integrand, pole, 0.0, hi, config, pairing_cap=cap)

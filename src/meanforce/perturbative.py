@@ -28,9 +28,9 @@ from itertools import product
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, panel_nodes
-from .bath import as_measure, measure_value
-from .corrections import _G, tls_time_integrated_balance
+from ._quad import DEFAULT_QUAD
+from .bath import _discretize, as_measure, measure_value
+from .corrections import _E, tls_time_integrated_balance
 from .errors import DomainError, ValidationError
 from .generators import commutator_superop, dissipative_generator, unvectorize, vectorize
 from .operators import require_hermitian
@@ -52,7 +52,7 @@ def alpha_weight(beta, w):
     """a(w) = int_0^beta dt e^{-tw} = (1 - e^{-beta w})/w, a(0) = beta."""
     if beta <= 0:
         raise ValidationError("beta must be positive")
-    return float(_G(w, beta))
+    return float(_E(-w, beta))
 
 
 @dataclass(frozen=True)
@@ -211,35 +211,23 @@ class _GridCoefficients:
     """Finite-time gamma~ and S~ on a shared time grid, from one quadrature pass.
 
     Gamma(w, tau) = int_0^tau e^{iws} C(s) ds is accumulated by Simpson on a
-    uniform grid with C(tau) evaluated by the same panel transform used for
-    the frequency-domain route; this keeps the direct g40 route independent of
-    the principal-value machinery.
+    uniform grid, with C(s) = sum_k c_k e^{-i W_k s} summed over the same
+    discretisation of the spectral measure as the frequency-domain route;
+    this keeps the direct g40 route independent of the principal-value
+    machinery.
     """
 
     def __init__(self, measure, freqs, t_max, n_steps):
         self.grid = np.linspace(0.0, t_max, n_steps + 1)
-        corr = self._correlation(measure, self.grid)
+        nodes, c = _discretize(measure, t_max, 0.0)
+        self.corr = np.empty(len(self.grid), dtype=complex)
+        for start in range(0, len(self.grid), 64):
+            sl = slice(start, start + 64)
+            self.corr[sl] = np.exp(-1j * np.outer(self.grid[sl], nodes)) @ c
         self.gam = {}
         for w in freqs:
-            integrand = np.exp(1j * w * self.grid) * corr
+            integrand = np.exp(1j * w * self.grid) * self.corr
             self.gam[w] = self._cumulative_simpson(integrand, self.grid)
-
-    @staticmethod
-    def _correlation(measure, grid):
-        out = np.zeros(len(grid), dtype=complex)
-        for loc, wgt in measure.atoms:
-            out += wgt * np.exp(-1j * loc * grid) / (2.0 * np.pi)
-        if measure.density is not None:
-            from .bath import _structure_scale
-
-            lo, hi = -measure.support - 1.0, measure.support + 1.0
-            nodes, weights = panel_nodes(lo, hi, grid[-1],
-                                         structure_scale=_structure_scale(measure))
-            dens = weights * measure.density(nodes) / (2.0 * np.pi)
-            for start in range(0, len(grid), 64):
-                sl = slice(start, min(start + 64, len(grid)))
-                out[sl] += np.exp(-1j * np.outer(grid[sl], nodes)) @ dens
-        return out
 
     @staticmethod
     def _cumulative_simpson(y, x):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,3 +235,28 @@ class TestIntegratedCoefficients:
             mb._integrated_matrices_cached.cache_clear()
         assert np.abs(split_gamma - direct_gamma).max() <= 2e-3
         assert np.abs(split_S - direct_S).max() <= 2e-3
+
+
+class TestMixedMeasure:
+    """A density plus atoms: every finite-time transform is linear in the measure."""
+
+    @pytest.fixture(scope="class")
+    def parts(self, bath):
+        modes = gamma_spectral(DiscreteBath(beta=bath.beta, modes=((1.3, 0.4), (2.1, 0.25))))
+        smooth = gamma_spectral(bath)
+        return replace(smooth, atoms=modes.atoms), smooth, modes
+
+    @pytest.mark.parametrize("t", [0.5, 5.0])
+    def test_finite_time_gamma_adds(self, parts, t):
+        mixed, smooth, modes = parts
+        for w in (-1.0, 0.0, 0.7, 1.0):
+            total = finite_time_Gamma(smooth, w, t) + finite_time_Gamma(modes, w, t)
+            assert abs(finite_time_Gamma(mixed, w, t) - total) <= 1e-13 * abs(total)
+
+    @pytest.mark.parametrize("t", [0.5, 5.0])
+    @pytest.mark.parametrize("builder", [integrated_gamma_matrix, integrated_S_matrix])
+    def test_integrated_matrices_add(self, parts, builder, t):
+        mixed, smooth, modes = parts
+        freqs = (-1.0, 0.0, 0.7, 1.0)
+        total = builder(smooth, freqs, t) + builder(modes, freqs, t)
+        assert np.abs(builder(mixed, freqs, t) - total).max() <= 1e-13 * np.abs(total).max()

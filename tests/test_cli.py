@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from meanforce.cli import load_config, main, parse_config, pool_size, read_corrections_csv
+from meanforce.cli import RunConfig, load_config, main, parse_config, pool_size, read_corrections_csv
 from meanforce.errors import ValidationError
 
 BASE = {
@@ -16,6 +18,45 @@ BASE = {
     "beta": 1.0,
     "lambda": 0.05,
 }
+
+
+def with_state(state):
+    """Config edit: turn BASE into an evolve run from `state`."""
+    return lambda c: c.update(task="evolve", evolve={"initial_state": state, "times": [1.0]})
+
+
+# every optional section present, so that the fuzz reaches each field path
+FULL_TLS = dict(
+    BASE, task="evolve",
+    evolve={"initial_state": [[[0.6, 0], [0.1, 0]], [[0.1, 0], [0.4, 0]]], "times": [1.0]},
+    baths={"b1": BASE["baths"]["b1"], "d": {"type": "discrete", "modes": [[1.0, 0.1], [2.0, 0.2]]}},
+    sweep={"parameter": "omega0", "values": [0.5, 1.0]},
+    validate={"skip_oracle": True, "break_detailed_balance": False},
+    quadrature={"abs_tol": 1e-9, "rel_tol": 1e-8, "limit": 400},
+    output="out.csv",
+)
+FULL_MATRIX = dict(
+    FULL_TLS,
+    system={"hamiltonian": [[[0.3, 0], [0.1, 0.05]], [[0.1, -0.05], [-0.4, 0]]]},
+    couplings=[{"operator": [[[0.0, 0], [1.0, 0]], [[1.0, 0], [0.5, 0]]], "bath": "d"}],
+)
+
+
+def field_paths(obj, prefix=()):
+    """Every key/index path into a JSON value, the root's children included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from field_paths(v, prefix + (k,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=5) | st.builds(list) | st.builds(dict),
+    lambda inner: st.lists(inner, min_size=1, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, min_size=1, max_size=4),
+    max_leaves=12,
+)
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -88,12 +129,50 @@ class TestConfigValidation:
                      id="cutoff_inf"),
         pytest.param(lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[1.0, float("inf")]]}),
                      "baths.b1.modes", id="mode_inf"),
+        pytest.param(lambda c: c.update(beta=10**400), "beta", id="beta_huge_int"),
+        pytest.param(lambda c: c.update(system={"hamiltonian": [[[1, 0]], [[1, 0], [0, 0]]]}),
+                     "system.hamiltonian", id="ragged_matrix"),
+        pytest.param(lambda c: c.update(output=None), "output", id="output_null"),
+        pytest.param(lambda c: c.update(output=7), "output", id="output_int"),
+        pytest.param(lambda c: c.update(output=""), "output", id="output_empty"),
+        pytest.param(lambda c: c["couplings"][0].update(bath=["b1"]), r"couplings\[0\].bath",
+                     id="bath_unhashable"),
+        pytest.param(with_state([[[1 / 3, 0]] * 3] * 3), "evolve.initial_state", id="state_dimension"),
+        pytest.param(with_state([[[0.5, 0], [0.3, 0]], [[0.1, 0], [0.5, 0]]]), "evolve.initial_state",
+                     id="state_non_hermitian"),
+        pytest.param(with_state([[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]), "evolve.initial_state",
+                     id="state_negative"),
     ])
     def test_malformed_field_named(self, edit, path):
         cfg = json.loads(json.dumps(BASE))
         edit(cfg)
         with pytest.raises(ValidationError, match=path):
             parse_config(cfg)
+
+    def test_pure_state_accepted(self):
+        cfg = json.loads(json.dumps(BASE))
+        with_state([[[1.0, 0], [0, 0]], [[0, 0], [0, 0]]])(cfg)  # rank 1, eigenvalue 0
+        assert parse_config(cfg).initial_state.shape == (2, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.sampled_from([FULL_TLS, FULL_MATRIX]), data=st.data(), value=JSON_VALUES)
+    def test_fuzz_one_field(self, base, data, value):
+        cfg = json.loads(json.dumps(base))
+        path = data.draw(st.sampled_from(list(field_paths(cfg))))
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            assert isinstance(parse_config(cfg), RunConfig)
+        except ValidationError:
+            pass
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, sweep={"parameter": "omega0", "values": [1.0]},
+                           output=str(tmp_path / "missing" / "out.csv"))
+        assert main(["corrections", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inf.json"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meanforce.bath import OhmicBath, SpectralMeasure
+from meanforce.bath import OhmicBath, SpectralMeasure, as_measure
 from meanforce.corrections import (
     build_upsilon_table,
     kossakowski_redfield,
@@ -207,6 +207,19 @@ class TestG40:
         combo = math.exp(-tiny * W0) * coeffs.gamma_pair(W0, W0, idx) \
             - coeffs.gamma_pair(-W0, -W0, idx)
         assert np.abs(combo).max() <= 1e-10 * np.abs(coeffs.gamma_pair(W0, W0, idx)).max()
+
+    @pytest.mark.parametrize("t_max", [3.0, 6.0])
+    def test_grid_correlation_matches_quadpack(self, bath, t_max):
+        # the grid's C(s) against the error-controlled QUADPACK cos/sin route
+        from meanforce.bath import correlation_time_domain
+        from meanforce.perturbative import _GridCoefficients
+
+        n_steps = 60
+        coeffs = _GridCoefficients(as_measure(bath), (W0,), t_max, n_steps)
+        c0 = abs(correlation_time_domain(bath, 0.0))
+        for idx in (0, 7, 31, n_steps):
+            expect = correlation_time_domain(bath, coeffs.grid[idx])
+            assert abs(coeffs.corr[idx] - expect) <= 1e-10 * c0
 
     def test_two_routes_agree(self, bath):
         closed = g40_tls(bath, W0)

@@ -31,17 +31,11 @@ class QuadratureConfig:
 
     abs_tol / rel_tol   target accuracies handed to the adaptive routine
     limit               max number of adaptive subdivisions
-    window_mult         spectral-measure support radius, in units of
-                        max(scale, 1/beta), applied when a measure is built
-    pairing_mult        principal-value pairing half-width is
-                        min(|pole| + 5*scale, pairing_mult*scale), clipped to the domain
     """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
     limit: int = 400
-    window_mult: float = 40.0
-    pairing_mult: float = 10.0
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -70,18 +64,19 @@ def adaptive_quad(f, lo, hi, config=DEFAULT_QUAD):
     return value
 
 
-def principal_value(f, pole, lo, hi, config=DEFAULT_QUAD, pairing_cap=None):
+def principal_value(f, pole, lo, hi, scale, config=DEFAULT_QUAD):
     """PV integral of f over [lo, hi] where f has a simple pole at `pole`.
 
     The window [pole-W, pole+W] is integrated as
     int_0^W (f(pole+u) + f(pole-u)) du, which is finite without knowing the
     residue; the remaining pole-free pieces go through adaptive quadrature.
+    The half-width W = min(|pole| + 5 scale, 10 scale) follows the
+    integrand's frequency `scale` and stays inside 99% of either side of
+    the domain.
     """
     if not lo < pole < hi:
         raise ValidationError("pole must lie strictly inside the integration domain")
-    w = min(pole - lo, hi - pole)
-    if pairing_cap is not None:
-        w = min(w, pairing_cap)
+    w = min(0.99 * (pole - lo), 0.99 * (hi - pole), abs(pole) + 5.0 * scale, 10.0 * scale)
 
     paired = adaptive_quad(lambda u: f(pole + u) + f(pole - u), 0.0, w, config)
     left = adaptive_quad(f, lo, pole - w, config)

@@ -13,7 +13,9 @@ is built from it:
 and the Bloch-Redfield pair coefficients
 
     gamma(w,w',t) = Gamma(w',t) + Gamma(w,t)^*
-    S(w,w',t)     = (Gamma(w',t) - Gamma(w,t)^*) / 2i.
+    S(w,w',t)     = (Gamma(w',t) - Gamma(w,t)^*) / 2i,
+
+whose t -> oo limits are the long-time Redfield pair K and Y_dyn.
 
 Supported reservoirs: Ohmic J(W) = gc * W * exp(-|W|/wc) at inverse temperature
 beta (gamma(W) = pi J(W) (coth(beta W/2) + 1), detailed balance built in), and
@@ -38,6 +40,8 @@ from ._quad import (
     principal_value,
 )
 from .errors import NumericsError, PoleError, ValidationError
+
+_SUPPORT_MULT = 40.0  # Ohmic support radius in units of max(cutoff, 1/beta)
 
 __all__ = [
     "OhmicBath",
@@ -141,7 +145,7 @@ def gamma_spectral(bath):
             density=density,
             atoms=(),
             scale=wc,
-            support=DEFAULT_QUAD.window_mult * max(wc, 1.0 / beta),
+            support=_SUPPORT_MULT * max(wc, 1.0 / beta),
             tail_zero_coeff=-2.0 * gc / (beta * wc),
         )
     if isinstance(bath, DiscreteBath):
@@ -202,13 +206,12 @@ def _lamb_shift(measure, omega, config):
         total += wgt / (2.0 * np.pi * (omega - loc))
     if measure.density is not None:
         lo, hi = _smooth_domain(measure, omega)
-        cap = min(abs(omega) + 5.0 * measure.scale, config.pairing_mult * measure.scale)
 
         def integrand(w):
             w = np.asarray(w)
             return measure.density(w) / (2.0 * np.pi * (omega - w))
 
-        total += principal_value(integrand, omega, lo, hi, config, pairing_cap=cap)
+        total += principal_value(integrand, omega, lo, hi, measure.scale, config)
     return total
 
 
@@ -265,14 +268,22 @@ def finite_time_Gamma(bath, omega, t, config=DEFAULT_QUAD):
 
 
 def gamma_finite_time(bath, w, wp, t, config=DEFAULT_QUAD):
-    """gamma(w, w', t) = Gamma(w', t) + Gamma(w, t)^*."""
+    """gamma(w, w', t) = Gamma(w', t) + Gamma(w, t)^*, at t = inf the Kossakowski
+    matrix K = (gamma(w) + gamma(w'))/2 + i (S(w') - S(w))."""
+    if t == np.inf:
+        return 0.5 * (measure_value(bath, w) + measure_value(bath, wp)) + 1j * (
+            lamb_shift_S(bath, wp, config) - lamb_shift_S(bath, w, config))
     g1 = finite_time_Gamma(bath, wp, t, config)
     g2 = finite_time_Gamma(bath, w, t, config)
     return g1 + np.conj(g2)
 
 
 def S_finite_time(bath, w, wp, t, config=DEFAULT_QUAD):
-    """S(w, w', t) = (Gamma(w', t) - Gamma(w, t)^*) / 2i."""
+    """S(w, w', t) = (Gamma(w', t) - Gamma(w, t)^*) / 2i, at t = inf the Lamb-Stark
+    coefficient Y_dyn = (S(w) + S(w'))/2 + i (gamma(w) - gamma(w'))/4."""
+    if t == np.inf:
+        return 0.5 * (lamb_shift_S(bath, w, config) + lamb_shift_S(bath, wp, config)) \
+            + 1j * (0.25 * (measure_value(bath, w) - measure_value(bath, wp)))
     g1 = finite_time_Gamma(bath, wp, t, config)
     g2 = finite_time_Gamma(bath, w, t, config)
     return (g1 - np.conj(g2)) / 2.0j

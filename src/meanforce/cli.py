@@ -51,6 +51,7 @@ from .operators import (
     assemble_correction,
     bohr_decompose,
     pauli_coupling,
+    require_hermitian,
     spectral_decompose,
     tls_hamiltonian,
 )
@@ -84,16 +85,18 @@ def _object(obj, path):
     return obj
 
 
-def _parse_complex_matrix(obj, path):
+def _parse_hermitian(obj, path):
+    """A Hermitian matrix of [re, im] pairs, to the tolerance the decompositions apply."""
     try:
         arr = np.array([[complex(e[0], e[1]) for e in row] for row in obj])
     except (TypeError, IndexError, KeyError, ValueError, OverflowError):
         raise ValidationError(f"{path}: expected a nested list of [re, im] pairs") from None
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{path}: matrix must be square")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{path}: entries must be finite")
-    return arr
+    try:  # also rejects a matrix that is not square
+        return require_hermitian(arr, name="matrix")
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -152,9 +155,7 @@ def parse_config(data):
             raise ValidationError("system.tls.omega0: must be a positive finite number")
         h0 = tls_hamiltonian(float(omega0))
     elif "hamiltonian" in system:
-        h0 = _parse_complex_matrix(system["hamiltonian"], "system.hamiltonian")
-        if np.abs(h0 - h0.conj().T).max() > 1e-12 * max(1.0, np.abs(h0).max()):
-            raise ValidationError("system.hamiltonian: matrix is not Hermitian")
+        h0 = _parse_hermitian(system["hamiltonian"], "system.hamiltonian")
     else:
         raise ValidationError("system: needs either 'tls' or 'hamiltonian'")
 
@@ -201,7 +202,7 @@ def parse_config(data):
             if h0.shape[0] != 2:
                 raise ValidationError(f"{path}.pauli: pauli couplings need a two-level system")
         elif "operator" in c:
-            op = _parse_complex_matrix(c["operator"], f"{path}.operator")
+            op = _parse_hermitian(c["operator"], f"{path}.operator")
         else:
             raise ValidationError(f"{path}: needs 'pauli' or 'operator'")
         bid = c.get("bath")
@@ -261,7 +262,7 @@ def parse_config(data):
         state = ev.get("initial_state")
         if state is None:
             raise ValidationError("evolve.initial_state: required")
-        rho0 = _parse_complex_matrix(state, "evolve.initial_state")
+        rho0 = _parse_hermitian(state, "evolve.initial_state")
         if rho0.shape != h0.shape:
             raise ValidationError(
                 f"evolve.initial_state: dimension {rho0.shape[0]} != system dimension {h0.shape[0]}")
@@ -275,8 +276,11 @@ def parse_config(data):
 
     if "validate" in data:
         v = _object(data["validate"], "validate")
-        cfg.skip_oracle = bool(v.get("skip_oracle", False))
-        cfg.break_detailed_balance = bool(v.get("break_detailed_balance", False))
+        for key in ("skip_oracle", "break_detailed_balance"):
+            flag = v.get(key, False)
+            if not isinstance(flag, bool):
+                raise ValidationError(f"validate.{key}: must be true or false")
+            setattr(cfg, key, flag)
 
     return cfg
 

@@ -31,14 +31,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import DEFAULT_QUAD, adaptive_quad, principal_value
-from .bath import OhmicBath, as_measure, lamb_shift_S, measure_value, pair_measure
-from .errors import (
-    DetailedBalanceError,
-    DomainError,
-    NearDegenerateError,
-    PoleError,
-    ValidationError,
+from .bath import (
+    OhmicBath,
+    S_finite_time,
+    _check_atom_pole,
+    as_measure,
+    gamma_finite_time,
+    lamb_shift_S,
+    measure_value,
+    pair_measure,
 )
+from .errors import DetailedBalanceError, DomainError, NearDegenerateError, ValidationError
 from .operators import UpsilonTable
 
 _EXP_GUARD = 300.0  # |beta*w| beyond which thermal-ratio formulas overflow
@@ -161,11 +164,8 @@ def upsilon_mean_force(bath, w, wp, representation="kernel", config=DEFAULT_QUAD
 
 
 def upsilon_dynamical(bath, w, wp, config=DEFAULT_QUAD):
-    """Lamb-Stark coefficient Y_dyn(w,w') = (S(w)+S(w'))/2 + i(gamma(w)-gamma(wp))/4."""
-    measure = as_measure(bath)
-    s = 0.5 * (lamb_shift_S(measure, w, config) + lamb_shift_S(measure, wp, config))
-    g = 0.25 * (measure_value(measure, w) - measure_value(measure, wp))
-    return s + 1j * g
+    """Lamb-Stark coefficient Y_dyn(w,w') = S(w,w',oo) = (S(w)+S(w'))/2 + i(gamma(w)-gamma(wp))/4."""
+    return S_finite_time(bath, w, wp, np.inf, config)
 
 
 # --- Kossakowski specifications ----------------------------------------------
@@ -206,25 +206,25 @@ class KossakowskiSpec:
                         )
 
 
-def kossakowski_redfield(baths, config=DEFAULT_QUAD):
-    """Long-time Bloch-Redfield spec: K = gamma(w,w',oo), Y_dyn = S(w,w',oo)."""
+def _long_time_spec(kind, baths, kmat, config):
+    """Spec with K from kmat(measure, w, w') and Y_dyn = S(w,w',oo); zero across independent baths."""
     beta = as_measure(baths if not isinstance(baths, (list, tuple)) else baths[0]).beta
 
-    def kmat(a, b, w, wp):
-        m = pair_measure(baths, a, b)
-        if m is None:
-            return 0.0
-        return 0.5 * (measure_value(m, w) + measure_value(m, wp)) + 1j * (
-            lamb_shift_S(m, wp, config) - lamb_shift_S(m, w, config)
-        )
+    def per_pair(rule):
+        def value(a, b, w, wp):
+            m = pair_measure(baths, a, b)
+            return 0.0 if m is None else rule(m, w, wp)
 
-    def dyn(a, b, w, wp):
-        m = pair_measure(baths, a, b)
-        if m is None:
-            return 0.0
-        return upsilon_dynamical(m, w, wp, config)
+        return value
 
-    return KossakowskiSpec("redfield", beta, kmat, dyn)
+    dyn = per_pair(lambda m, w, wp: S_finite_time(m, w, wp, np.inf, config))
+    return KossakowskiSpec(kind, beta, per_pair(kmat), dyn)
+
+
+def kossakowski_redfield(baths, config=DEFAULT_QUAD):
+    """Long-time Bloch-Redfield spec: K = gamma(w,w',oo), Y_dyn = S(w,w',oo)."""
+    return _long_time_spec(
+        "redfield", baths, lambda m, w, wp: gamma_finite_time(m, w, wp, np.inf, config), config)
 
 
 def kossakowski_secular(baths, config=DEFAULT_QUAD):
@@ -235,21 +235,8 @@ def kossakowski_secular(baths, config=DEFAULT_QUAD):
     dynamical correction.  (The Davies generator secularises the Hamiltonian
     part as well; that variant lives in the generator builder.)
     """
-    beta = as_measure(baths if not isinstance(baths, (list, tuple)) else baths[0]).beta
-
-    def kmat(a, b, w, wp):
-        m = pair_measure(baths, a, b)
-        if m is None or w != wp:
-            return 0.0
-        return measure_value(m, w)
-
-    def dyn(a, b, w, wp):
-        m = pair_measure(baths, a, b)
-        if m is None:
-            return 0.0
-        return upsilon_dynamical(m, w, wp, config)
-
-    return KossakowskiSpec("secular", beta, kmat, dyn)
+    return _long_time_spec(
+        "secular", baths, lambda m, w, wp: measure_value(m, w) if w == wp else 0.0, config)
 
 
 def kossakowski_custom(beta, kmat, dyn):
@@ -287,17 +274,15 @@ def tls_time_integrated_balance(bath, w, config=DEFAULT_QUAD):
         raise DomainError("T(w) is defined for w != 0")
     measure = as_measure(bath)
     beta = measure.beta
+    _check_atom_pole(measure, w)
     total = 0.0
     for loc, wgt in measure.atoms:
         d = loc - w
-        if abs(d) <= 1e-12 * max(1.0, abs(loc)):
-            raise PoleError(f"frequency {w:g} sits on the atom at {loc:g}")
         total += wgt * float(_E(-d, beta)) / d / np.pi
     if measure.density is not None:
         ebw = _exp_factor(beta * w)
         pole = abs(w)
         hi = measure.support + abs(w) + 1.0
-        cap = min(abs(w) + 5.0 * measure.scale, config.pairing_mult * measure.scale, 0.99 * pole)
 
         def integrand(om):
             om = np.asarray(om)
@@ -305,7 +290,7 @@ def tls_time_integrated_balance(bath, w, config=DEFAULT_QUAD):
                 _E(w - om, beta) / (om - w) - ebw * _E(-(om + w), beta) / (om + w)
             ) / np.pi
 
-        total += principal_value(integrand, pole, 0.0, hi, config, pairing_cap=cap)
+        total += principal_value(integrand, pole, 0.0, hi, measure.scale, config)
     return total
 
 
@@ -344,7 +329,7 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
         return 0.0
     beta, gc, wc = bath.beta, bath.coupling, bath.cutoff
     th = math.tanh(0.5 * beta * omega0)
-    hi = DEFAULT_QUAD.window_mult * max(wc, 1.0 / beta) + omega0
+    measure = as_measure(bath)
 
     def spectral_parts(om):
         om = np.asarray(om, dtype=float)
@@ -365,8 +350,7 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
         g2 = np.where(om == 0.0, omega0 * gc, g2)
         return (g1 + g2) / (omega0 - om)
 
-    cap = min(omega0 + 5.0 * wc, config.pairing_mult * wc, 0.99 * omega0)
-    value = principal_value(integrand, omega0, 0.0, hi, config, pairing_cap=cap)
+    value = principal_value(integrand, omega0, 0.0, measure.support + omega0, measure.scale, config)
     return -4.0 * lam**2 * f1 * f2 / omega0 * value
 
 

@@ -77,9 +77,6 @@ class Superoperator:
     def apply(self, rho):
         return unvectorize(self.matrix @ vectorize(rho))
 
-    def expm(self, scale=1.0):
-        return Superoperator(self.dim, expm(scale * self.matrix))
-
     def trace_defect(self):
         """Norm of the dual action on the identity; 0 for trace-preserving generators."""
         idv = vectorize(np.eye(self.dim))
@@ -258,11 +255,7 @@ def cumulant_map(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
 
 
 def validate_density_matrix(rho, tol=1e-12):
-    r = np.asarray(rho, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValidationError("density matrix must be square")
-    if np.abs(r - r.conj().T).max() > tol * max(1.0, np.abs(r).max()):
-        raise ValidationError("density matrix is not Hermitian")
+    r = require_hermitian(rho, tol, name="density matrix")
     if abs(np.trace(r) - 1.0) > 1e-10:
         raise ValidationError(f"density matrix trace {np.trace(r).real:.12f} != 1")
     return r
@@ -287,12 +280,8 @@ def propagate(superop, rho0, t=None):
 def choi_matrix(superop):
     """Choi matrix sum_ij |i><j| kron M(|i><j|); the map is CP iff it is PSD."""
     d = superop.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            c += np.kron(unit, superop.apply(unit))
+    # C[(i,k),(j,l)] = M(|i><j|)[k,l] = M[k + l d, i + j d]
+    c = superop.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
     return 0.5 * (c + c.conj().T)
 
 

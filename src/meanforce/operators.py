@@ -203,22 +203,27 @@ class UpsilonTable:
                     )
 
 
+def _sum_products(entries, jumps):
+    """sum Y_ab(w,w') A_a(w)^dag A_b(w') over the nonzero entries of a coefficient dict."""
+    by_index = {j.index: j for j in jumps}
+    dim = jumps[0].dim
+    h = np.zeros((dim, dim), dtype=complex)
+    for (a, b, w, wp), v in entries.items():
+        if v == 0.0:
+            continue
+        if a not in by_index or b not in by_index:
+            raise ValidationError(f"table refers to unknown coupling index {a} or {b}")
+        h += v * (by_index[a].op(w).conj().T @ by_index[b].op(wp))
+    return h
+
+
 def assemble_correction(table, jumps):
     """Assemble H = sum Y_ab(w,w') A_a(w)^dag A_b(w') from a coefficient table.
 
     For mean_force and steady_state kinds the result must come out Hermitian
     (to 1e-8 relative); a violation signals an inconsistent table.
     """
-    by_index = {j.index: j for j in jumps}
-    dim = jumps[0].dim
-    h = np.zeros((dim, dim), dtype=complex)
-    for (a, b, w, wp), v in table.entries.items():
-        if v == 0.0:
-            continue
-        if a not in by_index or b not in by_index:
-            raise ValidationError(f"table refers to unknown coupling index {a} or {b}")
-        h += v * (by_index[a].op(w).conj().T @ by_index[b].op(wp))
-
+    h = _sum_products(table.entries, jumps)
     if table.kind in ("mean_force", "steady_state"):
         scale = max(1.0, np.abs(h).max())
         if np.abs(h - h.conj().T).max() > 1e-8 * scale:

@@ -33,7 +33,7 @@ from .bath import _discretize, as_measure, measure_value
 from .corrections import _E, tls_time_integrated_balance
 from .errors import DomainError, ValidationError
 from .generators import commutator_superop, dissipative_generator, unvectorize, vectorize
-from .operators import require_hermitian
+from .operators import _sum_products, require_hermitian
 
 __all__ = [
     "alpha_weight",
@@ -104,15 +104,9 @@ def _rho2_matrix(h0, jumps, table, beta):
     from scipy.linalg import expm
 
     rho0 = expm(-beta * require_hermitian(h0, name="H0"))
-    by_index = {j.index: j for j in jumps}
-    acc = np.zeros_like(rho0)
-    for (a, b, w, wp), v in table.entries.items():
-        if v == 0.0:
-            continue
-        acc += v * alpha_weight(beta, wp - w) * (
-            by_index[a].op(w).conj().T @ by_index[b].op(wp)
-        )
-    return -rho0 @ acc, rho0
+    weighted = {(a, b, w, wp): v * alpha_weight(beta, wp - w)
+                for (a, b, w, wp), v in table.entries.items() if v != 0.0}
+    return -rho0 @ _sum_products(weighted, jumps), rho0
 
 
 def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):

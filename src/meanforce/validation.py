@@ -7,7 +7,7 @@ bath, beta = 1, beta*wc = 50 unless a config overrides it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from meanforce._quad import oscillatory_quad
+from meanforce._quad import oscillatory_quad, principal_value
 from meanforce.bath import (
     DiscreteBath,
     OhmicBath,
@@ -104,6 +104,41 @@ class TestLambShift:
         assert lamb_shift_S(bath, 0.7) == pytest.approx(expect, rel=1e-12)
         with pytest.raises(PoleError):
             lamb_shift_S(bath, 2.0)
+
+
+class TestPrincipalValue:
+    """PV int_lo^hi dx / (p - x) = ln((p - lo) / (hi - p)), whatever the window."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("pole", [-1.0 + 3e-3, 0.7, 2.0 - 3e-3])
+    def test_reciprocal_against_log(self, pole, scale):
+        lo, hi = -1.0, 2.0
+        value = principal_value(lambda x: 1.0 / (pole - np.asarray(x)), pole, lo, hi, scale)
+        expect = np.log((pole - lo) / (hi - pole))
+        assert abs(value - expect) <= 1e-12 * abs(expect)
+
+    @pytest.mark.parametrize("pole", [-1.0, 2.0, 3.0])
+    def test_pole_outside_domain_rejected(self, pole):
+        with pytest.raises(ValidationError):
+            principal_value(lambda x: 1.0 / (pole - x), pole, -1.0, 2.0, 1.0)
+
+
+class TestLongTimePair:
+    """gamma(w,w',oo) and S(w,w',oo) agree with their definitions from Gamma(w,oo)."""
+
+    @pytest.fixture(scope="class", params=["ohmic", "discrete", "mixed"])
+    def measure(self, request, bath):
+        modes = gamma_spectral(DiscreteBath(beta=bath.beta, modes=((1.3, 0.4), (2.1, 0.25))))
+        smooth = gamma_spectral(bath)
+        return {"ohmic": smooth, "discrete": modes,
+                "mixed": replace(smooth, atoms=modes.atoms)}[request.param]
+
+    @pytest.mark.parametrize("w, wp", [(1.0, -0.6), (0.0, 0.7), (-1.0, 1.0), (0.7, 0.7)])
+    def test_pair_from_gamma_infinity(self, measure, w, wp):
+        g, gp = finite_time_Gamma(measure, w, np.inf), finite_time_Gamma(measure, wp, np.inf)
+        scale = abs(g) + abs(gp)
+        assert abs(gamma_finite_time(measure, w, wp, np.inf) - (gp + np.conj(g))) <= 1e-14 * scale
+        assert abs(S_finite_time(measure, w, wp, np.inf) - (gp - np.conj(g)) / 2j) <= 1e-14 * scale
 
 
 class TestFiniteTimeGamma:

@@ -142,6 +142,19 @@ class TestConfigValidation:
                      id="state_non_hermitian"),
         pytest.param(with_state([[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]), "evolve.initial_state",
                      id="state_negative"),
+        pytest.param(lambda c: c.update(couplings=[{"operator": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]],
+                                                    "bath": "b1"}]),
+                     r"couplings\[0\].operator", id="operator_non_hermitian"),
+        pytest.param(lambda c: c.update(validate={"skip_oracle": "no"}), "validate.skip_oracle",
+                     id="skip_oracle_string"),
+        pytest.param(lambda c: c.update(validate={"skip_oracle": [0]}), "validate.skip_oracle",
+                     id="skip_oracle_list"),
+        pytest.param(lambda c: c.update(validate={"skip_oracle": None}), "validate.skip_oracle",
+                     id="skip_oracle_null"),
+        pytest.param(lambda c: c.update(validate={"break_detailed_balance": 1}),
+                     "validate.break_detailed_balance", id="break_balance_int"),
+        pytest.param(lambda c: c.update(validate={"break_detailed_balance": "false"}),
+                     "validate.break_detailed_balance", id="break_balance_string"),
     ])
     def test_malformed_field_named(self, edit, path):
         cfg = json.loads(json.dumps(BASE))

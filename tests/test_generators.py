@@ -166,6 +166,18 @@ class TestChoi:
         ev = np.sort(np.linalg.eigvalsh(c))
         assert np.allclose(ev, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
 
+    def test_matches_defining_sum(self):
+        d = 3
+        rng = np.random.default_rng(7)
+        m = Superoperator(d, rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
+        c = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[i, j] = 1.0
+                c += np.kron(unit, m.apply(unit))
+        assert np.array_equal(choi_matrix(m), 0.5 * (c + c.conj().T))
+
     @pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
     def test_cumulant_map_is_cp(self, h0, jumps, bath, t):
         m = cumulant_map(h0, jumps, bath, LAM, t)

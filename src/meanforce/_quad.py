@@ -38,8 +38,8 @@ class QuadratureConfig:
     limit: int = 400
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValidationError("quadrature tolerances must be positive")
+        if not all(np.isfinite(x) and x > 0 for x in (self.abs_tol, self.rel_tol)):
+            raise ValidationError("quadrature tolerances must be positive and finite")
         if self.limit < 10:
             raise ValidationError("subdivision limit must be at least 10")
 

@@ -61,6 +61,8 @@ __all__ = [
     "integrated_gamma_matrix",
     "integrated_S_matrix",
     "pair_measure",
+    "bath_list",
+    "redfield_pair_matrices",
 ]
 
 
@@ -165,15 +167,25 @@ def as_measure(bath):
     return bath if isinstance(bath, SpectralMeasure) else gamma_spectral(bath)
 
 
-def pair_measure(baths, a, b):
-    """Shared spectral measure of couplings a and b, or None if independent."""
+def bath_list(baths, n):
+    """One bath per coupling: a single bath (or one-element list) is shared by all n,
+    a longer list must have length n."""
     if not isinstance(baths, (list, tuple)):
         baths = (baths,)
-    bath_a = baths[a if len(baths) > 1 else 0]
-    bath_b = baths[b if len(baths) > 1 else 0]
-    if bath_a != bath_b:
-        return None
-    return as_measure(bath_a)
+    if len(baths) == 1:
+        return tuple(baths) * n
+    if len(baths) != n:
+        raise ValidationError(f"need one bath per coupling: {len(baths)} baths for {n} couplings")
+    return tuple(baths)
+
+
+def pair_measure(baths, a, b):
+    """Shared spectral measure of couplings a and b, or None if independent.
+
+    `baths` is one bath shared by every coupling or a list from `bath_list`.
+    """
+    bath_a, bath_b = (baths[a], baths[b]) if isinstance(baths, (list, tuple)) else (baths, baths)
+    return as_measure(bath_a) if bath_a == bath_b else None
 
 
 def measure_value(measure, omega):
@@ -200,7 +212,8 @@ def _structure_scale(measure):
     return min(measure.scale, 1.0 / measure.beta)
 
 
-def _lamb_shift(measure, omega, config):
+@lru_cache(maxsize=16384)
+def _lamb_shift_cached(measure, omega, config):
     total = 0.0
     for loc, wgt in measure.atoms:
         total += wgt / (2.0 * np.pi * (omega - loc))
@@ -213,11 +226,6 @@ def _lamb_shift(measure, omega, config):
 
         total += principal_value(integrand, omega, lo, hi, measure.scale, config)
     return total
-
-
-@lru_cache(maxsize=16384)
-def _lamb_shift_cached(measure, omega, config):
-    return _lamb_shift(measure, omega, config)
 
 
 def lamb_shift_S(bath, omega, config=DEFAULT_QUAD):
@@ -267,26 +275,33 @@ def finite_time_Gamma(bath, omega, t, config=DEFAULT_QUAD):
     return _finite_gamma_cached(measure, float(omega), float(t))
 
 
-def gamma_finite_time(bath, w, wp, t, config=DEFAULT_QUAD):
-    """gamma(w, w', t) = Gamma(w', t) + Gamma(w, t)^*, at t = inf the Kossakowski
-    matrix K = (gamma(w) + gamma(w'))/2 + i (S(w') - S(w))."""
+def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
+    """(gamma(w,w',t), S(w,w',t)) as n x n arrays over the frequency list.
+
+    Finite t: gamma = Gamma(w',t) + Gamma(w,t)^*, S = (Gamma(w',t) - Gamma(w,t)^*)/2i
+    from one Gamma per frequency.  t = inf: the long-time pair
+    K = (gamma(w)+gamma(w'))/2 + i (S(w')-S(w)),  Y_dyn = (S(w)+S(w'))/2 + i (gamma(w)-gamma(w'))/4,
+    formed from the gamma and S vectors directly (not through Gamma(w,oo)),
+    which keeps the bits of cells where the sums cancel.
+    """
+    measure = as_measure(bath)
     if t == np.inf:
-        return 0.5 * (measure_value(bath, w) + measure_value(bath, wp)) + 1j * (
-            lamb_shift_S(bath, wp, config) - lamb_shift_S(bath, w, config))
-    g1 = finite_time_Gamma(bath, wp, t, config)
-    g2 = finite_time_Gamma(bath, w, t, config)
-    return g1 + np.conj(g2)
+        g = np.array([measure_value(measure, w) for w in freqs])
+        s = np.array([lamb_shift_S(measure, w, config) for w in freqs])
+        return (0.5 * (g[:, None] + g[None, :]) + 1j * (s[None, :] - s[:, None]),
+                0.5 * (s[:, None] + s[None, :]) + 1j * (0.25 * (g[:, None] - g[None, :])))
+    big = np.array([finite_time_Gamma(measure, w, t, config) for w in freqs], dtype=complex)
+    return big[None, :] + big.conj()[:, None], (big[None, :] - big.conj()[:, None]) / 2.0j
+
+
+def gamma_finite_time(bath, w, wp, t, config=DEFAULT_QUAD):
+    """gamma(w, w', t) = Gamma(w', t) + Gamma(w, t)^*; see redfield_pair_matrices."""
+    return complex(redfield_pair_matrices(bath, (w, wp), t, config)[0][0, 1])
 
 
 def S_finite_time(bath, w, wp, t, config=DEFAULT_QUAD):
-    """S(w, w', t) = (Gamma(w', t) - Gamma(w, t)^*) / 2i, at t = inf the Lamb-Stark
-    coefficient Y_dyn = (S(w) + S(w'))/2 + i (gamma(w) - gamma(w'))/4."""
-    if t == np.inf:
-        return 0.5 * (lamb_shift_S(bath, w, config) + lamb_shift_S(bath, wp, config)) \
-            + 1j * (0.25 * (measure_value(bath, w) - measure_value(bath, wp)))
-    g1 = finite_time_Gamma(bath, wp, t, config)
-    g2 = finite_time_Gamma(bath, w, t, config)
-    return (g1 - np.conj(g2)) / 2.0j
+    """S(w, w', t) = (Gamma(w', t) - Gamma(w, t)^*) / 2i; see redfield_pair_matrices."""
+    return complex(redfield_pair_matrices(bath, (w, wp), t, config)[1][0, 1])
 
 
 def correlation_time_domain(bath, t, config=DEFAULT_QUAD):
@@ -335,25 +350,22 @@ def _log_tail_integral(delta, t0, t1):
     return complex(exp1(-1j * delta * t0) - exp1(-1j * delta * t1))
 
 
-def _gamma_matrix_direct(measure, freqs, t):
+def _integrated_direct(measure, freqs, t):
+    """(xi, Xi) on one discretisation: xi as a Gram matrix, Xi by difference quotients."""
     fa = np.array(freqs, dtype=float)
     nodes, c = _discretize(measure, t, np.abs(fa).max())
     phi = phi_kernel(fa[None, :] - nodes[:, None], t)
-    return np.einsum("n,ni,nj->ij", c, phi, phi.conj())
-
-
-def _S_matrix_direct(measure, freqs, t):
-    fa = np.array(freqs, dtype=float)
-    nodes, c = _discretize(measure, t, np.abs(fa).max())
+    xi = np.einsum("n,ni,nj->ij", c, phi, phi.conj())
+    del phi
     n = len(fa)
-    out = np.empty((n, n), dtype=complex)
+    sig = np.empty((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
             delta = fa[i] - fa[j]
             term = phi_diff_quotient(fa[i] - nodes, delta, t) \
                 - phi_diff_quotient(nodes - fa[j], delta, t)
-            out[i, j] = -0.5 * np.sum(c * term)
-    return out
+            sig[i, j] = -0.5 * np.sum(c * term)
+    return xi, sig
 
 
 @lru_cache(maxsize=512)
@@ -362,24 +374,23 @@ def _integrated_matrices_cached(measure, freqs, t, config):
 
     For large t the integral is split at T0: the correlation function has
     decayed there, so gamma(w,w',s) = gamma(w,w',oo) + [w or w' = 0 tail c/s],
-    and the remainder integrates in closed form.
+    and the remainder integrates in closed form on top of the cached T0 matrices.
     """
     t0 = _split_time(measure)
     if measure.density is None or t <= t0:
-        return _gamma_matrix_direct(measure, freqs, t), _S_matrix_direct(measure, freqs, t)
-    xi = _gamma_matrix_direct(measure, freqs, t0)
-    sig = _S_matrix_direct(measure, freqs, t0)
+        return _integrated_direct(measure, freqs, t)
+    xi0, sig0 = _integrated_matrices_cached(measure, freqs, t0, config)
+    k_inf, s_inf = redfield_pair_matrices(measure, freqs, np.inf, config)
+    fa = np.array(freqs)
+    delta = fa[:, None] - fa[None, :]
+    step = phi_kernel(delta, t) - phi_kernel(delta, t0)
+    xi, sig = xi0 + k_inf * step, sig0 + s_inf * step
     c = measure.tail_zero_coeff
-    for i, w in enumerate(freqs):
-        for j, wp in enumerate(freqs):
-            delta = w - wp
-            step = complex(phi_kernel(delta, t) - phi_kernel(delta, t0))
-            xi[i, j] += gamma_finite_time(measure, w, wp, np.inf, config) * step
-            sig[i, j] += S_finite_time(measure, w, wp, np.inf, config) * step
-            if c != 0.0:
-                tail = _log_tail_integral(delta, t0, t)
-                xi[i, j] += c * ((wp == 0.0) + (w == 0.0)) * tail
-                sig[i, j] += c * ((wp == 0.0) - (w == 0.0)) * tail / 2.0j
+    if c != 0.0:
+        tail = np.array([[_log_tail_integral(d, t0, t) for d in row] for row in delta])
+        zero = (fa == 0.0).astype(float)  # floats: a bool outer sum would be a logical or
+        xi += c * (zero[None, :] + zero[:, None]) * tail
+        sig += c * (zero[None, :] - zero[:, None]) * tail / 2.0j
     return xi, sig
 
 

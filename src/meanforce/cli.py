@@ -363,15 +363,18 @@ def run_corrections(cfg, threads=1):
 # --- evolve task ----------------------------------------------------------------
 
 
+def _rho_header(d):
+    return [f"rho_{i}{j}_{part}" for i in range(d) for j in range(d) for part in ("re", "im")]
+
+
+def _rho_cells(rho):
+    return [_fmt(x) for z in rho.ravel() for x in (z.real, z.imag)]
+
+
 def run_evolve(cfg):
     jumps = cfg.jump_list()
     baths = cfg.bath_list()
-    d = cfg.h0.shape[0]
-    header = ["t", "equation"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"rho_{i}{j}_re", f"rho_{i}{j}_im"]
-    header += ["trace_re", "min_eigenvalue"]
+    header = ["t", "equation"] + _rho_header(cfg.h0.shape[0]) + ["trace_re", "min_eigenvalue"]
 
     generators = {}
     if "davies" in cfg.evolve_equations:
@@ -388,12 +391,8 @@ def run_evolve(cfg):
             else:
                 state = propagate(generators[eq], cfg.initial_state, t)
             herm = 0.5 * (state + state.conj().T)
-            row = [_fmt(t), eq]
-            for i in range(d):
-                for j in range(d):
-                    row += [_fmt(state[i, j].real), _fmt(state[i, j].imag)]
-            row += [_fmt(np.trace(state).real), _fmt(np.linalg.eigvalsh(herm).min())]
-            rows.append(row)
+            rows.append([_fmt(t), eq] + _rho_cells(state)
+                        + [_fmt(np.trace(state).real), _fmt(np.linalg.eigvalsh(herm).min())])
     _write_csv(cfg.output, header, rows)
     return 0
 
@@ -404,12 +403,6 @@ def run_evolve(cfg):
 def run_steadystate(cfg):
     jumps = cfg.jump_list()
     baths = cfg.bath_list()
-    d = cfg.h0.shape[0]
-    header = ["kind"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"rho_{i}{j}_re", f"rho_{i}{j}_im"]
-
     states = {}
     states["davies"] = steady_state_of_generator(
         build_davies_generator(cfg.h0, jumps, baths, cfg.lam, cfg.quad))
@@ -419,14 +412,8 @@ def run_steadystate(cfg):
         build_upsilon_table("mean_force", jumps, baths, config=cfg.quad), jumps)
     states["mean_force_gibbs"] = thermal_state(cfg.h0 + cfg.lam**2 * hmf, cfg.beta)
 
-    rows = []
-    for kind in ("davies", "redfield", "mean_force_gibbs"):
-        row = [kind]
-        for i in range(d):
-            for j in range(d):
-                row += [_fmt(states[kind][i, j].real), _fmt(states[kind][i, j].imag)]
-        rows.append(row)
-    _write_csv(cfg.output, header, rows)
+    rows = [[kind] + _rho_cells(states[kind]) for kind in ("davies", "redfield", "mean_force_gibbs")]
+    _write_csv(cfg.output, ["kind"] + _rho_header(cfg.h0.shape[0]), rows)
     return 0
 
 
@@ -447,11 +434,13 @@ def read_corrections_csv(path):
 
 
 def run_validate(cfg):
+    bath = cfg.bath_list()[0]
+    ohmic = isinstance(bath, OhmicBath)
     case = ReferenceCase(
         omega0=cfg.omega0 or 1.0,
         beta=cfg.beta,
-        cutoff=cfg.bath_list()[0].cutoff if isinstance(cfg.bath_list()[0], OhmicBath) else 50.0,
-        coupling_strength=cfg.bath_list()[0].coupling if isinstance(cfg.bath_list()[0], OhmicBath) else 1.0,
+        cutoff=bath.cutoff if ohmic else 50.0,
+        coupling_strength=bath.coupling if ohmic else 1.0,
         config=cfg.quad,
     )
     if cfg.break_detailed_balance:
@@ -504,11 +493,11 @@ def main(argv=None):
         return 2
     if args.out:
         cfg.output = args.out
-    if args.tol_abs or args.tol_rel:
+    if args.tol_abs is not None or args.tol_rel is not None:
         try:
             cfg.quad = QuadratureConfig(
-                abs_tol=args.tol_abs or cfg.quad.abs_tol,
-                rel_tol=args.tol_rel or cfg.quad.rel_tol,
+                abs_tol=cfg.quad.abs_tol if args.tol_abs is None else args.tol_abs,
+                rel_tol=cfg.quad.rel_tol if args.tol_rel is None else args.tol_rel,
                 limit=cfg.quad.limit,
             )
         except ValidationError as exc:

@@ -36,6 +36,7 @@ from .bath import (
     S_finite_time,
     _check_atom_pole,
     as_measure,
+    bath_list,
     gamma_finite_time,
     lamb_shift_S,
     measure_value,
@@ -208,7 +209,7 @@ class KossakowskiSpec:
 
 def _long_time_spec(kind, baths, kmat, config):
     """Spec with K from kmat(measure, w, w') and Y_dyn = S(w,w',oo); zero across independent baths."""
-    beta = as_measure(baths if not isinstance(baths, (list, tuple)) else baths[0]).beta
+    beta = pair_measure(baths, 0, 0).beta
 
     def per_pair(rule):
         def value(a, b, w, wp):
@@ -254,7 +255,7 @@ def upsilon_steady_offdiag(spec, bath, w, wp, alpha=0, beta_idx=0, config=DEFAUL
         raise NearDegenerateError(
             f"e^{{beta w}} - e^{{beta w'}} below resolution for ({w:g}, {wp:g})"
         )
-    spec.check_detailed_balance(sorted({abs(w), abs(wp)}))
+    spec.check_detailed_balance(sorted({abs(w), abs(wp)}), max(alpha, beta_idx) + 1)
     dyn = spec.upsilon_dyn(alpha, beta_idx, w, wp)
     bracket = _exp_factor(b * (w + wp)) * spec.K(beta_idx, alpha, -wp, -w) \
         - 0.5 * spec.K(alpha, beta_idx, w, wp) * (ew + ewp)
@@ -365,10 +366,7 @@ def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_
     diagonals follow the gauge Y_st(0,0) = 0; the cumulant diagonal is only
     known for a two-level system with a single coupling.
     """
-    if not isinstance(baths, (list, tuple)):
-        baths = (baths,) * len(jumps)
-    if len(baths) != len(jumps):
-        raise ValidationError("need one bath per coupling")
+    baths = bath_list(baths, len(jumps))
     entries = {}
     spec = kossakowski_redfield(baths, config) if kind == "steady_state" else None
 

@@ -25,13 +25,11 @@ from scipy.linalg import expm
 
 from ._quad import DEFAULT_QUAD
 from .bath import (
-    S_finite_time,
-    gamma_finite_time,
+    bath_list,
     integrated_S_matrix,
     integrated_gamma_matrix,
-    lamb_shift_S,
-    measure_value,
     pair_measure,
+    redfield_pair_matrices,
 )
 from .errors import (
     DegenerateSteadyStateError,
@@ -122,14 +120,19 @@ def _assemble(jumps, kmat, smat):
             - 0.5 * (_left(hk) + _right(hk)))
 
 
-def _coefficients(jumps, baths, pair):
-    """Stacked (K, S) arrays; pair(measure, freqs) -> (K, S) blocks over freqs.
+def _stacked_frequencies(jumps):
+    return np.array([w for j in jumps for w in j.frequencies])
+
+
+def _coefficients(jumps, baths, pair, t, config):
+    """Stacked (K, S) arrays; pair(measure, freqs, t, config) -> (K, S) blocks over freqs.
 
     Each coupling pair that shares a bath gets the block of its frequency
     union (the integrated tables depend on, and are cached by, that list),
     sliced to the rows of coupling a and the columns of coupling b; pairs on
     independent baths stay zero.
     """
+    baths = bath_list(baths, len(jumps))
     offsets = np.cumsum([0] + [len(j.frequencies) for j in jumps])
     kmat = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
     smat = np.zeros_like(kmat)
@@ -141,7 +144,7 @@ def _coefficients(jumps, baths, pair):
             freqs = tuple(sorted(set(ja.frequencies) | set(jb.frequencies)))
             block = np.ix_([freqs.index(w) for w in ja.frequencies],
                            [freqs.index(w) for w in jb.frequencies])
-            k, s = pair(m, freqs)
+            k, s = pair(m, freqs, t, config)
             rows = slice(offsets[a], offsets[a + 1])
             cols = slice(offsets[b], offsets[b + 1])
             kmat[rows, cols] = k[block]
@@ -157,17 +160,6 @@ def dissipative_generator(jumps, kmat, dyn):
     return _assemble(jumps, k, s)
 
 
-def _redfield_pair(t, config):
-    """Finite-time Bloch-Redfield coefficients gamma(w,w',t), S(w,w',t)."""
-
-    def pair(m, freqs):
-        k = np.array([[gamma_finite_time(m, w, wp, t, config) for wp in freqs] for w in freqs])
-        s = np.array([[S_finite_time(m, w, wp, t, config) for wp in freqs] for w in freqs])
-        return k, s
-
-    return pair
-
-
 def build_redfield_generator(h0, jumps, baths, lam, t=np.inf, config=DEFAULT_QUAD):
     """Schroedinger-picture Bloch-Redfield generator at time t (default long-time)."""
     if lam < 0:
@@ -175,22 +167,17 @@ def build_redfield_generator(h0, jumps, baths, lam, t=np.inf, config=DEFAULT_QUA
     h = require_hermitian(h0, name="H0")
     gen = commutator_superop(h)
     if lam > 0:
-        coeffs = _coefficients(jumps, baths, _redfield_pair(t, config))
+        coeffs = _coefficients(jumps, baths, redfield_pair_matrices, t, config)
         gen = gen + lam**2 * _assemble(jumps, *coeffs)
     return Superoperator(h.shape[0], gen)
 
 
 def interaction_redfield_generator(jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Interaction-picture Bloch-Redfield generator: coefficients carry e^{i(w-w')t}."""
-    redfield = _redfield_pair(t, config)
-
-    def pair(m, freqs):
-        f = np.array(freqs)
-        phase = np.exp(1j * (f[:, None] - f[None, :]) * t)
-        k, s = redfield(m, freqs)
-        return phase * k, phase * s
-
-    gen = _assemble(jumps, *_coefficients(jumps, baths, pair))
+    kmat, smat = _coefficients(jumps, baths, redfield_pair_matrices, t, config)
+    f = _stacked_frequencies(jumps)
+    phase = np.exp(1j * (f[:, None] - f[None, :]) * t)
+    gen = _assemble(jumps, phase * kmat, phase * smat)
     return Superoperator(jumps[0].dim, lam**2 * gen)
 
 
@@ -200,14 +187,12 @@ def build_davies_generator(h0, jumps, baths, lam, config=DEFAULT_QUAD):
         raise ValidationError("coupling constant must be nonnegative")
     h = require_hermitian(h0, name="H0")
 
-    def pair(m, freqs):
-        k = np.diag([measure_value(m, w) for w in freqs])
-        s = np.diag([lamb_shift_S(m, w, config) for w in freqs])
-        return k, s
-
-    kmat, smat = _coefficients(jumps, baths, pair)
+    # the w = w' entries of the long-time pair are exactly gamma(w) and S(w)
+    kmat, smat = _coefficients(jumps, baths, redfield_pair_matrices, np.inf, config)
+    stacked = _stacked_frequencies(jumps)
+    secular = stacked[:, None] == stacked[None, :]
+    kmat, smat = np.where(secular, kmat, 0.0), np.where(secular, smat, 0.0)
     # per-frequency Kossakowski matrix must be PSD (diagnostic for bad spectra)
-    stacked = np.array([w for j in jumps for w in j.frequencies])
     for w in sorted(set(stacked)):
         at_w = np.flatnonzero(stacked == w)
         kw = kmat[np.ix_(at_w, at_w)]
@@ -223,6 +208,11 @@ def build_davies_generator(h0, jumps, baths, lam, config=DEFAULT_QUAD):
     return Superoperator(h.shape[0], gen)
 
 
+def _integrated_pair(measure, freqs, t, config):
+    return (integrated_gamma_matrix(measure, freqs, t, config),
+            integrated_S_matrix(measure, freqs, t, config))
+
+
 def build_cumulant_exponent(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Interaction-picture cumulant exponent K_t (zero superoperator at t = 0)."""
     if t < 0:
@@ -231,12 +221,7 @@ def build_cumulant_exponent(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
     dim = h.shape[0]
     if t == 0 or lam == 0:
         return Superoperator(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
-
-    def pair(m, freqs):
-        return (integrated_gamma_matrix(m, freqs, t, config),
-                integrated_S_matrix(m, freqs, t, config))
-
-    gen = _assemble(jumps, *_coefficients(jumps, baths, pair))
+    gen = _assemble(jumps, *_coefficients(jumps, baths, _integrated_pair, t, config))
     return Superoperator(dim, lam**2 * gen)
 
 

@@ -271,6 +271,18 @@ class TestIntegratedCoefficients:
         assert np.abs(split_gamma - direct_gamma).max() <= 2e-3
         assert np.abs(split_S - direct_S).max() <= 2e-3
 
+    def test_long_time_reuses_cached_split(self, bath, monkeypatch):
+        # every t > 60 beta builds on the cached t0 matrices: one discretisation in all
+        import meanforce.bath as mb
+
+        calls = []
+        discretize = mb._discretize
+        monkeypatch.setattr(mb, "_discretize", lambda *args: calls.append(args) or discretize(*args))
+        mb._integrated_matrices_cached.cache_clear()
+        for t in (100.0, 101.0, 200.0):
+            integrated_S_matrix(bath, (-1.0, 0.0, 1.0), t)
+        assert len(calls) == 1
+
 
 class TestMixedMeasure:
     """A density plus atoms: every finite-time transform is linear in the measure."""

@@ -251,7 +251,9 @@ class TestCorrectionsTask:
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert pool_size(4, 20) == 1
 
-    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--tol-abs", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--tol-abs", "-1"),
+                                             ("--tol-abs", "0"), ("--tol-rel", "nan"),
+                                             ("--tol-abs", "inf")])
     def test_bad_argument_rejected(self, tmp_path, capsys, flag, value):
         assert main(["corrections", "--config", write_config(tmp_path), flag, value]) == 2
         assert flag in capsys.readouterr().err

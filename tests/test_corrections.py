@@ -163,13 +163,15 @@ class TestSteadyStateCoherences:
         with pytest.raises(NearDegenerateError):
             upsilon_steady_offdiag(spec, bath, 1.0, 1.0 + 1e-15)
 
-    def test_detailed_balance_precondition(self, bath):
+    @pytest.mark.parametrize("pair", [(0, 0), (0, 1)], ids=["pair_00", "pair_01"])
+    def test_detailed_balance_precondition(self, bath, pair):
+        # the skew sits on K_ab(w, w) of the coupling pair whose entry is asked for
         base = kossakowski_redfield(bath)
         bad = kossakowski_custom(
-            1.0, lambda a, b, w, wp: base.K(a, b, w, wp) * (1.1 if w > 0 else 1.0),
+            1.0, lambda a, b, w, wp: base.K(a, b, w, wp) * (1.1 if w > 0 and (a, b) == pair else 1.0),
             base.upsilon_dyn)
         with pytest.raises(DetailedBalanceError):
-            upsilon_steady_offdiag(bad, bath, 1.0, 0.0)
+            upsilon_steady_offdiag(bad, bath, 1.0, 0.0, *pair)
 
 
 class TestTlsDiagonal:

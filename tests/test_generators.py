@@ -285,6 +285,14 @@ class TestMultipleCouplings:
         gen = GENERATORS[kind](h0, [ops["a1"], ops["a2"]], [baths["ohmic"], baths["discrete"]])
         assert gen.trace_defect() <= 1e-12 * np.linalg.norm(gen.matrix)
 
+    @pytest.mark.parametrize("n_baths", [2, 4])
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_bath_count_must_match_couplings(self, qutrit, kind, n_baths):
+        # one bath is shared by every coupling; a list needs one bath per coupling
+        h0, ops, baths = qutrit
+        with pytest.raises(ValidationError, match="one bath per coupling"):
+            GENERATORS[kind](h0, [ops["a1"], ops["a2"], ops["sum"]], [baths["ohmic"]] * n_baths)
+
     def test_davies_steady_state_is_gibbs(self, qutrit):
         h0, ops, baths = qutrit
         gen = build_davies_generator(h0, [ops["a1"], ops["a2"]], baths["ohmic"], LAM)

@@ -140,12 +140,11 @@ def phi_kernel_prime(x, t):
     return np.where(small, series, exact)
 
 
-def phi_diff_quotient(x, x0, t):
-    """(phi_t(x) - phi_t(x0)) / (x - x0) with a stable branch as x -> x0."""
-    x = np.asarray(x, dtype=float)
+def phi_diff_quotient(x, phi_x, x0, t):
+    """(phi_t(x) - phi_t(x0)) / (x - x0), stable as x -> x0; phi_x = phi_t(x) from the caller's table."""
     d = x - x0
     small = np.abs(d * t) < 1e-6
     dsafe = np.where(small, 1.0, d)
-    direct = (phi_kernel(x, t) - phi_kernel(x0, t)) / dsafe
+    direct = (phi_x - phi_kernel(x0, t)) / dsafe
     mid = phi_kernel_prime(0.5 * (x + x0), t)
     return np.where(small, mid, direct)

@@ -351,21 +351,16 @@ def _log_tail_integral(delta, t0, t1):
 
 
 def _integrated_direct(measure, freqs, t):
-    """(xi, Xi) on one discretisation: xi as a Gram matrix, Xi by difference quotients."""
+    """(xi, Xi) on one discretisation and one table phi_ki = phi_t(w_i - W_k): xi is its Gram
+    matrix (PSD); as phi_t(-x) = phi_t(x)^*, Xi = -(D + D^dag)/2 (Hermitian) with one difference
+    quotient per entry on the table, D_ij = sum_k c_k DQ(w_i - W_k, w_i - w_j)."""
     fa = np.array(freqs, dtype=float)
     nodes, c = _discretize(measure, t, np.abs(fa).max())
     phi = phi_kernel(fa[None, :] - nodes[:, None], t)
     xi = np.einsum("n,ni,nj->ij", c, phi, phi.conj())
-    del phi
-    n = len(fa)
-    sig = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            delta = fa[i] - fa[j]
-            term = phi_diff_quotient(fa[i] - nodes, delta, t) \
-                - phi_diff_quotient(nodes - fa[j], delta, t)
-            sig[i, j] = -0.5 * np.sum(c * term)
-    return xi, sig
+    d = np.array([[np.sum(c * phi_diff_quotient(wi - nodes, phi[:, i], wi - wj, t)) for wj in fa]
+                  for i, wi in enumerate(fa)])
+    return xi, -0.5 * (d + d.conj().T)
 
 
 @lru_cache(maxsize=512)

@@ -130,9 +130,8 @@ def _coefficients(jumps, baths, pair, t, config):
     Each coupling pair that shares a bath gets the block of its frequency
     union (the integrated tables depend on, and are cached by, that list),
     sliced to the rows of coupling a and the columns of coupling b; pairs on
-    independent baths stay zero.
+    independent baths stay zero.  `baths` holds one bath per coupling.
     """
-    baths = bath_list(baths, len(jumps))
     offsets = np.cumsum([0] + [len(j.frequencies) for j in jumps])
     kmat = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
     smat = np.zeros_like(kmat)
@@ -160,10 +159,16 @@ def dissipative_generator(jumps, kmat, dyn):
     return _assemble(jumps, k, s)
 
 
-def build_redfield_generator(h0, jumps, baths, lam, t=np.inf, config=DEFAULT_QUAD):
-    """Schroedinger-picture Bloch-Redfield generator at time t (default long-time)."""
+def _checked_baths(jumps, baths, lam):
+    """Every builder's argument rule, run before any early return: lam >= 0, one bath per coupling."""
     if lam < 0:
         raise ValidationError("coupling constant must be nonnegative")
+    return bath_list(baths, len(jumps))
+
+
+def build_redfield_generator(h0, jumps, baths, lam, t=np.inf, config=DEFAULT_QUAD):
+    """Schroedinger-picture Bloch-Redfield generator at time t (default long-time)."""
+    baths = _checked_baths(jumps, baths, lam)
     h = require_hermitian(h0, name="H0")
     gen = commutator_superop(h)
     if lam > 0:
@@ -174,6 +179,7 @@ def build_redfield_generator(h0, jumps, baths, lam, t=np.inf, config=DEFAULT_QUA
 
 def interaction_redfield_generator(jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Interaction-picture Bloch-Redfield generator: coefficients carry e^{i(w-w')t}."""
+    baths = _checked_baths(jumps, baths, lam)
     kmat, smat = _coefficients(jumps, baths, redfield_pair_matrices, t, config)
     f = _stacked_frequencies(jumps)
     phase = np.exp(1j * (f[:, None] - f[None, :]) * t)
@@ -183,8 +189,7 @@ def interaction_redfield_generator(jumps, baths, lam, t, config=DEFAULT_QUAD):
 
 def build_davies_generator(h0, jumps, baths, lam, config=DEFAULT_QUAD):
     """Davies generator: secular (w = w') coefficients only; thermalises to Gibbs(H0)."""
-    if lam < 0:
-        raise ValidationError("coupling constant must be nonnegative")
+    baths = _checked_baths(jumps, baths, lam)
     h = require_hermitian(h0, name="H0")
 
     # the w = w' entries of the long-time pair are exactly gamma(w) and S(w)
@@ -217,6 +222,7 @@ def build_cumulant_exponent(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Interaction-picture cumulant exponent K_t (zero superoperator at t = 0)."""
     if t < 0:
         raise ValidationError("t must be nonnegative")
+    baths = _checked_baths(jumps, baths, lam)
     h = require_hermitian(h0, name="H0")
     dim = h.shape[0]
     if t == 0 or lam == 0:

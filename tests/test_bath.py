@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from meanforce._quad import oscillatory_quad, principal_value
+from meanforce._quad import oscillatory_quad, phi_diff_quotient, phi_kernel, principal_value
 from meanforce.bath import (
     DiscreteBath,
     OhmicBath,
@@ -282,6 +282,41 @@ class TestIntegratedCoefficients:
         for t in (100.0, 101.0, 200.0):
             integrated_S_matrix(bath, (-1.0, 0.0, 1.0), t)
         assert len(calls) == 1
+
+    def test_one_difference_quotient_per_entry(self, bath, monkeypatch):
+        import meanforce.bath as mb
+
+        calls = []
+        quotient = mb.phi_diff_quotient
+        monkeypatch.setattr(mb, "phi_diff_quotient", lambda *args: calls.append(1) or quotient(*args))
+        mb._integrated_matrices_cached.cache_clear()
+        freqs = (-1.0, 0.0, 0.7, 1.0)
+        integrated_S_matrix(bath, freqs, 2.0)
+        assert len(calls) == len(freqs) ** 2
+
+    @pytest.fixture(scope="class")
+    def measures(self, bath):
+        modes = gamma_spectral(DiscreteBath(beta=bath.beta, modes=((1.3, 0.4), (2.1, 0.25))))
+        smooth = gamma_spectral(bath)
+        return {"ohmic": smooth, "discrete": modes, "mixed": replace(smooth, atoms=modes.atoms)}
+
+    @pytest.mark.parametrize("t", [0.5, 5.0])
+    @pytest.mark.parametrize("name", ["ohmic", "discrete", "mixed"])
+    def test_S_matrix_matches_two_term_formula(self, measures, name, t):
+        # Xi_ij = -(1/2) sum_k c_k [DQ(w_i - W_k, w_i - w_j) - DQ(W_k - w_j, w_i - w_j)]
+        import meanforce.bath as mb
+
+        measure, freqs = measures[name], (-1.0, 0.0, 0.7, 1.0)
+        nodes, c = mb._discretize(measure, t, max(abs(f) for f in freqs))
+
+        def dq(x, x0):
+            return phi_diff_quotient(x, phi_kernel(x, t), x0, t)
+
+        expect = np.array([[-0.5 * np.sum(c * (dq(w - nodes, w - wp) - dq(nodes - wp, w - wp)))
+                            for wp in freqs] for w in freqs])
+        sig = integrated_S_matrix(measure, freqs, t)
+        assert np.abs(sig - expect).max() <= 1e-14 * np.abs(sig).max()
+        assert np.array_equal(sig, sig.conj().T)
 
 
 class TestMixedMeasure:

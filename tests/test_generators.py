@@ -252,6 +252,15 @@ GENERATORS = {
     "cumulant_t1": lambda h0, jumps, baths: build_cumulant_exponent(h0, jumps, baths, LAM, 1.0),
 }
 
+# every builder at a given coupling and time (Davies has no time argument)
+BUILDERS = {
+    "redfield": lambda h0, jumps, baths, lam, t: build_redfield_generator(h0, jumps, baths, lam, t=t),
+    "davies": lambda h0, jumps, baths, lam, t: build_davies_generator(h0, jumps, baths, lam),
+    "interaction": lambda h0, jumps, baths, lam, t: interaction_redfield_generator(jumps, baths, lam, t),
+    "cumulant": lambda h0, jumps, baths, lam, t: build_cumulant_exponent(h0, jumps, baths, lam, t),
+    "cumulant_map": lambda h0, jumps, baths, lam, t: cumulant_map(h0, jumps, baths, lam, t),
+}
+
 
 def _dissipative_part(kind, h0, jumps, baths):
     m = GENERATORS[kind](h0, jumps, baths).matrix
@@ -292,6 +301,19 @@ class TestMultipleCouplings:
         h0, ops, baths = qutrit
         with pytest.raises(ValidationError, match="one bath per coupling"):
             GENERATORS[kind](h0, [ops["a1"], ops["a2"], ops["sum"]], [baths["ohmic"]] * n_baths)
+
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_negative_coupling_rejected(self, qutrit, kind):
+        h0, ops, baths = qutrit
+        with pytest.raises(ValidationError, match="coupling constant must be nonnegative"):
+            BUILDERS[kind](h0, [ops["a1"]], baths["ohmic"], -0.1, 1.0)
+
+    @pytest.mark.parametrize("lam, t", [(0.0, 1.0), (LAM, 0.0)], ids=["lam0", "t0"])
+    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    def test_bath_count_checked_before_early_return(self, qutrit, kind, lam, t):
+        h0, ops, baths = qutrit
+        with pytest.raises(ValidationError, match="one bath per coupling"):
+            BUILDERS[kind](h0, [ops["a1"], ops["a2"]], [baths["ohmic"]] * 5, lam, t)
 
     def test_davies_steady_state_is_gibbs(self, qutrit):
         h0, ops, baths = qutrit

@@ -319,7 +319,7 @@ def correlation_time_domain(bath, t, config=DEFAULT_QUAD):
             return float(measure.density(np.asarray(w)))
 
         if t == 0:
-            total += adaptive_quad(dens, lo, hi, config) / (2.0 * np.pi)
+            total += adaptive_quad(measure.density, lo, hi, config) / (2.0 * np.pi)
         else:
             re, re_err = quad(dens, lo, hi, weight="cos", wvar=t,
                               epsabs=config.abs_tol, epsrel=config.rel_tol,

@@ -218,10 +218,15 @@ def phi_kernel_prime(x, t):
 
 
 def phi_diff_quotient(x, phi_x, x0, t):
-    """(phi_t(x) - phi_t(x0)) / (x - x0), stable as x -> x0; phi_x = phi_t(x) from the caller's table."""
+    """(phi_t(x) - phi_t(x0)) / (x - x0), stable as x -> x0; phi_x = phi_t(x) from the caller's table.
+
+    x0 is a scalar.  Where |(x - x0) t| < 1e-6 the quotient is phi_t' at the
+    midpoint; each branch is evaluated only on the entries that take it.
+    """
+    x = np.asarray(x, dtype=float)
     d = x - x0
     small = np.abs(d * t) < 1e-6
-    dsafe = np.where(small, 1.0, d)
-    direct = (phi_x - phi_kernel(x0, t)) / dsafe
-    mid = phi_kernel_prime(0.5 * (x + x0), t)
-    return np.where(small, mid, direct)
+    q = np.asarray((phi_x - phi_kernel(x0, t)) / np.where(small, 1.0, d))
+    if small.any():
+        q[small] = phi_kernel_prime(0.5 * (x[small] + x0), t)
+    return q

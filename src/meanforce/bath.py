@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._quad import (
     DEFAULT_QUAD,
@@ -321,6 +320,8 @@ def correlation_time_domain(bath, t, config=DEFAULT_QUAD):
         if t == 0:
             total += adaptive_quad(measure.density, lo, hi, config) / (2.0 * np.pi)
         else:
+            from scipy.integrate import quad
+
             re, re_err = quad(dens, lo, hi, weight="cos", wvar=t,
                               epsabs=config.abs_tol, epsrel=config.rel_tol,
                               limit=config.limit)[:2]

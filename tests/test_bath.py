@@ -300,23 +300,60 @@ class TestIntegratedCoefficients:
         smooth = gamma_spectral(bath)
         return {"ohmic": smooth, "discrete": modes, "mixed": replace(smooth, atoms=modes.atoms)}
 
-    @pytest.mark.parametrize("t", [0.5, 5.0])
-    @pytest.mark.parametrize("name", ["ohmic", "discrete", "mixed"])
-    def test_S_matrix_matches_two_term_formula(self, measures, name, t):
-        # Xi_ij = -(1/2) sum_k c_k [DQ(w_i - W_k, w_i - w_j) - DQ(W_k - w_j, w_i - w_j)]
+    @staticmethod
+    def two_term_xi(measure, freqs, t):
+        """Xi_ij = -(1/2) sum_k c_k [DQ(w_i - W_k, w_i - w_j) - DQ(W_k - w_j, w_i - w_j)]."""
         import meanforce.bath as mb
 
-        measure, freqs = measures[name], (-1.0, 0.0, 0.7, 1.0)
         nodes, c = mb._discretize(measure, t, max(abs(f) for f in freqs))
 
         def dq(x, x0):
             return phi_diff_quotient(x, phi_kernel(x, t), x0, t)
 
-        expect = np.array([[-0.5 * np.sum(c * (dq(w - nodes, w - wp) - dq(nodes - wp, w - wp)))
-                            for wp in freqs] for w in freqs])
-        sig = integrated_S_matrix(measure, freqs, t)
+        return np.array([[-0.5 * np.sum(c * (dq(w - nodes, w - wp) - dq(nodes - wp, w - wp)))
+                          for wp in freqs] for w in freqs])
+
+    @pytest.mark.parametrize("t", [0.5, 5.0])
+    @pytest.mark.parametrize("name", ["ohmic", "discrete", "mixed"])
+    def test_S_matrix_matches_two_term_formula(self, measures, name, t):
+        freqs = (-1.0, 0.0, 0.7, 1.0)
+        expect = self.two_term_xi(measures[name], freqs, t)
+        sig = integrated_S_matrix(measures[name], freqs, t)
         assert np.abs(sig - expect).max() <= 1e-14 * np.abs(sig).max()
         assert np.array_equal(sig, sig.conj().T)
+
+    @staticmethod
+    def midpoint_nodes(measure, freqs, t, monkeypatch):
+        """(Xi, nodes passed to phi_kernel_prime, small-mask entries of _integrated_direct)."""
+        import meanforce._quad as mq
+        import meanforce.bath as mb
+
+        nodes, _ = mb._discretize(measure, t, max(abs(f) for f in freqs))
+        small = sum(int(np.sum(np.abs(((w - nodes) - (w - wp)) * t) < 1e-6))
+                    for w in freqs for wp in freqs)
+        seen = []
+        prime = mq.phi_kernel_prime
+        mb._integrated_matrices_cached.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(mq, "phi_kernel_prime", lambda x, t: seen.append(np.size(x)) or prime(x, t))
+            sig = integrated_S_matrix(measure, freqs, t)
+        return sig, sum(seen), small
+
+    def test_midpoint_branch_only_where_taken(self, bath, monkeypatch):
+        _, passed, small = self.midpoint_nodes(gamma_spectral(bath), (-1.0, 0.0, 0.7, 1.0), 2.0,
+                                               monkeypatch)
+        assert passed == small
+
+    @pytest.mark.parametrize("t", [0.5, 5.0])
+    def test_atom_on_a_bohr_frequency_takes_midpoint(self, measures, t, monkeypatch):
+        # atoms at W = +-1 are nodes exactly on the Bohr frequencies w_j = +-1
+        freqs = (-1.0, 0.0, 0.7, 1.0)
+        modes = gamma_spectral(DiscreteBath(beta=measures["ohmic"].beta, modes=((1.0, 0.4),)))
+        measure = replace(measures["ohmic"], atoms=modes.atoms)
+        sig, passed, small = self.midpoint_nodes(measure, freqs, t, monkeypatch)
+        assert passed == small >= 2 * len(freqs)
+        expect = self.two_term_xi(measure, freqs, t)
+        assert np.abs(sig - expect).max() <= 1e-14 * np.abs(sig).max()
 
 
 class TestMixedMeasure:

@@ -356,3 +356,24 @@ class TestValidateTask:
     def test_bad_config_path(self):
         r = run_cli("validate", "--config", "/nonexistent.json")
         assert r.returncode != 0
+
+
+LAZY_QAWO = """
+import sys
+import meanforce.cli
+loaded = "scipy.integrate" in sys.modules
+from meanforce.bath import OhmicBath, correlation_time_domain
+value = correlation_time_domain(OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0), 1.0)
+print(loaded, "scipy.integrate" in sys.modules, repr(value))
+"""
+
+
+def test_start_up_defers_scipy_integrate():
+    # only the t != 0 QAWO branch of correlation_time_domain loads scipy.integrate
+    from meanforce.bath import OhmicBath, correlation_time_domain
+
+    r = subprocess.run([sys.executable, "-c", LAZY_QAWO], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    at_import, after_call, value = r.stdout.split(maxsplit=2)
+    assert (at_import, after_call) == ("False", "True")
+    assert complex(value) == correlation_time_domain(OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0), 1.0)

@@ -92,6 +92,34 @@ def test_phi_diff_quotient(t, x0):
             assert rel_err(got, ref) <= tol, (k, sign)
 
 
+def two_branch_quotient(x, phi_x, x0, t):
+    """Both branches over every entry, then np.where: the reference for the branch split."""
+    d = x - x0
+    small = np.abs(d * t) < 1e-6
+    direct = (phi_x - phi_kernel(x0, t)) / np.where(small, 1.0, d)
+    return np.where(small, phi_kernel_prime(0.5 * (x + x0), t), direct)
+
+
+@pytest.mark.parametrize("t", TIMES)
+@pytest.mark.parametrize("x0", [0.0, 0.7, -1.3])
+def test_phi_diff_quotient_branch_split_is_bitwise(t, x0):
+    # x == x0, inside the switch, on either side of it, and far away
+    offsets = [0.0] + [s * k / t for k in (1e-9, 0.99e-6, 1e-6, 1.01e-6) for s in (1, -1)]
+    x = np.concatenate([x0 + np.array(offsets), np.linspace(-5.0, 5.0, 41)])
+    phi_x = phi_kernel(x, t)
+    kept = phi_x.copy()
+    small = np.abs((x - x0) * t) < 1e-6
+    assert 0 < small.sum() < small.size
+    got = phi_diff_quotient(x, phi_x, x0, t)
+    assert np.array_equal(got, two_branch_quotient(x, phi_x, x0, t))
+    assert np.array_equal(phi_x, kept)
+    for xs in (x0, x0 + 1e-9 / t, x0 + 2.0):
+        xs = np.array(xs)
+        got = phi_diff_quotient(xs, phi_kernel(xs, t), x0, t)
+        assert got.shape == ()
+        assert np.array_equal(got, two_branch_quotient(xs, phi_kernel(xs, t), x0, t))
+
+
 # --- adaptive_quad ------------------------------------------------------------
 
 TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11)

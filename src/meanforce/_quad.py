@@ -9,10 +9,10 @@ Three kinds of integrals recur throughout the package:
 * principal-value integrals through a simple pole, done by pairing the
   integrand symmetrically around the pole so the 1/u singularity cancels
   analytically before any quadrature sees it,
-* Fourier-type integrals with a bounded oscillation rate, done on a panel
-  grid of fixed-order Gauss-Legendre rules with at most one oscillation
-  period per panel (vectorised, and positive weights so Gram-structured
-  integrands stay positive semi-definite).
+* Fourier-type integrals with a bounded oscillation rate, sampled by
+  `bath._discretize` on the panel rule `panel_nodes`: fixed-order
+  Gauss-Legendre panels, at most one oscillation period each, with positive
+  weights so Gram-structured integrands stay positive semi-definite.
 
 Every integrand handed to these engines takes a float array and returns an
 array of the same shape.
@@ -27,6 +27,7 @@ from .errors import NumericsError, ValidationError
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
+_MIN_PANELS = 8
 _MAX_PANEL_NODES = 4_000_000
 
 # QUADPACK dqk21: the 21-point Kronrod abscissae on [0, 1) (odd entries are
@@ -161,21 +162,21 @@ def principal_value(f, pole, lo, hi, scale, config=DEFAULT_QUAD):
     return paired + left + right
 
 
-def panel_nodes(lo, hi, osc_freq, min_panels=8, structure_scale=None):
+def panel_nodes(lo, hi, osc_freq, structure_scale):
     """Gauss-Legendre nodes/weights resolving oscillation rate `osc_freq` on [lo, hi].
 
     One full period e^{i*osc_freq*x} per panel keeps the per-panel GL error at
-    machine level; `structure_scale` additionally bounds the panel width by the
-    intrinsic variation scale of the non-oscillatory factor.  Weights are
-    strictly positive.
+    machine level; a positive `structure_scale` additionally bounds the panel
+    width by the intrinsic variation scale of the non-oscillatory factor.
+    Weights are strictly positive.
     """
     if hi <= lo:
         raise ValidationError("empty panel interval")
     span = hi - lo
-    n_panels = min_panels
+    n_panels = _MIN_PANELS
     if osc_freq > 0:
-        n_panels = max(min_panels, int(np.ceil(span * osc_freq / (2.0 * np.pi))))
-    if structure_scale is not None and structure_scale > 0:
+        n_panels = max(_MIN_PANELS, int(np.ceil(span * osc_freq / (2.0 * np.pi))))
+    if structure_scale > 0:
         n_panels = max(n_panels, int(np.ceil(span / structure_scale)))
     if n_panels * _GL_ORDER > _MAX_PANEL_NODES:
         raise NumericsError(
@@ -188,12 +189,6 @@ def panel_nodes(lo, hi, osc_freq, min_panels=8, structure_scale=None):
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     return nodes, weights
-
-
-def oscillatory_quad(f, lo, hi, osc_freq, min_panels=8, structure_scale=None):
-    """Integral of a (possibly complex) vectorised integrand with bounded oscillation."""
-    nodes, weights = panel_nodes(lo, hi, osc_freq, min_panels, structure_scale)
-    return np.sum(weights * f(nodes))
 
 
 def phi_kernel(x, t):
@@ -217,16 +212,23 @@ def phi_kernel_prime(x, t):
     return np.where(small, series, exact)
 
 
+def _diff_quotient(num, d, scale, switch, slope):
+    """num / d for num = f(x) - f(x0), d = x - x0; where |d scale| < switch it is
+    slope(small), f' at the midpoints of the entries the mask `small` selects,
+    evaluated only when some entry takes that branch."""
+    small = np.abs(d * scale) < switch
+    q = np.asarray(num / np.where(small, 1.0, d))
+    if small.any():
+        q[small] = slope(small)
+    return q
+
+
 def phi_diff_quotient(x, phi_x, x0, t):
     """(phi_t(x) - phi_t(x0)) / (x - x0), stable as x -> x0; phi_x = phi_t(x) from the caller's table.
 
     x0 is a scalar.  Where |(x - x0) t| < 1e-6 the quotient is phi_t' at the
-    midpoint; each branch is evaluated only on the entries that take it.
+    midpoint.
     """
     x = np.asarray(x, dtype=float)
-    d = x - x0
-    small = np.abs(d * t) < 1e-6
-    q = np.asarray((phi_x - phi_kernel(x0, t)) / np.where(small, 1.0, d))
-    if small.any():
-        q[small] = phi_kernel_prime(0.5 * (x[small] + x0), t)
-    return q
+    return _diff_quotient(phi_x - phi_kernel(x0, t), x - x0, t, 1e-6,
+                          lambda small: phi_kernel_prime(0.5 * (x[small] + x0), t))

@@ -27,9 +27,7 @@ malformed config (the message names the field path) or a library error.
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +54,7 @@ from .operators import (
     tls_hamiltonian,
 )
 from .validation import (
+    SWEEP_BW0,
     SWEEP_KINDS,
     SWEEP_NAMES,
     CheckResult,
@@ -242,7 +241,7 @@ def parse_config(data):
             raise ValidationError("sweep.values: must be a list of positive finite numbers")
         cfg.sweep_values = [float(v) for v in vals]
     elif task == "corrections":
-        cfg.sweep_values = [float(v) for v in np.linspace(0.1, 5.0, 20)]
+        cfg.sweep_values = list(SWEEP_BW0)
 
     if task == "evolve":
         ev = data.get("evolve")
@@ -304,21 +303,7 @@ def _write_csv(path, header, rows):
 # --- corrections task ----------------------------------------------------------
 
 
-def _sweep_point(payload):
-    """One sweep point (bw0, Ohmic bath, quadrature config); module-level for the worker pool."""
-    bw0, bath, quad = payload
-    try:
-        return bw0, qubit_sweep_point(bath, bw0 / bath.beta, bath.coupling, quad), None
-    except NumericsError as exc:
-        return bw0, None, str(exc)
-
-
-def pool_size(threads, points):
-    """Worker count for a sweep: never more than the points or the machine's CPUs."""
-    return max(1, min(threads, points, os.cpu_count() or 1))
-
-
-def run_corrections(cfg, threads=1):
+def run_corrections(cfg):
     """Qubit coefficient sweep (TLS + single Ohmic bath) or a full coefficient table."""
     header = ["sweep_value", "coefficient_name", "correction_kind", "value_re", "value_im"]
     rows = []
@@ -326,14 +311,12 @@ def run_corrections(cfg, threads=1):
     if cfg.is_tls and len(cfg.couplings) == 1 \
             and isinstance(cfg.bath_list()[0], OhmicBath):
         bath = cfg.bath_list()[0]
-        payloads = [(bw0, bath, cfg.quad) for bw0 in cfg.sweep_values]
-        workers = pool_size(threads, len(payloads))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_sweep_point, payloads))
-        else:
-            results = [_sweep_point(p) for p in payloads]
-        for bw0, vals, err in results:
+        for bw0 in cfg.sweep_values:
+            try:
+                vals = qubit_sweep_point(bath, bw0 / bath.beta, bath.coupling, cfg.quad)
+            except NumericsError as exc:
+                vals = None
+                failures.append(f"sweep value {bw0:g}: {exc}")
             for kind in SWEEP_KINDS:
                 for name in SWEEP_NAMES:
                     if vals is None:
@@ -341,8 +324,6 @@ def run_corrections(cfg, threads=1):
                     else:
                         v = vals[(kind, name)]
                         rows.append([_fmt(bw0), name, kind, _fmt(v), _fmt(0.0)])
-            if err:
-                failures.append(f"sweep value {bw0:g}: {err}")
     else:
         jumps = cfg.jump_list()
         baths = cfg.bath_list()
@@ -473,7 +454,8 @@ def main(argv=None):
         p.add_argument("--out", help="output path (overrides config)")
         p.add_argument("--tol-abs", type=float, help="quadrature absolute tolerance override")
         p.add_argument("--tol-rel", type=float, help="quadrature relative tolerance override")
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep width")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; the sweep runs in one process; N < 1 exits 2")
         if task == "validate":
             p.add_argument("--skip-oracle", action="store_true",
                            help="skip the exact-diagonalisation scaling check")
@@ -508,7 +490,7 @@ def main(argv=None):
 
     try:
         if cfg.task == "corrections":
-            return run_corrections(cfg, threads=args.threads)
+            return run_corrections(cfg)
         if cfg.task == "evolve":
             return run_evolve(cfg)
         if cfg.task == "steadystate":

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, adaptive_quad, principal_value
+from ._quad import DEFAULT_QUAD, _diff_quotient, adaptive_quad, principal_value
 from .bath import (
     OhmicBath,
     S_finite_time,
@@ -83,12 +83,8 @@ def _E_prime(x, beta):
 def _E_diff_quotient(x, x0, beta):
     """(E(x) - E(x0)) / (x - x0), midpoint-derivative branch for small gaps."""
     x = np.asarray(x, dtype=float)
-    d = x - x0
-    small = np.abs(beta * d) < 1e-5
-    dsafe = np.where(small, 1.0, d)
-    direct = (_E(x, beta) - _E(x0, beta)) / dsafe
-    mid = _E_prime(0.5 * (x + x0), beta)
-    return np.where(small, mid, direct)
+    return _diff_quotient(_E(x, beta) - _E(x0, beta), x - x0, beta, 1e-5,
+                          lambda small: _E_prime(0.5 * (x[small] + x0), beta))
 
 
 def kernel_D(beta, w, wp, big_omega):
@@ -118,14 +114,12 @@ def _kernel_D_folded_negative(beta, w, wp, big_omega):
     ea = float(_E(a, beta))
     ebw = _exp_factor(beta * w)
     num = ebw * _E(-(w + big_omega), beta) - np.exp(-beta * big_omega) * _E(a, beta)
-    den = wp + big_omega
-    small = np.abs(beta * den) < 1e-5
-    densafe = np.where(small, 1.0, den)
-    direct = num / densafe
-    # derivative of N at the midpoint of [W, -w']
-    mid = 0.5 * (big_omega + (-wp))
-    nprime = -ebw * _E_prime(-(w + mid), beta) + beta * np.exp(-beta * mid) * ea
-    return -np.where(small, nprime, direct) / ea
+
+    def nprime(small):  # derivative of N at the midpoint of [W, -w']
+        mid = 0.5 * (big_omega[small] + (-wp))
+        return -ebw * _E_prime(-(w + mid), beta) + beta * np.exp(-beta * mid) * ea
+
+    return -_diff_quotient(num, wp + big_omega, beta, 1e-5, nprime) / ea
 
 
 def upsilon_mean_force(bath, w, wp, representation="kernel", config=DEFAULT_QUAD):

@@ -41,7 +41,6 @@ __all__ = [
     "four_tuples",
     "g22_coefficient",
     "second_order_residual",
-    "fourth_order_tuple_sum",
     "g40_tls",
     "g40_tls_direct",
     "fourth_order_solve_tls",
@@ -133,16 +132,6 @@ def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):
         return float(norm)
     source = np.linalg.norm(l2 @ vectorize(rho0))
     return float(norm / max(source, 1e-300))
-
-
-def fourth_order_tuple_sum(kmat, dyn, st, tuple_set, beta, g40=None):
-    """sum over G(|k> -> |k>) of g22 (+ g40 when supplied as (w1..w4) -> complex)."""
-    total = 0.0 + 0.0j
-    for t in tuple_set.tuples:
-        total += g22_coefficient(kmat, dyn, st, *t, beta)
-        if g40 is not None:
-            total += g40(*t)
-    return total
 
 
 # --- g40 for the cumulant equation -------------------------------------------

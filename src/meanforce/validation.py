@@ -324,6 +324,7 @@ def check_headline(case=None):
 
 SWEEP_KINDS = ("mf", "dyn", "st_redfield", "st_cumulant")
 SWEEP_NAMES = ("offdiag_re", "offdiag_im", "diag_diff")
+SWEEP_BW0 = tuple(float(v) for v in np.linspace(0.1, 5.0, 20))  # the default beta*w0 grid
 
 
 def qubit_sweep_point(bath, w0, gamma_c, config=DEFAULT_QUAD):
@@ -364,45 +365,48 @@ def qubit_sweep_point(bath, w0, gamma_c, config=DEFAULT_QUAD):
     return out
 
 
-def qubit_sweep_rows(case=None, n_points=20, bw0_min=0.1, bw0_max=5.0):
+def qubit_sweep_rows(case=None):
     """(bw0, kind, name) -> value over the default beta*w0 sweep."""
     case = case or ReferenceCase()
     bath = case.bath()
     rows = {}
-    for bw0 in np.linspace(bw0_min, bw0_max, n_points):
-        point = qubit_sweep_point(bath, float(bw0) / case.beta, case.coupling_strength, case.config)
+    for bw0 in SWEEP_BW0:
+        point = qubit_sweep_point(bath, bw0 / case.beta, case.coupling_strength, case.config)
         for (kind, name), v in point.items():
-            rows[(float(bw0), kind, name)] = v
+            rows[(bw0, kind, name)] = v
     return rows
 
 
-def check_sweep_structure(case=None, rows=None, n_points=20):
+def _max_abs(values):
+    """max |v|, nan when any v is nan (Python's max drops a nan that is not first)."""
+    return float(np.max(np.abs(list(values))))
+
+
+def check_sweep_structure(case=None, rows=None):
     """Acceptance 9: structural relations of the qubit coefficient sweep."""
     case = case or ReferenceCase()
     bath = case.bath()
     beta, gc = case.beta, case.coupling_strength
-    rows = rows if rows is not None else qubit_sweep_rows(case, n_points)
+    rows = rows if rows is not None else qubit_sweep_rows(case)
     bw0s = sorted({k[0] for k in rows})
 
-    scale = max(abs(v) for v in rows.values())
-    im_flat = max(
-        abs(rows[(b, kind, "offdiag_im")]) for b in bw0s for kind in ("mf", "st_redfield", "st_cumulant")
+    scale = _max_abs(rows.values())
+    im_flat = _max_abs(
+        rows[(b, kind, "offdiag_im")] for b in bw0s for kind in ("mf", "st_redfield", "st_cumulant")
     )
-    dyn_im = max(abs(rows[(b, "dyn", "offdiag_im")]) for b in bw0s)
+    dyn_im = _max_abs(rows[(b, "dyn", "offdiag_im")] for b in bw0s)
     out = [CheckResult("sweep_imag_parts", im_flat <= 1e-10 * scale and dyn_im > 1e-3 * scale,
                        im_flat, 1e-10 * scale,
                        f"mf/st imag flat; max dynamical imag {dyn_im:.3e}")]
 
-    red_diag = max(abs(rows[(b, "st_redfield", "diag_diff")]) for b in bw0s)
+    red_diag = _max_abs(rows[(b, "st_redfield", "diag_diff")] for b in bw0s)
     out.append(CheckResult("sweep_redfield_diag_zero", red_diag <= 1e-12, red_diag, 1e-12))
 
-    worst = 0.0
-    for b in bw0s:
-        w0 = b / beta
-        offset = beta * (lamb_shift_S(bath, w0, case.config)
-                         - lamb_shift_S(bath, -w0, case.config)) / gc
-        dev = abs(rows[(b, "st_cumulant", "diag_diff")] - rows[(b, "mf", "diag_diff")] + offset)
-        worst = max(worst, dev)
+    def offset(w0):
+        return beta * (lamb_shift_S(bath, w0, case.config) - lamb_shift_S(bath, -w0, case.config)) / gc
+
+    worst = _max_abs(rows[(b, "st_cumulant", "diag_diff")] - rows[(b, "mf", "diag_diff")] + offset(b / beta)
+                     for b in bw0s)
     out.append(CheckResult("sweep_cumulant_diag_offset", worst <= 1e-6, worst, 1e-6,
                            "st_cumulant diag tracks mf diag minus beta*[S(w0)-S(-w0)]/gamma_c"))
     return out
@@ -455,7 +459,7 @@ ACCEPTANCE_CHECKS = (
 )
 
 
-def run_checks(case=None, skip_oracle=False, include_guard=False):
+def run_checks(case=None, skip_oracle=False):
     """Run the full suite; returns a flat list of CheckResult."""
     case = case or ReferenceCase()
     results = []
@@ -466,6 +470,4 @@ def run_checks(case=None, skip_oracle=False, include_guard=False):
         out = fn(case)
         results.extend(out if isinstance(out, list) else [out])
     results.append(check_integrated_psd(case))
-    if include_guard:
-        results.append(check_detailed_balance_guard(case))
     return results

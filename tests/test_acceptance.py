@@ -9,6 +9,7 @@ at its stated tolerance.
 """
 
 import json
+import math
 
 from meanforce.cli import main as cli_main
 from meanforce.cli import read_corrections_csv
@@ -25,6 +26,8 @@ from meanforce.validation import (
     check_oracle_scaling,
     check_second_order_residual,
     check_generator_agreement,
+    qubit_sweep_point,
+    SWEEP_BW0,
 )
 
 CASE = ReferenceCase()
@@ -88,6 +91,23 @@ def test_criterion_9_sweep_structure(tmp_path):
     csv_rows = read_corrections_csv(str(tmp_path / "sweep.csv"))
     rows = {k: v for k, v in csv_rows.items()}
     report(check_sweep_structure(CASE, rows=rows))
+
+
+def test_sweep_structure_fails_on_nan_rows():
+    # a sweep point that raised NumericsError is written as nan rows; every
+    # structural check must fail on it, also when it is not the first point
+    bath = CASE.bath()
+    rows = {}
+    for bw0 in SWEEP_BW0[::4]:
+        point = qubit_sweep_point(bath, bw0 / CASE.beta, CASE.coupling_strength, CASE.config)
+        rows.update({(bw0, kind, name): v for (kind, name), v in point.items()})
+    report(check_sweep_structure(CASE, rows=rows))
+    third = SWEEP_BW0[8]
+    rows.update({k: math.nan for k in rows if k[0] == third})
+    results = check_sweep_structure(CASE, rows=rows)
+    assert len(results) == 3
+    assert not any(r.passed for r in results)
+    assert all(math.isnan(r.measured) for r in results)
 
 
 def test_supporting_invariants():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanforce.cli import RunConfig, load_config, main, parse_config, pool_size, read_corrections_csv
+from meanforce.cli import RunConfig, load_config, main, parse_config, read_corrections_csv
 from meanforce.errors import ValidationError
 
 BASE = {
@@ -227,7 +227,7 @@ class TestCorrectionsTask:
                        - rows[(b, "mf", "offdiag_re")]) <= 1e-7
         assert max(abs(rows[(b, "dyn", "offdiag_im")]) for b in bw0s) > 1e-3 * scale
 
-    def test_parallel_sweep_matches_serial(self, tmp_path, csv_pair):
+    def test_threads_flag_accepted_without_effect(self, tmp_path, csv_pair):
         a, _, _ = csv_pair
         cfg = write_config(tmp_path, sweep={"parameter": "omega0", "values": [0.5, 1.0, 2.0]},
                            output=str(tmp_path / "p.csv"))
@@ -242,14 +242,6 @@ class TestCorrectionsTask:
         rows = (tmp_path / "lim.csv").read_text().strip().split("\n")[1:]
         assert rows and all(r.endswith(",nan,nan") for r in rows)
         assert "warning: sweep value 1" in capsys.readouterr().err
-
-    def test_pool_size_clamp(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        assert pool_size(8, 20) == 2
-        assert pool_size(8, 1) == 1
-        assert pool_size(1, 20) == 1
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert pool_size(4, 20) == 1
 
     @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--tol-abs", "-1"),
                                              ("--tol-abs", "0"), ("--tol-rel", "nan"),
@@ -377,3 +369,11 @@ def test_start_up_defers_scipy_integrate():
     at_import, after_call, value = r.stdout.split(maxsplit=2)
     assert (at_import, after_call) == ("False", "True")
     assert complex(value) == correlation_time_domain(OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0), 1.0)
+
+
+def test_start_up_loads_no_process_pool():
+    # the sweep runs in one process, so the CLI needs no worker machinery
+    code = "import sys, meanforce.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

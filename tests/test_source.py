@@ -1,11 +1,14 @@
-"""Source hygiene: no library module imports a name it never uses."""
+"""Source hygiene: no library module imports a name it never uses, and no public
+function or class is left that no library code or benchmark reaches."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "meanforce"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "meanforce"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(path):
@@ -24,7 +27,47 @@ def unused_imports(path):
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+def referenced_names(nodes):
+    """Identifiers the nodes read, as names, attributes or imported names."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                out |= {a.name for a in sub.names}
+    return out
+
+
+def unreached_definitions(path):
+    """Public module-level functions and classes that nothing outside their own body uses.
+
+    A definition counts as reached when its own module uses it elsewhere, when
+    another module of the package (``__init__.py`` included) names it, or when a
+    benchmark script under perfbench/ does; the tests do not count.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    outside = set()
+    for other in list(SRC.glob("*.py")) + list((ROOT / "perfbench").glob("*.py")):
+        if other != path:
+            outside |= referenced_names([ast.parse(other.read_text(encoding="utf-8"))])
+    unreached = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        own = referenced_names(n for n in tree.body if n is not node)
+        if node.name not in own | outside:
+            unreached.append(node.name)
+    return unreached
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreached_definitions(path):
+    assert unreached_definitions(path) == []

@@ -252,33 +252,29 @@ def _discretize(measure, rate, reach):
     return np.concatenate(nodes), np.concatenate(c)
 
 
-@lru_cache(maxsize=16384)
-def _finite_gamma_cached(measure, omega, t):
-    nodes, c = _discretize(measure, t, abs(omega))
-    return complex(np.sum(c * phi_kernel(omega - nodes, t)))
+def _phi_table(measure, freqs, t):
+    """(nodes W_k, weights c_k, phi_t(w_i - W_k) as a nodes x n array) on one discretisation."""
+    fa = np.array(freqs, dtype=float)
+    nodes, c = _discretize(measure, t, np.abs(fa).max())
+    return nodes, c, phi_kernel(fa[None, :] - nodes[:, None], t)
 
 
 def finite_time_Gamma(bath, omega, t, config=DEFAULT_QUAD):
     """Gamma(w, t) = int_0^t ds e^{iws} <R(s)R(0)>, with t = inf accepted.
 
-    Evaluated in the frequency domain as (1/2pi) int gamma(W) phi_t(w - W) dW;
-    the infinite-time sentinel returns gamma(w)/2 + i S(w).
+    Read off the one-frequency Redfield pair as gamma(w,w,t)/2 + i S(w,w,t);
+    the infinite-time sentinel gives gamma(w)/2 + i S(w).
     """
-    measure = as_measure(bath)
-    if t == np.inf:
-        return 0.5 * measure_value(measure, omega) + 1j * lamb_shift_S(measure, omega, config)
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    if t == 0:
-        return 0.0 + 0.0j
-    return _finite_gamma_cached(measure, float(omega), float(t))
+    g, s = redfield_pair_matrices(bath, (float(omega),), t, config)
+    return complex(0.5 * g[0, 0] + 1j * s[0, 0])
 
 
 def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
     """(gamma(w,w',t), S(w,w',t)) as n x n arrays over the frequency list.
 
     Finite t: gamma = Gamma(w',t) + Gamma(w,t)^*, S = (Gamma(w',t) - Gamma(w,t)^*)/2i
-    from one Gamma per frequency.  t = inf: the long-time pair
+    with Gamma(w_i,t) = sum_k c_k phi_t(w_i - W_k) on `_phi_table`, the table
+    the cumulant's xi and Xi read.  t = inf: the long-time pair
     K = (gamma(w)+gamma(w'))/2 + i (S(w')-S(w)),  Y_dyn = (S(w)+S(w'))/2 + i (gamma(w)-gamma(w'))/4,
     formed from the gamma and S vectors directly (not through Gamma(w,oo)),
     which keeps the bits of cells where the sums cancel.
@@ -289,7 +285,10 @@ def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
         s = np.array([lamb_shift_S(measure, w, config) for w in freqs])
         return (0.5 * (g[:, None] + g[None, :]) + 1j * (s[None, :] - s[:, None]),
                 0.5 * (s[:, None] + s[None, :]) + 1j * (0.25 * (g[:, None] - g[None, :])))
-    big = np.array([finite_time_Gamma(measure, w, t, config) for w in freqs], dtype=complex)
+    if t < 0:
+        raise ValidationError("t must be nonnegative")
+    _, c, phi = _phi_table(measure, freqs, t)  # phi_0 = 0 exactly
+    big = c @ phi
     return big[None, :] + big.conj()[:, None], (big[None, :] - big.conj()[:, None]) / 2.0j
 
 
@@ -352,12 +351,11 @@ def _log_tail_integral(delta, t0, t1):
 
 
 def _integrated_direct(measure, freqs, t):
-    """(xi, Xi) on one discretisation and one table phi_ki = phi_t(w_i - W_k): xi is its Gram
+    """(xi, Xi) on the phi table phi_ki = phi_t(w_i - W_k) of `_phi_table`: xi is its Gram
     matrix (PSD); as phi_t(-x) = phi_t(x)^*, Xi = -(D + D^dag)/2 (Hermitian) with one difference
     quotient per entry on the table, D_ij = sum_k c_k DQ(w_i - W_k, w_i - w_j)."""
+    nodes, c, phi = _phi_table(measure, freqs, t)
     fa = np.array(freqs, dtype=float)
-    nodes, c = _discretize(measure, t, np.abs(fa).max())
-    phi = phi_kernel(fa[None, :] - nodes[:, None], t)
     xi = np.einsum("n,ni,nj->ij", c, phi, phi.conj())
     d = np.array([[np.sum(c * phi_diff_quotient(wi - nodes, phi[:, i], wi - wj, t)) for wj in fa]
                   for i, wi in enumerate(fa)])

@@ -72,8 +72,9 @@ def _fmt(x):
 
 
 def _finite(x):
+    """A finite JSON number; a JSON boolean is not one, though bool subclasses int."""
     try:
-        return isinstance(x, (int, float)) and math.isfinite(x)
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:  # a JSON integer beyond the float range
         return False
 

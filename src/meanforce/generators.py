@@ -99,16 +99,11 @@ def commutator_superop(h):
     return -1j * (_left(h) - _right(h))
 
 
-def _hamiltonian_term(x):
-    """Superoperator of i[., X] = i(rho X - X rho)."""
-    return 1j * (_right(x) - _left(x))
-
-
 def _assemble(jumps, kmat, smat):
     """lam^2-part of the generator for coefficient arrays over the stacked jump index.
 
     Index I runs over (coupling, Bohr frequency) in jump order, A_I = A_a(w);
-    the result is i[., sum S_IJ A_I^dag A_J] + sum K_IJ (A_J . A_I^dag
+    the result is -i[sum S_IJ A_I^dag A_J, .] + sum K_IJ (A_J . A_I^dag
     - {A_I^dag A_J, .}/2).
     """
     ops = np.array([j.op(w) for j in jumps for w in j.frequencies])
@@ -116,7 +111,7 @@ def _assemble(jumps, kmat, smat):
     hs = np.einsum("ij,iyx,jyz->xz", smat, ops.conj(), ops, optimize=True)
     hk = np.einsum("ij,iyx,jyz->xz", kmat, ops.conj(), ops, optimize=True)
     sandwich = np.einsum("ij,ipr,jqs->pqrs", kmat, ops.conj(), ops, optimize=True)
-    return (_hamiltonian_term(hs) + sandwich.reshape(d * d, d * d)
+    return (commutator_superop(hs) + sandwich.reshape(d * d, d * d)
             - 0.5 * (_left(hk) + _right(hk)))
 
 
@@ -305,9 +300,10 @@ def steady_state_of_generator(superop, null_tol=1e-10):
 
 
 def thermal_state(h, beta):
-    """Gibbs state e^{-beta H} / Z via eigendecomposition."""
+    """Gibbs state e^{-beta H} / Z via eigendecomposition, as a complex array; a real H
+    (no imaginary part) is diagonalised in real arithmetic."""
     m = require_hermitian(h, name="H")
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = np.linalg.eigh(m.real if not m.imag.any() else m)
     w = np.exp(-beta * (vals - vals.min()))
     w /= w.sum()
-    return (vecs * w) @ vecs.conj().T
+    return np.asarray((vecs * w) @ vecs.conj().T, dtype=complex)

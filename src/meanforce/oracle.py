@@ -16,6 +16,7 @@ from scipy.linalg import logm
 
 from .bath import DiscreteBath
 from .errors import DomainError, ResourceError, ValidationError
+from .generators import thermal_state
 from .operators import require_hermitian
 
 __all__ = [
@@ -83,7 +84,11 @@ def _mode_operators(truncated):
 
 
 def exact_reduced_gibbs(h0, coupling, truncated, beta, lam):
-    """Reduced Gibbs state Tr_R[e^{-beta H}] / Tr[e^{-beta H}] of system + modes."""
+    """Reduced Gibbs state Tr_R[e^{-beta H}] / Tr[e^{-beta H}] of system + modes.
+
+    The Gibbs state of H = H0 + H_R + lam S R is `generators.thermal_state`;
+    the partial trace over the modes is one einsum.
+    """
     hs = require_hermitian(h0, name="H0")
     s = require_hermitian(coupling, name="coupling operator")
     d = hs.shape[0]
@@ -98,17 +103,7 @@ def exact_reduced_gibbs(h0, coupling, truncated, beta, lam):
         + np.kron(np.eye(d), h_r)
         + lam * np.kron(s, r)
     )
-    vals, vecs = np.linalg.eigh(h)
-    w = np.exp(-beta * (vals - vals.min()))
-    gibbs = (vecs * w) @ vecs.conj().T
-
-    rho = np.zeros((d, d), dtype=complex)
-    blocks = gibbs.reshape(d, dim_b, d, dim_b)
-    for i in range(d):
-        for k in range(d):
-            rho[i, k] = np.trace(blocks[i, :, k, :])
-    rho /= np.trace(rho).real
-    return rho
+    return np.einsum("ikjk->ij", thermal_state(h, beta).reshape(d, dim_b, d, dim_b))
 
 
 def traceless(op):

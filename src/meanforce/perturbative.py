@@ -32,7 +32,7 @@ from ._quad import DEFAULT_QUAD
 from .bath import _discretize, as_measure, measure_value
 from .corrections import _E, tls_time_integrated_balance
 from .errors import DomainError, ValidationError
-from .generators import commutator_superop, dissipative_generator, unvectorize, vectorize
+from .generators import commutator_superop, dissipative_generator, thermal_state, unvectorize, vectorize
 from .operators import _sum_products, require_hermitian
 
 __all__ = [
@@ -99,10 +99,8 @@ def g22_coefficient(kmat, dyn, st, w1, w2, w3, w4, beta):
 
 
 def _rho2_matrix(h0, jumps, table, beta):
-    """rho_2 = -e^{-beta H0} sum Y(w,w') a(w'-w) A^dag(w) A(w')."""
-    from scipy.linalg import expm
-
-    rho0 = expm(-beta * require_hermitian(h0, name="H0"))
+    """rho_2 = -rho_0 sum Y(w,w') a(w'-w) A^dag(w) A(w'), rho_0 = e^{-beta H0}/Z."""
+    rho0 = thermal_state(h0, beta)
     weighted = {(a, b, w, wp): v * alpha_weight(beta, wp - w)
                 for (a, b, w, wp), v in table.entries.items() if v != 0.0}
     return -rho0 @ _sum_products(weighted, jumps), rho0

@@ -15,6 +15,7 @@ from ._quad import DEFAULT_QUAD
 from .bath import OhmicBath, integrated_gamma_matrix, lamb_shift_S
 from .corrections import (
     build_upsilon_table,
+    kossakowski_custom,
     kossakowski_redfield,
     kossakowski_secular,
     tls_diagonal_steady,
@@ -98,19 +99,17 @@ class ReferenceCase:
         return h0, dec, [jump]
 
 
-def _pair_grid(case, n=10):
-    """n x n grid of (w, w') pairs with every pair distinct, beta-units."""
-    ws = np.linspace(-2.0, 2.5, n)
-    wps = np.linspace(-2.23, 2.31, n) + 0.013
-    return [(float(w), float(wp)) for w in ws for wp in wps if w != wp]
+# 10 x 10 grid of (w, w') pairs with every pair distinct, beta-units
+_PAIR_GRID = tuple((float(w), float(wp)) for w in np.linspace(-2.0, 2.5, 10)
+                   for wp in np.linspace(-2.23, 2.31, 10) + 0.013 if w != wp)
+_SKEW = 1.1  # factor on the w > 0 Kossakowski diagonal in the injected fault
 
 
-def check_dual_form(case=None):
+def check_dual_form(case):
     """Acceptance 1: pole-free kernel vs Lamb-shift form of the mean force."""
-    case = case or ReferenceCase()
     bath = case.bath()
     worst = 0.0
-    for w, wp in _pair_grid(case):
+    for w, wp in _PAIR_GRID:
         k = upsilon_mean_force(bath, w, wp, "kernel", case.config)
         s = upsilon_mean_force(bath, w, wp, "S_form", case.config)
         worst = max(worst, abs(k - s) / max(1e-7, 1e-6 * abs(k)))
@@ -118,14 +117,13 @@ def check_dual_form(case=None):
                        "max |kernel - S_form| / max(1e-7, 1e-6 |value|) over 10x10 grid")
 
 
-def check_steady_coherence_identities(case=None):
+def check_steady_coherence_identities(case):
     """Acceptance 2: steady coherences vs mean force (Redfield K) and dynamical (secular K)."""
-    case = case or ReferenceCase()
     bath = case.bath()
     spec_r = kossakowski_redfield(bath, case.config)
     spec_s = kossakowski_secular(bath, case.config)
     worst_r = worst_s = 0.0
-    for w, wp in _pair_grid(case):
+    for w, wp in _PAIR_GRID:
         st_r = upsilon_steady_offdiag(spec_r, bath, w, wp, config=case.config)
         mf = upsilon_mean_force(bath, w, wp, "S_form", case.config)
         worst_r = max(worst_r, abs(st_r - mf))
@@ -146,9 +144,8 @@ def _random_qutrit(seed):
     return h0, s
 
 
-def check_second_order_residual(case=None):
+def check_second_order_residual(case):
     """Acceptance 3: the coherence tables cancel the source term L2[rho0]."""
-    case = case or ReferenceCase()
     bath = case.bath()
     out = []
 
@@ -169,9 +166,8 @@ def check_second_order_residual(case=None):
     return out
 
 
-def check_fourth_order(case=None):
+def check_fourth_order(case):
     """Acceptance 4: tuple cancellations and the TLS diagonal solutions."""
-    case = case or ReferenceCase()
     bath = case.bath()
     _, dec, jumps = case.system()
     spec = kossakowski_redfield(bath, case.config)
@@ -211,9 +207,8 @@ def check_fourth_order(case=None):
     return out
 
 
-def check_cumulant_cptp(case=None):
+def check_cumulant_cptp(case):
     """Acceptance 5: cumulant map trace preservation and complete positivity."""
-    case = case or ReferenceCase()
     bath = case.bath()
     h0, _, jumps = case.system()
     rho0 = np.array([[0.7, 0.2 + 0.1j], [0.2 - 0.1j, 0.3]], dtype=complex)
@@ -231,9 +226,8 @@ def check_cumulant_cptp(case=None):
     ]
 
 
-def check_generator_agreement(case=None):
+def check_generator_agreement(case):
     """Acceptance 6: ||L_cumulant - L_redfield|| scales as lam^4 at t = 2/w0."""
-    case = case or ReferenceCase()
     bath = case.bath()
     h0, _, jumps = case.system()
     t = 2.0 / case.omega0
@@ -256,9 +250,8 @@ def check_generator_agreement(case=None):
                        f"target 4 +- 0.3; norms {norms[0]:.2e}/{norms[1]:.2e}/{norms[2]:.2e}")
 
 
-def check_oracle_scaling(case=None):
+def check_oracle_scaling(case):
     """Acceptance 7: exact 3-mode bath; mean-force residual scales as lam^4."""
-    case = case or ReferenceCase()
     h0, dec, _ = case.system()
     s_op = pauli_coupling(case.x, 0.0, case.z)
     tb = TruncatedBath(modes=((2.1, 0.6), (3.3, 0.8), (4.7, 0.5)), fock_cutoff=7)
@@ -283,7 +276,7 @@ def _slowest_rate(gen):
     return -max(decaying)
 
 
-def check_headline(case=None):
+def check_headline(case):
     """Acceptance 8: long-time cumulant coherence vs the mean-force Gibbs coherence.
 
     The map is evaluated at t_eq = 10/gap(lam), after the system has
@@ -293,7 +286,6 @@ def check_headline(case=None):
     terms), so the 10-percent match cannot be met.  The Redfield fixed point,
     reported alongside for contrast, does satisfy the stated numbers.
     """
-    case = case or ReferenceCase()
     bath = case.bath()
     h0, _, jumps = case.system()
     hmf = assemble_correction(build_upsilon_table("mean_force", jumps, bath, config=case.config), jumps)
@@ -365,9 +357,8 @@ def qubit_sweep_point(bath, w0, gamma_c, config=DEFAULT_QUAD):
     return out
 
 
-def qubit_sweep_rows(case=None):
+def qubit_sweep_rows(case):
     """(bw0, kind, name) -> value over the default beta*w0 sweep."""
-    case = case or ReferenceCase()
     bath = case.bath()
     rows = {}
     for bw0 in SWEEP_BW0:
@@ -382,9 +373,8 @@ def _max_abs(values):
     return float(np.max(np.abs(list(values))))
 
 
-def check_sweep_structure(case=None, rows=None):
+def check_sweep_structure(case, rows=None):
     """Acceptance 9: structural relations of the qubit coefficient sweep."""
-    case = case or ReferenceCase()
     bath = case.bath()
     beta, gc = case.beta, case.coupling_strength
     rows = rows if rows is not None else qubit_sweep_rows(case)
@@ -412,9 +402,8 @@ def check_sweep_structure(case=None, rows=None):
     return out
 
 
-def check_integrated_psd(case=None):
+def check_integrated_psd(case):
     """Bath invariant: the time-integrated gamma matrix stays PSD."""
-    case = case or ReferenceCase()
     bath = case.bath()
     freqs = (-case.omega0, 0.0, case.omega0)
     worst = 0.0
@@ -426,15 +415,13 @@ def check_integrated_psd(case=None):
                        "-(min eig)/trace over t grid")
 
 
-def check_detailed_balance_guard(case=None, skew=1.1):
+def check_detailed_balance_guard(case):
     """Injected fault: a skewed Kossakowski diagonal must be rejected."""
-    case = case or ReferenceCase()
     bath = case.bath()
     base = kossakowski_redfield(bath, case.config)
-    from .corrections import kossakowski_custom
 
     def bad_k(a, b, w, wp):
-        return base.K(a, b, w, wp) * (skew if w > 0 else 1.0)
+        return base.K(a, b, w, wp) * (_SKEW if w > 0 else 1.0)
 
     spec = kossakowski_custom(case.beta, bad_k, base.upsilon_dyn)
     try:
@@ -459,9 +446,8 @@ ACCEPTANCE_CHECKS = (
 )
 
 
-def run_checks(case=None, skip_oracle=False):
+def run_checks(case, skip_oracle=False):
     """Run the full suite; returns a flat list of CheckResult."""
-    case = case or ReferenceCase()
     results = []
     for name, fn in ACCEPTANCE_CHECKS:
         if name == "oracle" and skip_oracle:

@@ -12,6 +12,7 @@ from meanforce.bath import (
     OhmicBath,
     SpectralMeasure,
     S_finite_time,
+    _discretize,
     bose_occupation,
     correlation_time_domain,
     finite_time_Gamma,
@@ -21,6 +22,7 @@ from meanforce.bath import (
     integrated_gamma_matrix,
     lamb_shift_S,
     measure_value,
+    redfield_pair_matrices,
 )
 from meanforce.errors import PoleError, ValidationError
 
@@ -256,6 +258,20 @@ class TestIntegratedCoefficients:
                 for j, wp in enumerate(freqs):
                     expect = np.exp(1j * (w - wp) * t) * pair(bath, w, wp, t)
                     assert abs(der[i, j] - expect) <= 2e-6
+
+    @pytest.mark.parametrize("t", [2.0, 10.0, 20.0])
+    def test_cumulant_rate_is_redfield_pair_on_one_node_set(self, bath, t):
+        # at fixed nodes d/dt phi_t(x) = e^{ixt}, so d xi/dt = gamma(w,w',t) e^{i(w-w')t}
+        # exactly; the library's xi and the Redfield pair must both sit on these nodes
+        fa = np.array([-1.0, 0.0, 1.0])
+        nodes, c = _discretize(gamma_spectral(bath), t, 1.0)
+        x = fa[None, :] - nodes[:, None]
+        phi, rate = phi_kernel(x, t), np.exp(1j * x * t)
+        xi = np.einsum("n,ni,nj->ij", c, phi, phi.conj())
+        dxi = np.einsum("n,ni,nj->ij", c, rate, phi.conj()) + np.einsum("n,ni,nj->ij", c, phi, rate.conj())
+        assert np.abs(integrated_gamma_matrix(bath, tuple(fa), t) - xi).max() <= 1e-13 * np.abs(xi).max()
+        pair = redfield_pair_matrices(bath, tuple(fa), t)[0] * np.exp(1j * (fa[:, None] - fa[None, :]) * t)
+        assert np.abs(dxi - pair).max() <= 1e-11 * np.abs(pair).max()
 
     def test_asymptotic_split_matches_direct(self, bath):
         # the t > 60 beta split must agree with the direct panel route

@@ -193,6 +193,41 @@ class TestConfigValidation:
         assert main(["corrections", "--config", str(path)]) == 2
         assert "beta" in capsys.readouterr().err
 
+    # JSON true/false are Python bools, and bool subclasses int: none is a number
+    @pytest.mark.parametrize("edit, path", [
+        pytest.param(lambda c: c.update(beta=True), "beta", id="beta"),
+        pytest.param(lambda c: c.update({"lambda": True}), "lambda", id="lambda"),
+        pytest.param(lambda c: c.update(system={"tls": {"omega0": True}}), "system.tls.omega0",
+                     id="omega0"),
+        pytest.param(lambda c: c["baths"]["b1"].update(gamma_c=True), "baths.b1.gamma_c", id="gamma_c"),
+        pytest.param(lambda c: c["baths"]["b1"].update(cutoff=True), "baths.b1.cutoff", id="cutoff"),
+        pytest.param(lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[True, 0.1]]}),
+                     "baths.b1.modes", id="mode_frequency"),
+        pytest.param(lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[1.0, False]]}),
+                     "baths.b1.modes", id="mode_coupling"),
+        pytest.param(lambda c: c["couplings"][0]["pauli"].update(x=True), r"couplings[0].pauli.x",
+                     id="pauli_x"),
+        pytest.param(lambda c: c["couplings"][0]["pauli"].update(y=False), r"couplings[0].pauli.y",
+                     id="pauli_y"),
+        pytest.param(lambda c: c.update(quadrature={"abs_tol": True}), "quadrature.abs_tol", id="abs_tol"),
+        pytest.param(lambda c: c.update(quadrature={"rel_tol": True}), "quadrature.rel_tol", id="rel_tol"),
+        pytest.param(lambda c: c.update(quadrature={"limit": True}), "quadrature.limit", id="limit"),
+        pytest.param(lambda c: c.update(sweep={"parameter": "omega0", "values": [True]}), "sweep.values",
+                     id="sweep_values"),
+        pytest.param(lambda c: with_state([[[0.6, 0], [0.1, 0]], [[0.1, 0], [0.4, 0]]])(c)
+                     or c["evolve"].update(times=[True, False]), "evolve.times", id="evolve_times"),
+    ])
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, edit, path):
+        cfg = json.loads(json.dumps(BASE))
+        cfg.update(sweep={"parameter": "omega0", "values": [1.0]}, output=str(tmp_path / "out.csv"))
+        edit(cfg)
+        config = tmp_path / "bool.json"
+        config.write_text(json.dumps(cfg))
+        assert main([cfg["task"], "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:")
+        assert not (tmp_path / "out.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def csv_pair(tmp_path_factory):

@@ -223,6 +223,30 @@ class TestSteadyState:
         assert abs(rho_c[0, 1]) > 1e-5
 
 
+class TestThermalState:
+    @staticmethod
+    def complex_route(h, beta):
+        vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+        w = np.exp(-beta * (vals - vals.min()))
+        return (vecs * w) @ vecs.conj().T / w.sum()
+
+    def test_real_hamiltonian_takes_real_eigh(self, monkeypatch):
+        a = np.random.default_rng(5).normal(size=(6, 6))
+        h = (0.5 * (a + a.T)).astype(complex)  # complex dtype, no imaginary part
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: seen.append(m.dtype) or eigh(m))
+        rho = thermal_state(h, 0.7)
+        assert seen == [np.float64]
+        assert rho.dtype == np.complex128
+        assert np.abs(rho - self.complex_route(h, 0.7)).max() <= 1e-14
+        assert np.abs(rho - expm(-0.7 * h) / np.trace(expm(-0.7 * h))).max() <= 1e-14
+
+    def test_complex_hamiltonian_keeps_complex_eigh(self):
+        h = _random_hermitian(np.random.default_rng(6), 4)
+        assert np.abs(thermal_state(h, 0.7) - self.complex_route(h, 0.7)).max() <= 1e-14
+
+
 def _random_hermitian(rng, d):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (z + z.conj().T)

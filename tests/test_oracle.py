@@ -13,6 +13,7 @@ from meanforce.operators import (
 )
 from meanforce.oracle import (
     TruncatedBath,
+    _mode_operators,
     effective_hamiltonian,
     exact_reduced_gibbs,
     matching_bath,
@@ -48,6 +49,28 @@ class TestExactReducedGibbs:
         r6 = exact_reduced_gibbs(h0, s_op, TruncatedBath(modes, 6), BETA, 0.05)
         r8 = exact_reduced_gibbs(h0, s_op, TruncatedBath(modes, 8), BETA, 0.05)
         assert np.abs(r6 - r8).max() <= 1e-8
+
+    @staticmethod
+    def loop_reference(h0, coupling, truncated, beta, lam):
+        """Complex eigh of the full H, then the partial trace one (i, k) entry at a time."""
+        d, dim_b = h0.shape[0], truncated.dimension()
+        h_r, r = _mode_operators(truncated)
+        h = np.kron(h0, np.eye(dim_b)) + np.kron(np.eye(d), h_r) + lam * np.kron(coupling, r)
+        vals, vecs = np.linalg.eigh(h)
+        gibbs = (vecs * np.exp(-beta * (vals - vals.min()))) @ vecs.conj().T
+        blocks = gibbs.reshape(d, dim_b, d, dim_b)
+        rho = np.array([[np.trace(blocks[i, :, k, :]) for k in range(d)] for i in range(d)])
+        return rho / np.trace(rho).real
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_loop_reference(self, system, kind):
+        h0, s_op = system
+        if kind == "complex":  # sigma_y in the coupling: H has an imaginary part
+            s_op = pauli_coupling(0.6, 0.5, 0.3)
+        small = TruncatedBath(THREE_MODES.modes, fock_cutoff=4)
+        rho = exact_reduced_gibbs(h0, s_op, small, BETA, 0.3)
+        ref = self.loop_reference(h0, s_op, small, BETA, 0.3)
+        assert np.abs(rho - ref).max() <= 1e-13
 
     def test_dimension_guard(self, system):
         h0, s_op = system

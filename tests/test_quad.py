@@ -27,7 +27,7 @@ from meanforce.bath import OhmicBath, gamma_spectral, lamb_shift_S
 from meanforce.corrections import build_upsilon_table, upsilon_mean_force
 from meanforce.errors import NumericsError
 from meanforce.operators import bohr_decompose, spectral_decompose
-from meanforce.validation import _random_qutrit, qubit_sweep_point, qubit_sweep_rows
+from meanforce.validation import ReferenceCase, _random_qutrit, qubit_sweep_point, qubit_sweep_rows
 
 EPS = np.finfo(float).eps
 TIMES = (0.5, 10.0, 100.0)
@@ -249,7 +249,7 @@ def test_sweep_is_vectorised(monkeypatch):
             return f(x)
         return adaptive_quad(g, lo, hi, config)
 
-    on_route(monkeypatch, counting, qubit_sweep_rows)
+    on_route(monkeypatch, counting, lambda: qubit_sweep_rows(ReferenceCase()))
     assert count["calls"] <= 3000
     assert count["nodes"] <= 1.5 * 68_775
 

@@ -29,6 +29,7 @@ _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
 _MIN_PANELS = 8
 _MAX_PANEL_NODES = 4_000_000
+_PHI_SWITCH = 1e-6  # |(x - x0) t| below which phi_diff_quotient takes the midpoint phi_t'
 
 # QUADPACK dqk21: the 21-point Kronrod abscissae on [0, 1) (odd entries are
 # the 10-point Gauss nodes, the last is the centre), their Kronrod weights,
@@ -226,9 +227,9 @@ def _diff_quotient(num, d, scale, switch, slope):
 def phi_diff_quotient(x, phi_x, x0, t):
     """(phi_t(x) - phi_t(x0)) / (x - x0), stable as x -> x0; phi_x = phi_t(x) from the caller's table.
 
-    x0 is a scalar.  Where |(x - x0) t| < 1e-6 the quotient is phi_t' at the
-    midpoint.
+    x0 is a scalar or an array that broadcasts against x.  Where
+    |(x - x0) t| < _PHI_SWITCH the quotient is phi_t' at the midpoint.
     """
     x = np.asarray(x, dtype=float)
-    return _diff_quotient(phi_x - phi_kernel(x0, t), x - x0, t, 1e-6,
-                          lambda small: phi_kernel_prime(0.5 * (x[small] + x0), t))
+    return _diff_quotient(phi_x - phi_kernel(x0, t), x - x0, t, _PHI_SWITCH,
+                          lambda small: phi_kernel_prime(0.5 * (x + x0)[small], t))

@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._quad import (
+    _PHI_SWITCH,
     DEFAULT_QUAD,
     QuadratureConfig,
     adaptive_quad,
@@ -351,15 +352,35 @@ def _log_tail_integral(delta, t0, t1):
 
 
 def _integrated_direct(measure, freqs, t):
-    """(xi, Xi) on the phi table phi_ki = phi_t(w_i - W_k) of `_phi_table`: xi is its Gram
-    matrix (PSD); as phi_t(-x) = phi_t(x)^*, Xi = -(D + D^dag)/2 (Hermitian) with one difference
-    quotient per entry on the table, D_ij = sum_k c_k DQ(w_i - W_k, w_i - w_j)."""
-    nodes, c, phi = _phi_table(measure, freqs, t)
+    """(xi, Xi) from two matrix products on the phi table phi_ki = phi_t(w_i - W_k) of `_phi_table`.
+
+    xi is its Gram matrix phi^T (c phi^*), PSD and made exactly Hermitian.  As
+    phi_t(-x) = phi_t(x)^*, Xi = -(D + D^dag)/2 with the difference quotients
+    D_ij = sum_k c_k (phi_ki - phi_t(w_i - w_j)) / (w_j - W_k)
+         = (phi^T R)_ij - phi_t(w_i - w_j) sum_k R_kj,    R_kj = c_k / (w_j - W_k).
+    R is held as n x N, contiguous along the nodes, so the column sums are
+    pairwise.  Node/column pairs with |(w_j - W_k) t| < _PHI_SWITCH are left out
+    of R; each column that has any takes them from `phi_diff_quotient` (phi_t'
+    at the midpoint).  At t = 0 every node would be inside the switch, and
+    phi_0 = phi_0' = 0 makes both matrices exactly zero.
+    """
     fa = np.array(freqs, dtype=float)
-    xi = np.einsum("n,ni,nj->ij", c, phi, phi.conj())
-    d = np.array([[np.sum(c * phi_diff_quotient(wi - nodes, phi[:, i], wi - wj, t)) for wj in fa]
-                  for i, wi in enumerate(fa)])
-    return xi, -0.5 * (d + d.conj().T)
+    if t == 0:
+        zero = np.zeros((fa.size, fa.size), dtype=complex)
+        return zero, zero.copy()
+    nodes, c, phi = _phi_table(measure, freqs, t)
+    weighted = phi.conj()
+    weighted *= c[:, None]
+    xi = phi.T @ weighted
+    del weighted
+    gap = fa[:, None] - nodes[None, :]
+    inside = np.abs(gap * t) < _PHI_SWITCH
+    r = np.divide(c, gap, out=np.zeros_like(gap), where=~inside)
+    d = (r @ phi).T - phi_kernel(fa[:, None] - fa[None, :], t) * r.sum(axis=1)
+    for j in np.flatnonzero(inside.any(axis=1)):
+        k = inside[j]
+        d[:, j] += c[k] @ phi_diff_quotient(fa[None, :] - nodes[k, None], phi[k], fa - fa[j], t)
+    return 0.5 * (xi + xi.conj().T), -0.5 * (d + d.conj().T)
 
 
 @lru_cache(maxsize=512)
@@ -392,7 +413,8 @@ def integrated_gamma_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     """Matrix int_0^t e^{i(w-w')s} gamma(w, w', s) ds over the given frequencies.
 
     Computed as the Gram matrix (1/2pi) int gamma(W) phi_t(w-W) phi_t(w'-W)^* dW,
-    so it is positive semi-definite by construction.
+    so it is positive semi-definite by construction: one matrix product
+    phi^T (c phi^*) on the phi table of `_phi_table`, made exactly Hermitian.
     """
     if t < 0:
         raise ValidationError("t must be nonnegative")
@@ -401,7 +423,13 @@ def integrated_gamma_matrix(bath, freqs, t, config=DEFAULT_QUAD):
 
 
 def integrated_S_matrix(bath, freqs, t, config=DEFAULT_QUAD):
-    """Matrix int_0^t e^{i(w-w')s} S(w, w', s) ds over the given frequencies."""
+    """Matrix int_0^t e^{i(w-w')s} S(w, w', s) ds over the given frequencies.
+
+    Xi = -(D + D^dag)/2 with D = phi^T R - phi_t(w_i - w_j) sum_k R_kj,
+    R_kj = c_k / (w_j - W_k): one matrix product on the same phi table as
+    `integrated_gamma_matrix`.  A column with a node |(w_j - W_k) t| < 1e-6
+    takes that node from `phi_diff_quotient` (phi_t' at the midpoint).
+    """
     if t < 0:
         raise ValidationError("t must be nonnegative")
     measure = as_measure(bath)

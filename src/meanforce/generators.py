@@ -233,11 +233,23 @@ def frame_rotation(h0, t):
     return Superoperator(h.shape[0], _sandwich(u, u.conj().T))
 
 
+def _checked_expm(m):
+    """expm(m), raising NumericsError where scipy fails or returns non-finite entries
+    (a NaN input comes back as NaN without an exception)."""
+    try:
+        out = expm(m)
+    except (ValueError, FloatingPointError) as exc:
+        raise NumericsError(f"superoperator exponential failed: {exc}") from None
+    if not np.all(np.isfinite(out)):
+        raise NumericsError("superoperator exponential is not finite")
+    return out
+
+
 def cumulant_map(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Schroedinger-picture cumulant dynamical map e^{-iH0t} exp(K_t) e^{+iH0t}."""
     k = build_cumulant_exponent(h0, jumps, baths, lam, t, config)
     rot = frame_rotation(h0, t)
-    return Superoperator(k.dim, rot.matrix @ expm(k.matrix))
+    return Superoperator(k.dim, rot.matrix @ _checked_expm(k.matrix))
 
 
 def validate_density_matrix(rho, tol=1e-12):
@@ -254,13 +266,7 @@ def propagate(superop, rho0, t=None):
         return superop.apply(rho)
     if t < 0:
         raise ValidationError("t must be nonnegative")
-    try:
-        prop = expm(superop.matrix * t)
-    except (ValueError, FloatingPointError) as exc:
-        raise NumericsError(f"superoperator exponential failed: {exc}") from None
-    if not np.all(np.isfinite(prop)):
-        raise NumericsError("superoperator exponential overflowed")
-    return unvectorize(prop @ vectorize(rho))
+    return unvectorize(_checked_expm(superop.matrix * t) @ vectorize(rho))
 
 
 def choi_matrix(superop):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +32,19 @@ def panel_quad(f, lo, hi, osc_freq, structure_scale):
     """Reference integral of a vectorised (possibly complex) f on the panel grid."""
     nodes, weights = panel_nodes(lo, hi, osc_freq, structure_scale)
     return np.sum(weights * f(nodes))
+
+
+def exact_sum(z):
+    """Correctly rounded sum of a complex array: math.fsum of each part.
+
+    The result does not depend on the order of the terms; fsum's speed does,
+    so the nonzero terms go in largest first.
+    """
+    def part(x):
+        x = x[x != 0.0]
+        return math.fsum(x[np.argsort(-np.abs(x))].tolist())
+
+    return complex(part(z.real), part(z.imag))
 
 
 def box_measure(c=1.0, half_width=3.0, beta=1.0):
@@ -267,7 +281,8 @@ class TestIntegratedCoefficients:
         nodes, c = _discretize(gamma_spectral(bath), t, 1.0)
         x = fa[None, :] - nodes[:, None]
         phi, rate = phi_kernel(x, t), np.exp(1j * x * t)
-        xi = np.einsum("n,ni,nj->ij", c, phi, phi.conj())
+        xi = np.array([[exact_sum(c * phi[:, i] * phi[:, j].conj()) for j in range(fa.size)]
+                       for i in range(fa.size)])
         dxi = np.einsum("n,ni,nj->ij", c, rate, phi.conj()) + np.einsum("n,ni,nj->ij", c, phi, rate.conj())
         assert np.abs(integrated_gamma_matrix(bath, tuple(fa), t) - xi).max() <= 1e-13 * np.abs(xi).max()
         pair = redfield_pair_matrices(bath, tuple(fa), t)[0] * np.exp(1j * (fa[:, None] - fa[None, :]) * t)
@@ -305,16 +320,27 @@ class TestIntegratedCoefficients:
             integrated_S_matrix(bath, (-1.0, 0.0, 1.0), t)
         assert len(calls) == 1
 
-    def test_one_difference_quotient_per_entry(self, bath, monkeypatch):
+    def test_one_phi_table_and_quotients_only_in_switch_columns(self, bath, monkeypatch):
+        # xi and Xi are products on one phi table; only a column j with a node
+        # |(w_j - W_k) t| < 1e-6 calls the difference quotient, once
         import meanforce.bath as mb
 
-        calls = []
-        quotient = mb.phi_diff_quotient
-        monkeypatch.setattr(mb, "phi_diff_quotient", lambda *args: calls.append(1) or quotient(*args))
-        mb._integrated_matrices_cached.cache_clear()
+        tables, quotients = [], []
+        table, quotient = mb._phi_table, mb.phi_diff_quotient
+        monkeypatch.setattr(mb, "_phi_table", lambda *args: tables.append(args[1:]) or table(*args))
+        monkeypatch.setattr(mb, "phi_diff_quotient", lambda *args: quotients.append(1) or quotient(*args))
         freqs = (-1.0, 0.0, 0.7, 1.0)
-        integrated_S_matrix(bath, freqs, 2.0)
-        assert len(calls) == len(freqs) ** 2
+        modes = gamma_spectral(DiscreteBath(beta=bath.beta, modes=((1.0, 0.4),)))
+        on_bohr = replace(gamma_spectral(bath), atoms=modes.atoms)
+        for measure, switch_columns in ((gamma_spectral(bath), 0), (on_bohr, 2)):
+            mb._integrated_matrices_cached.cache_clear()
+            tables.clear()
+            quotients.clear()
+            for t in (2.0, 5.0):
+                integrated_gamma_matrix(measure, freqs, t)
+                integrated_S_matrix(measure, freqs, t)
+            assert tables == [(freqs, 2.0), (freqs, 5.0)]
+            assert len(quotients) == 2 * switch_columns
 
     @pytest.fixture(scope="class")
     def measures(self, bath):
@@ -343,6 +369,59 @@ class TestIntegratedCoefficients:
         sig = integrated_S_matrix(measures[name], freqs, t)
         assert np.abs(sig - expect).max() <= 1e-14 * np.abs(sig).max()
         assert np.array_equal(sig, sig.conj().T)
+
+    @staticmethod
+    def summed_exactly(measure, freqs, t):
+        """(xi, Xi) of the library's discretised sums with every entry summed by exact_sum:
+        xi_ij = sum_k c_k phi_ki phi_kj^*, D_ij = sum_k c_k DQ(w_i - W_k, w_i - w_j), Xi = -(D + D^dag)/2."""
+        fa = np.array(freqs)
+        nodes, c = _discretize(measure, t, np.abs(fa).max())
+        phi = phi_kernel(fa[None, :] - nodes[:, None], t)
+        n = fa.size
+        xi = np.array([[exact_sum(c * phi[:, i] * phi[:, j].conj()) for j in range(n)] for i in range(n)])
+        d = np.array([[exact_sum(c * phi_diff_quotient(fa[i] - nodes, phi[:, i], fa[i] - fa[j], t))
+                       for j in range(n)] for i in range(n)])
+        return xi, -0.5 * (d + d.conj().T)
+
+    @staticmethod
+    def d7_allowance(measure, freqs, t):
+        """Error allowed on Xi for atoms just above the quotient's switch, 1e-6 <= |(w_j - W) t| < 1e-3.
+
+        ROADMAP D7: a quotient there errs by about 2.5 eps max(1, |x0 t|) / |(x - x0) t|
+        relative.  The reference carries that error; the product route adds about four
+        times as much, because an atom's terms c (phi_ki, phi_t(w_i - w_j)) / (w_j - W)
+        are accumulated in the product and the column sum before they cancel.  The
+        allowance is ten times the D7 estimate.
+        """
+        fa = np.array(freqs)
+        allowance = np.zeros((fa.size, fa.size))
+        for loc, weight in measure.atoms:
+            gap = np.abs(fa - loc) * t
+            for j in np.flatnonzero((gap >= 1e-6) & (gap < 1e-3)):
+                x, x0 = fa - loc, fa - fa[j]
+                q = phi_diff_quotient(x, phi_kernel(x, t), x0, t)
+                d7 = 2.5 * np.finfo(float).eps * np.maximum(1.0, np.abs(x0 * t)) / gap[j]
+                allowance[:, j] += 10.0 * weight / (2.0 * np.pi) * np.abs(q) * d7
+        return 0.5 * (allowance + allowance.T)
+
+    @pytest.mark.parametrize("t", [0.5, 5.0, 20.0, 50.0])
+    @pytest.mark.parametrize("name", ["ohmic", "discrete", "mixed", "near_switch"])
+    def test_matches_exactly_summed_reference(self, measures, name, t):
+        # near_switch: atoms exactly on the Bohr frequencies +-1 (midpoint branch)
+        # and at 0.7 + 2e-6/t, just above the switch of the column w_j = 0.7
+        freqs = (-1.0, 0.0, 0.7, 1.0)
+        if name == "near_switch":
+            modes = DiscreteBath(beta=measures["ohmic"].beta, modes=((1.0, 0.4), (0.7 + 2e-6 / t, 0.3)))
+            measure = replace(measures["ohmic"], atoms=gamma_spectral(modes).atoms)
+        else:
+            measure = measures[name]
+        xi_ref, sig_ref = self.summed_exactly(measure, freqs, t)
+        xi, sig = integrated_gamma_matrix(measure, freqs, t), integrated_S_matrix(measure, freqs, t)
+        assert np.array_equal(xi, xi.conj().T) and np.array_equal(sig, sig.conj().T)
+        assert np.abs(xi - xi_ref).max() <= 1e-14 * np.abs(xi_ref).max()
+        allowance = self.d7_allowance(measure, freqs, t)
+        assert (name == "near_switch") == (allowance.max() > 0.0)
+        assert np.all(np.abs(sig - sig_ref) <= 1e-14 * np.abs(sig_ref).max() + allowance)
 
     @staticmethod
     def midpoint_nodes(measure, freqs, t, monkeypatch):

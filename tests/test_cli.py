@@ -350,6 +350,19 @@ class TestEvolveTask:
             if r[idx["equation"]] == "cumulant":
                 assert float(r[idx["min_eigenvalue"]]) >= -1e-10
 
+    def test_non_finite_cumulant_exits_2(self, tmp_path, capsys, monkeypatch):
+        import meanforce.generators as mg
+        from meanforce.generators import Superoperator
+
+        nan = Superoperator(2, np.full((4, 4), np.nan, dtype=complex))
+        monkeypatch.setattr(mg, "build_cumulant_exponent", lambda *args: nan)
+        cfg = write_config(tmp_path, task="evolve", output=str(tmp_path / "ev.csv"), evolve={
+            "initial_state": [[[0.6, 0], [0.1, 0]], [[0.1, 0], [0.4, 0]]],
+            "times": [1.0], "equations": ["cumulant"]})
+        assert main(["evolve", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "ev.csv").exists()
+
 
 class TestSteadyStateTask:
     def test_rows(self, tmp_path):

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from meanforce.bath import DiscreteBath, OhmicBath
 from meanforce.corrections import build_upsilon_table
-from meanforce.errors import DegenerateSteadyStateError, ValidationError
+from meanforce.errors import DegenerateSteadyStateError, NumericsError, ValidationError
 from meanforce.generators import (
     Superoperator,
     build_cumulant_exponent,
@@ -138,6 +138,18 @@ class TestCumulant:
         oracle = unvectorize(v)
         out = propagate(cumulant_map(h0, jumps, bath, lam, t), rho0)
         assert np.abs(out - oracle).max() <= 5e-4
+
+    def test_non_finite_exponent_raises(self, h0, jumps, bath, rho0, monkeypatch):
+        # scipy's expm returns NaN for a NaN input without raising
+        import meanforce.generators as mg
+
+        nan = Superoperator(2, np.full((4, 4), np.nan, dtype=complex))
+        assert np.isnan(expm(nan.matrix)).all()
+        monkeypatch.setattr(mg, "build_cumulant_exponent", lambda *args: nan)
+        with pytest.raises(NumericsError):
+            cumulant_map(h0, jumps, bath, LAM, 1.0)
+        with pytest.raises(NumericsError):
+            propagate(nan, rho0, 1.0)
 
 
 class TestPropagate:

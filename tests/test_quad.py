@@ -120,6 +120,16 @@ def test_phi_diff_quotient_branch_split_is_bitwise(t, x0):
         assert np.array_equal(got, two_branch_quotient(xs, phi_kernel(xs, t), x0, t))
 
 
+@pytest.mark.parametrize("t", TIMES)
+def test_phi_diff_quotient_broadcasts_x0(t):
+    # one call on a nodes x columns block, x0 per column, equals the scalar call per column
+    x0 = np.array([0.0, 0.7, -1.3])
+    x = x0[None, :] + np.array([0.0, 1e-9, 0.99e-6, 2e-6, 0.5 * t])[:, None] / t
+    got = phi_diff_quotient(x, phi_kernel(x, t), x0, t)
+    for j in range(x0.size):
+        assert np.array_equal(got[:, j], phi_diff_quotient(x[:, j], phi_kernel(x[:, j], t), x0[j], t))
+
+
 # --- adaptive_quad ------------------------------------------------------------
 
 TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11)

@@ -91,9 +91,7 @@ def _parse_hermitian(obj, path):
         arr = np.array([[complex(e[0], e[1]) for e in row] for row in obj])
     except (TypeError, IndexError, KeyError, ValueError, OverflowError):
         raise ValidationError(f"{path}: expected a nested list of [re, im] pairs") from None
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{path}: entries must be finite")
-    try:  # also rejects a matrix that is not square
+    try:  # also rejects a matrix that is not square or not finite
         return require_hermitian(arr, name="matrix")
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -15,7 +15,11 @@ rho(t) = e^{-iH0 t} exp(K_t) e^{+iH0 t} with the interaction-picture exponent
         + xi_ab(w,w',t) ( A_b(w') rho A_a(w)^dag - {.,.}/2 ) ),
 
 where xi and Xi are the time-integrated coefficient matrices from the bath
-module (xi positive semi-definite by construction, which makes the map CPTP).
+module.  Every builder tabulates its coefficients once per bath, over the
+sorted union of the Bohr frequencies of that bath's couplings, and selects
+the stacked (coupling, frequency) entries from that one table.  So xi is one
+Gram matrix per bath, positive semi-definite by construction for any number
+of couplings, which makes the map CPTP.
 """
 
 from dataclasses import dataclass
@@ -25,10 +29,10 @@ from scipy.linalg import expm
 
 from ._quad import DEFAULT_QUAD
 from .bath import (
+    as_measure,
     bath_list,
     integrated_S_matrix,
     integrated_gamma_matrix,
-    pair_measure,
     redfield_pair_matrices,
 )
 from .errors import (
@@ -81,14 +85,6 @@ class Superoperator:
         return float(np.linalg.norm(idv.conj() @ self.matrix))
 
 
-def _left(a):
-    return np.kron(np.eye(a.shape[0]), a)
-
-
-def _right(b):
-    return np.kron(b.T, np.eye(b.shape[0]))
-
-
 def _sandwich(l, r):
     # L rho R -> (R^T kron L)
     return np.kron(r.T, l)
@@ -96,7 +92,8 @@ def _sandwich(l, r):
 
 def commutator_superop(h):
     """Superoperator of -i[H, .]."""
-    return -1j * (_left(h) - _right(h))
+    one = np.eye(h.shape[0])
+    return -1j * (_sandwich(h, one) - _sandwich(one, h))
 
 
 def _assemble(jumps, kmat, smat):
@@ -108,41 +105,35 @@ def _assemble(jumps, kmat, smat):
     """
     ops = np.array([j.op(w) for j in jumps for w in j.frequencies])
     d = ops.shape[1]
+    one = np.eye(d)
     hs = np.einsum("ij,iyx,jyz->xz", smat, ops.conj(), ops, optimize=True)
     hk = np.einsum("ij,iyx,jyz->xz", kmat, ops.conj(), ops, optimize=True)
     sandwich = np.einsum("ij,ipr,jqs->pqrs", kmat, ops.conj(), ops, optimize=True)
     return (commutator_superop(hs) + sandwich.reshape(d * d, d * d)
-            - 0.5 * (_left(hk) + _right(hk)))
-
-
-def _stacked_frequencies(jumps):
-    return np.array([w for j in jumps for w in j.frequencies])
+            - 0.5 * (_sandwich(hk, one) + _sandwich(one, hk)))
 
 
 def _coefficients(jumps, baths, pair, t, config):
-    """Stacked (K, S) arrays; pair(measure, freqs, t, config) -> (K, S) blocks over freqs.
+    """Stacked (K, S) arrays over the (coupling, Bohr frequency) index.
 
-    Each coupling pair that shares a bath gets the block of its frequency
-    union (the integrated tables depend on, and are cached by, that list),
-    sliced to the rows of coupling a and the columns of coupling b; pairs on
-    independent baths stay zero.  `baths` holds one bath per coupling.
+    The bath is the unit of tabulation: pair(measure, freqs, t, config) runs
+    once per distinct bath, over the sorted union of its couplings' Bohr
+    frequencies, and that one table fills every row and column of the bath's
+    couplings.  A bath's block is therefore a selection from one table (for
+    the cumulant's xi one Gram matrix, so PSD whatever the couplings);
+    entries between couplings on different baths stay zero.  `baths` holds
+    one bath per coupling.
     """
-    offsets = np.cumsum([0] + [len(j.frequencies) for j in jumps])
-    kmat = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    stacked = np.array([w for j in jumps for w in j.frequencies])
+    owner = [baths[a] for a, j in enumerate(jumps) for _ in j.frequencies]
+    kmat = np.zeros((stacked.size, stacked.size), dtype=complex)
     smat = np.zeros_like(kmat)
-    for a, ja in enumerate(jumps):
-        for b, jb in enumerate(jumps):
-            m = pair_measure(baths, a, b)
-            if m is None:
-                continue
-            freqs = tuple(sorted(set(ja.frequencies) | set(jb.frequencies)))
-            block = np.ix_([freqs.index(w) for w in ja.frequencies],
-                           [freqs.index(w) for w in jb.frequencies])
-            k, s = pair(m, freqs, t, config)
-            rows = slice(offsets[a], offsets[a + 1])
-            cols = slice(offsets[b], offsets[b + 1])
-            kmat[rows, cols] = k[block]
-            smat[rows, cols] = s[block]
+    for bath in dict.fromkeys(baths):
+        rows = [i for i, b in enumerate(owner) if b == bath]
+        freqs, at = np.unique(stacked[rows], return_inverse=True)
+        k, s = pair(as_measure(bath), tuple(freqs.tolist()), t, config)
+        kmat[np.ix_(rows, rows)] = k[np.ix_(at, at)]
+        smat[np.ix_(rows, rows)] = s[np.ix_(at, at)]
     return kmat, smat
 
 
@@ -154,58 +145,66 @@ def dissipative_generator(jumps, kmat, dyn):
     return _assemble(jumps, k, s)
 
 
-def _checked_baths(jumps, baths, lam):
-    """Every builder's argument rule, run before any early return: lam >= 0, one bath per coupling."""
+def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
+    """The one path of every builder.
+
+    The argument rules run before any early return: t >= 0 (NaN rejected),
+    lam >= 0, one bath per coupling, H0 Hermitian (h0 = None, the interaction
+    picture, takes the dimension from the jumps).  The result is -i[H0, .]
+    when `free` (else zero) plus, for lam > 0 and t > 0 (the dissipator
+    vanishes at either zero), lam^2 times the dissipator of the coefficient
+    arrays `pair` tabulates at t.
+    """
+    if not t >= 0:
+        raise ValidationError("t must be nonnegative")
     if lam < 0:
         raise ValidationError("coupling constant must be nonnegative")
-    return bath_list(baths, len(jumps))
+    baths = bath_list(baths, len(jumps))
+    h = np.zeros((jumps[0].dim,) * 2) if h0 is None else require_hermitian(h0, name="H0")
+    gen = commutator_superop(h) if free else np.zeros((h.size, h.size), dtype=complex)
+    if lam > 0 and t > 0:
+        gen = gen + lam**2 * _assemble(jumps, *_coefficients(jumps, baths, pair, t, config))
+    return Superoperator(h.shape[0], gen)
 
 
 def build_redfield_generator(h0, jumps, baths, lam, t=np.inf, config=DEFAULT_QUAD):
     """Schroedinger-picture Bloch-Redfield generator at time t (default long-time)."""
-    baths = _checked_baths(jumps, baths, lam)
-    h = require_hermitian(h0, name="H0")
-    gen = commutator_superop(h)
-    if lam > 0:
-        coeffs = _coefficients(jumps, baths, redfield_pair_matrices, t, config)
-        gen = gen + lam**2 * _assemble(jumps, *coeffs)
-    return Superoperator(h.shape[0], gen)
+    return _generator(h0, jumps, baths, lam, redfield_pair_matrices, t, config)
+
+
+def _interaction_pair(measure, freqs, t, config):
+    k, s = redfield_pair_matrices(measure, freqs, t, config)
+    f = np.array(freqs)
+    phase = np.exp(1j * (f[:, None] - f[None, :]) * t)
+    return phase * k, phase * s
 
 
 def interaction_redfield_generator(jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Interaction-picture Bloch-Redfield generator: coefficients carry e^{i(w-w')t}."""
-    baths = _checked_baths(jumps, baths, lam)
-    kmat, smat = _coefficients(jumps, baths, redfield_pair_matrices, t, config)
-    f = _stacked_frequencies(jumps)
-    phase = np.exp(1j * (f[:, None] - f[None, :]) * t)
-    gen = _assemble(jumps, phase * kmat, phase * smat)
-    return Superoperator(jumps[0].dim, lam**2 * gen)
+    return _generator(None, jumps, baths, lam, _interaction_pair, t, config, free=False)
+
+
+def _secular_pair(measure, freqs, t, config):
+    """The w = w' entries of the long-time pair, exactly gamma(w) and S(w).
+
+    Each per-frequency Kossakowski block of the stacked matrix is gamma(w)
+    times a matrix of ones per bath, so it is PSD iff gamma(w) >= 0; a
+    negative rate (a bad spectrum) raises NumericsError.
+    """
+    k, s = redfield_pair_matrices(measure, freqs, t, config)
+    rates = k.diagonal().real
+    low = rates.argmin()
+    if rates[low] < -1e-10 * max(1.0, np.abs(rates).max()):
+        raise NumericsError(
+            f"secular rate at w = {freqs[low]:g} is negative ({rates[low]:.2e}): "
+            "the Kossakowski matrix is not PSD"
+        )
+    return np.diag(k.diagonal()), np.diag(s.diagonal())
 
 
 def build_davies_generator(h0, jumps, baths, lam, config=DEFAULT_QUAD):
     """Davies generator: secular (w = w') coefficients only; thermalises to Gibbs(H0)."""
-    baths = _checked_baths(jumps, baths, lam)
-    h = require_hermitian(h0, name="H0")
-
-    # the w = w' entries of the long-time pair are exactly gamma(w) and S(w)
-    kmat, smat = _coefficients(jumps, baths, redfield_pair_matrices, np.inf, config)
-    stacked = _stacked_frequencies(jumps)
-    secular = stacked[:, None] == stacked[None, :]
-    kmat, smat = np.where(secular, kmat, 0.0), np.where(secular, smat, 0.0)
-    # per-frequency Kossakowski matrix must be PSD (diagnostic for bad spectra)
-    for w in sorted(set(stacked)):
-        at_w = np.flatnonzero(stacked == w)
-        kw = kmat[np.ix_(at_w, at_w)]
-        low = np.linalg.eigvalsh(0.5 * (kw + kw.conj().T)).min()
-        if low < -1e-10 * max(1.0, np.abs(kw).max()):
-            raise NumericsError(
-                f"secular Kossakowski matrix at w = {w:g} is not PSD (min eig {low:.2e})"
-            )
-
-    gen = commutator_superop(h)
-    if lam > 0:
-        gen = gen + lam**2 * _assemble(jumps, kmat, smat)
-    return Superoperator(h.shape[0], gen)
+    return _generator(h0, jumps, baths, lam, _secular_pair, np.inf, config)
 
 
 def _integrated_pair(measure, freqs, t, config):
@@ -215,22 +214,7 @@ def _integrated_pair(measure, freqs, t, config):
 
 def build_cumulant_exponent(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Interaction-picture cumulant exponent K_t (zero superoperator at t = 0)."""
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    baths = _checked_baths(jumps, baths, lam)
-    h = require_hermitian(h0, name="H0")
-    dim = h.shape[0]
-    if t == 0 or lam == 0:
-        return Superoperator(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
-    gen = _assemble(jumps, *_coefficients(jumps, baths, _integrated_pair, t, config))
-    return Superoperator(dim, lam**2 * gen)
-
-
-def frame_rotation(h0, t):
-    """Superoperator of X -> e^{-iH0 t} X e^{+iH0 t}."""
-    h = require_hermitian(h0, name="H0")
-    u = expm(-1j * h * t)
-    return Superoperator(h.shape[0], _sandwich(u, u.conj().T))
+    return _generator(h0, jumps, baths, lam, _integrated_pair, t, config, free=False)
 
 
 def _checked_expm(m):
@@ -247,9 +231,9 @@ def _checked_expm(m):
 
 def cumulant_map(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Schroedinger-picture cumulant dynamical map e^{-iH0t} exp(K_t) e^{+iH0t}."""
-    k = build_cumulant_exponent(h0, jumps, baths, lam, t, config)
-    rot = frame_rotation(h0, t)
-    return Superoperator(k.dim, rot.matrix @ _checked_expm(k.matrix))
+    k = build_cumulant_exponent(h0, jumps, baths, lam, t, config)  # checks H0
+    u = expm(-1j * np.asarray(h0, dtype=complex) * t)
+    return Superoperator(k.dim, _sandwich(u, u.conj().T) @ _checked_expm(k.matrix))
 
 
 def validate_density_matrix(rho, tol=1e-12):

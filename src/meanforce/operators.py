@@ -36,10 +36,12 @@ def pauli_coupling(x, y=0.0, z=0.0):
 
 
 def require_hermitian(matrix, tol=HERMITICITY_TOL, name="operator"):
-    """Return the matrix as a complex square ndarray, or raise ValidationError."""
+    """Return the matrix as a finite complex square ndarray, or raise ValidationError."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{name} has non-finite entries")
     scale = max(1.0, np.abs(m).max())
     if np.abs(m - m.conj().T).max() > tol * scale:
         raise ValidationError(f"{name} is not Hermitian within tolerance {tol:g}")
@@ -204,16 +206,16 @@ class UpsilonTable:
 
 
 def _sum_products(entries, jumps):
-    """sum Y_ab(w,w') A_a(w)^dag A_b(w') over the nonzero entries of a coefficient dict."""
-    by_index = {j.index: j for j in jumps}
+    """sum Y_ab(w,w') A_a(w)^dag A_b(w') over the nonzero entries of a coefficient dict,
+    with a and b positions in `jumps` (the key every table builder writes)."""
     dim = jumps[0].dim
     h = np.zeros((dim, dim), dtype=complex)
     for (a, b, w, wp), v in entries.items():
         if v == 0.0:
             continue
-        if a not in by_index or b not in by_index:
+        if not (0 <= a < len(jumps) and 0 <= b < len(jumps)):
             raise ValidationError(f"table refers to unknown coupling index {a} or {b}")
-        h += v * (by_index[a].op(w).conj().T @ by_index[b].op(wp))
+        h += v * (jumps[a].op(w).conj().T @ jumps[b].op(wp))
     return h
 
 

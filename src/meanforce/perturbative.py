@@ -215,10 +215,7 @@ class _GridCoefficients:
         h = x[1] - x[0]
         out = np.zeros_like(y)
         # composite Simpson on even prefixes, trapezoid closure on odd ones
-        even = np.zeros(len(y) // 2 + 1, dtype=complex)
-        for i in range(1, len(even)):
-            even[i] = even[i - 1] + (h / 3.0) * (y[2 * i - 2] + 4.0 * y[2 * i - 1] + y[2 * i])
-        out[::2] = even[: len(out[::2])]
+        out[2::2] = np.cumsum((h / 3.0) * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]))
         out[1::2] = out[:-1:2] + 0.5 * h * (y[:-1:2] + y[1::2])
         return out
 

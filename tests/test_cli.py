@@ -132,6 +132,13 @@ class TestConfigValidation:
         pytest.param(lambda c: c.update(beta=10**400), "beta", id="beta_huge_int"),
         pytest.param(lambda c: c.update(system={"hamiltonian": [[[1, 0]], [[1, 0], [0, 0]]]}),
                      "system.hamiltonian", id="ragged_matrix"),
+        pytest.param(lambda c: c.update(system={"hamiltonian": [[[float("nan"), 0], [0, 0]],
+                                                                [[0, 0], [1, 0]]]}),
+                     "system.hamiltonian: matrix has non-finite", id="hamiltonian_nan"),
+        pytest.param(lambda c: c.update(couplings=[{"operator": [[[0, 0], [1, float("inf")]],
+                                                                 [[1, 0], [0, 0]]],
+                                                    "bath": "b1"}]),
+                     r"couplings\[0\].operator: matrix has non-finite", id="operator_inf"),
         pytest.param(lambda c: c.update(output=None), "output", id="output_null"),
         pytest.param(lambda c: c.update(output=7), "output", id="output_int"),
         pytest.param(lambda c: c.update(output=""), "output", id="output_empty"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from meanforce._quad import DEFAULT_QUAD
 from meanforce.bath import DiscreteBath, OhmicBath
 from meanforce.corrections import build_upsilon_table
 from meanforce.errors import DegenerateSteadyStateError, NumericsError, ValidationError
@@ -84,6 +85,14 @@ class TestDaviesGenerator:
 
         for w in jumps[0].frequencies:
             assert measure_value(bath, w) >= -1e-12
+
+    def test_negative_rate_rejected(self, h0, jumps):
+        from meanforce.bath import SpectralMeasure
+
+        bad = SpectralMeasure(beta=1.0, density=lambda w: -np.exp(-np.abs(w)), atoms=(),
+                              scale=1.0, support=20.0)
+        with pytest.raises(NumericsError, match="not PSD"):
+            build_davies_generator(h0, jumps, bad, LAM)
 
     def test_coherence_decays_monotonically(self, h0, jumps, bath):
         gen = build_davies_generator(h0, jumps, bath, LAM)
@@ -356,3 +365,62 @@ class TestMultipleCouplings:
         gen = build_davies_generator(h0, [ops["a1"], ops["a2"]], baths["ohmic"], LAM)
         rho = steady_state_of_generator(gen)
         assert np.abs(rho - thermal_state(h0, 1.0)).max() <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def two_on_one_bath():
+    """d=3 system with two couplings on one Ohmic bath whose frequency sets differ."""
+    h0 = np.diag([0.0, 1.0, 3.0])
+    a1 = np.zeros((3, 3))
+    a1[0, 1] = a1[1, 0] = 1.0
+    a1[0, 0] = 0.3
+    a2 = np.zeros((3, 3))
+    a2[0, 2] = a2[2, 0] = 1.0
+    a2[0, 0] = 0.3
+    dec = spectral_decompose(h0)
+    jumps = [bohr_decompose(dec, a1, index=0), bohr_decompose(dec, a2, index=1)]
+    return h0, jumps, OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0)
+
+
+def _counting(pair):
+    calls = []
+
+    def counted(measure, freqs, t, config):
+        calls.append(freqs)
+        return pair(measure, freqs, t, config)
+
+    return counted, calls
+
+
+class TestBathTabulation:
+    @pytest.mark.parametrize("t", [7.0, 40.0])
+    def test_stacked_xi_is_psd(self, two_on_one_bath, t):
+        # one table per bath makes xi a selection from one Gram matrix; tabulating
+        # each coupling pair on its own frequency union gave -8.8e-7 and -1.6e-7
+        from meanforce.generators import _coefficients, _integrated_pair
+        _, jumps, bath = two_on_one_bath
+        xi, _ = _coefficients(jumps, (bath, bath), _integrated_pair, t, DEFAULT_QUAD)
+        assert np.linalg.eigvalsh(xi).min() >= -1e-12 * np.trace(xi).real
+
+    @pytest.mark.parametrize("second, n_calls", [("same", 1), ("other", 2)])
+    def test_one_table_per_distinct_bath(self, two_on_one_bath, second, n_calls):
+        from meanforce.generators import _coefficients, _integrated_pair
+        _, jumps, bath = two_on_one_bath
+        other = DiscreteBath(beta=1.0, modes=((0.7, 0.3), (1.9, 0.2)))
+        counted, calls = _counting(_integrated_pair)
+        _coefficients(jumps, (bath, bath if second == "same" else other), counted, 7.0, DEFAULT_QUAD)
+        assert len(calls) == n_calls
+        if second == "same":
+            union = set(jumps[0].frequencies) | set(jumps[1].frequencies)
+            assert calls == [tuple(sorted(union))]
+
+    @pytest.mark.parametrize("kind", ["davies", "interaction"])
+    def test_zero_coupling_tabulates_nothing(self, two_on_one_bath, kind, monkeypatch):
+        import meanforce.generators as mg
+        h0, jumps, bath = two_on_one_bath
+        counted, calls = _counting(mg.redfield_pair_matrices)
+        monkeypatch.setattr(mg, "redfield_pair_matrices", counted)
+        gen = BUILDERS[kind](h0, jumps, bath, 0.0, 7.0)
+        assert calls == []
+        expect = commutator_superop(h0) if kind == "davies" else np.zeros((9, 9))
+        assert np.array_equal(gen.matrix, expect)

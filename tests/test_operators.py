@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanforce.bath import DiscreteBath
+from meanforce.corrections import build_upsilon_table
 from meanforce.errors import ConsistencyError, ValidationError
 from meanforce.operators import (
     SIGMA_X,
@@ -141,16 +143,12 @@ class TestAssembleCorrection:
         assert np.allclose(h, c * (x * x + y * y + z * z) * np.eye(2), atol=1e-12)
 
     def test_linearity(self, jumps, bath):
-        from meanforce.corrections import build_upsilon_table
-
         table = build_upsilon_table("mean_force", jumps, bath)
         h1 = assemble_correction(table, jumps)
         h3 = assemble_correction(table.scaled(3.0), jumps)
         assert np.abs(h3 - 3.0 * h1).max() <= 1e-12 * np.abs(h3).max()
 
     def test_mean_force_table_hermitian_and_matches_direct_sum(self, jumps, bath):
-        from meanforce.corrections import build_upsilon_table
-
         table = build_upsilon_table("mean_force", jumps, bath)
         table.validate_pairing()
         h = assemble_correction(table, jumps)
@@ -178,6 +176,33 @@ class TestAssembleCorrection:
         with pytest.raises(ValidationError):
             UpsilonTable("bogus", {})
 
+    @staticmethod
+    def _dynamical(indices, order):
+        """H of the dynamical table for two couplings on two baths, listed in `order`."""
+        dec = spectral_decompose(random_hermitian(3, 21))
+        jumps = [bohr_decompose(dec, random_hermitian(3, 22 + k), index=i)
+                 for k, i in enumerate(indices)]
+        baths = [DiscreteBath(beta=1.0, modes=((0.7, 0.3), (1.9, 0.2))),
+                 DiscreteBath(beta=1.0, modes=((1.3, 0.4),))]
+        jumps, baths = [jumps[k] for k in order], [baths[k] for k in order]
+        return assemble_correction(build_upsilon_table("dynamical", jumps, baths), jumps)
+
+    def test_coupling_order_does_not_matter(self):
+        # tables key couplings by their position in the list, whatever .index says
+        forward = self._dynamical((0, 1), (0, 1))
+        backward = self._dynamical((0, 1), (1, 0))
+        assert np.abs(backward - forward).max() <= 1e-12 * np.abs(forward).max()
+
+    def test_default_indices_assemble(self):
+        expect = self._dynamical((0, 1), (0, 1))
+        h = self._dynamical((0, 0), (0, 1))
+        assert np.abs(h - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    def test_index_out_of_range_rejected(self, jumps):
+        table = UpsilonTable("dynamical", {(-1, 0, 1.0, 1.0): 1.0})  # no wrap-around
+        with pytest.raises(ValidationError, match="unknown coupling index"):
+            assemble_correction(table, jumps)
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), dim=st.sampled_from([2, 3, 4]))
@@ -193,3 +218,19 @@ def test_require_hermitian_passthrough():
     assert m.dtype == complex
     with pytest.raises(ValidationError):
         require_hermitian(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_require_hermitian_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="H0 has non-finite entries"):
+        require_hermitian([[bad, 0.0], [0.0, 1.0]], name="H0")
+
+
+def test_non_finite_hamiltonian_never_reaches_eigh():
+    from meanforce.generators import thermal_state
+
+    nan = [[np.nan, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValidationError, match="non-finite"):
+        thermal_state(nan, 1.0)
+    with pytest.raises(ValidationError, match="non-finite"):
+        spectral_decompose(nan)

@@ -231,6 +231,14 @@ class TestG40:
         assert abs(direct - closed) <= 1e-4 * abs(closed)
         assert abs(direct.imag) <= 1e-6 * abs(closed)
 
+    def test_odd_step_count_closes_with_trapezoid(self, bath):
+        # n_steps = 1201 puts an even number of points on the grid: the last
+        # prefix is odd and closes with one trapezoid panel
+        odd = g40_tls_direct(bath, W0, t_final=6.0, n_steps=1201)
+        even = g40_tls_direct(bath, W0, t_final=6.0, n_steps=1200)
+        assert abs(odd - even) <= 1e-5 * abs(even)
+        assert abs(odd - g40_tls(bath, W0)) <= 1e-4 * abs(even)
+
     def test_direct_route_converged_in_t(self, bath):
         d3 = g40_tls_direct(bath, W0, t_final=3.0, n_steps=600)
         d6 = g40_tls_direct(bath, W0, t_final=6.0, n_steps=1200)

@@ -195,10 +195,16 @@ def panel_nodes(lo, hi, osc_freq, structure_scale):
 def phi_kernel(x, t):
     """phi_t(x) = int_0^t e^{i x s} ds = (e^{i x t} - 1)/(i x), stable at x = 0.
 
-    Uses phi_t(x) = t e^{i x t / 2} sinc(x t / 2), exact for all x including 0.
+    Uses phi_t(x) = t (sin h / h) (cos h + i sin h) with h = x t / 2, so one
+    sin and one cos per entry; sin h / h is 1 at h = 0.
     """
-    x = np.asarray(x, dtype=float)
-    return t * np.exp(0.5j * x * t) * np.sinc(x * t / (2.0 * np.pi))
+    h = 0.5 * t * np.asarray(x, dtype=float)
+    sin = np.sin(h)
+    q = t * np.divide(sin, h, out=np.ones_like(h), where=h != 0)
+    out = np.empty(h.shape, dtype=complex)
+    out.real = q * np.cos(h)
+    out.imag = q * sin
+    return out[()]
 
 
 def phi_kernel_prime(x, t):

@@ -183,9 +183,11 @@ def pair_measure(baths, a, b):
     """Shared spectral measure of couplings a and b, or None if independent.
 
     `baths` is one bath shared by every coupling or a list from `bath_list`.
+    Couplings share a bath when they hold the same bath object; two objects
+    of equal parameters are independent baths.
     """
     bath_a, bath_b = (baths[a], baths[b]) if isinstance(baths, (list, tuple)) else (baths, baths)
-    return as_measure(bath_a) if bath_a == bath_b else None
+    return as_measure(bath_a) if bath_a is bath_b else None
 
 
 def measure_value(measure, omega):

@@ -25,7 +25,6 @@ of couplings, which makes the map CPTP.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._quad import DEFAULT_QUAD
 from .bath import (
@@ -117,19 +116,20 @@ def _coefficients(jumps, baths, pair, t, config):
     """Stacked (K, S) arrays over the (coupling, Bohr frequency) index.
 
     The bath is the unit of tabulation: pair(measure, freqs, t, config) runs
-    once per distinct bath, over the sorted union of its couplings' Bohr
-    frequencies, and that one table fills every row and column of the bath's
-    couplings.  A bath's block is therefore a selection from one table (for
-    the cumulant's xi one Gram matrix, so PSD whatever the couplings);
+    once per distinct bath object, over the sorted union of its couplings'
+    Bohr frequencies, and that one table fills every row and column of the
+    bath's couplings.  A bath's block is therefore a selection from one table
+    (for the cumulant's xi one Gram matrix, so PSD whatever the couplings);
     entries between couplings on different baths stay zero.  `baths` holds
-    one bath per coupling.
+    one bath per coupling, and baths are told apart by identity: two bath
+    objects of equal parameters are two independent baths.
     """
     stacked = np.array([w for j in jumps for w in j.frequencies])
     owner = [baths[a] for a, j in enumerate(jumps) for _ in j.frequencies]
     kmat = np.zeros((stacked.size, stacked.size), dtype=complex)
     smat = np.zeros_like(kmat)
-    for bath in dict.fromkeys(baths):
-        rows = [i for i, b in enumerate(owner) if b == bath]
+    for bath in {id(b): b for b in baths}.values():
+        rows = [i for i, b in enumerate(owner) if b is bath]
         freqs, at = np.unique(stacked[rows], return_inverse=True)
         k, s = pair(as_measure(bath), tuple(freqs.tolist()), t, config)
         kmat[np.ix_(rows, rows)] = k[np.ix_(at, at)]
@@ -217,13 +217,44 @@ def build_cumulant_exponent(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
     return _generator(h0, jumps, baths, lam, _integrated_pair, t, config, free=False)
 
 
+# Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005): the [13/13] Pade
+# coefficients b_0..b_13 and theta_13, the largest 1-norm at which the
+# approximant's backward error stays below the double-precision unit roundoff.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
 def _checked_expm(m):
-    """expm(m), raising NumericsError where scipy fails or returns non-finite entries
-    (a NaN input comes back as NaN without an exception)."""
+    """Matrix exponential by scaling and squaring with the [13/13] Pade approximant.
+
+    m is scaled by 2^-s so its 1-norm is at most theta_13, the approximant
+    r = (V - U)^{-1} (V + U) = 1 + 2 (V - U)^{-1} U is formed from A^2, A^4,
+    A^6 and squared s times; the second form makes exp(0) exactly the identity.
+    A non-finite input or result, or a singular V - U, raises NumericsError.
+    """
+    a = np.asarray(m)
+    if not np.all(np.isfinite(a)):
+        raise NumericsError("superoperator exponential of a non-finite matrix")
+    norm = np.linalg.norm(a, 1)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > 0 else 0
+    a = a * 0.5**s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     try:
-        out = expm(m)
-    except (ValueError, FloatingPointError) as exc:
+        out = ident + 2.0 * np.linalg.solve(v - u, u)
+    except np.linalg.LinAlgError as exc:
         raise NumericsError(f"superoperator exponential failed: {exc}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            out = out @ out
     if not np.all(np.isfinite(out)):
         raise NumericsError("superoperator exponential is not finite")
     return out
@@ -231,8 +262,9 @@ def _checked_expm(m):
 
 def cumulant_map(h0, jumps, baths, lam, t, config=DEFAULT_QUAD):
     """Schroedinger-picture cumulant dynamical map e^{-iH0t} exp(K_t) e^{+iH0t}."""
-    k = build_cumulant_exponent(h0, jumps, baths, lam, t, config)  # checks H0
-    u = expm(-1j * np.asarray(h0, dtype=complex) * t)
+    k = build_cumulant_exponent(h0, jumps, baths, lam, t, config)
+    vals, vecs = np.linalg.eigh(require_hermitian(h0, name="H0"))
+    u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     return Superoperator(k.dim, _sandwich(u, u.conj().T) @ _checked_expm(k.matrix))
 
 

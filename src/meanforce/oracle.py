@@ -12,7 +12,6 @@ matching spectral measure being the same modes' Bose-weighted atom pairs.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import logm
 
 from .bath import DiscreteBath
 from .errors import DomainError, ResourceError, ValidationError
@@ -112,14 +111,16 @@ def traceless(op):
 
 
 def effective_hamiltonian(rho, beta):
-    """-(1/beta) log rho, returned traceless for convention-free comparison."""
+    """-(1/beta) log rho, returned traceless for convention-free comparison.
+
+    The logarithm of the Hermitian part of rho is taken on its eigenbasis,
+    -V log(lambda) V^dag / beta, which needs every eigenvalue positive.
+    """
     r = np.asarray(rho, dtype=complex)
-    vals = np.linalg.eigvalsh(0.5 * (r + r.conj().T))
+    vals, vecs = np.linalg.eigh(0.5 * (r + r.conj().T))
     if vals.min() <= 0:
         raise DomainError("state is singular; effective Hamiltonian undefined")
-    h = -logm(r) / beta
-    h = 0.5 * (h + h.conj().T)
-    return traceless(h)
+    return traceless(-(vecs * np.log(vals)) @ vecs.conj().T / beta)
 
 
 def scaling_exponent(xs, ys):

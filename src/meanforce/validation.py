@@ -25,6 +25,7 @@ from .corrections import (
 )
 from .errors import DetailedBalanceError
 from .generators import (
+    _checked_expm,
     build_cumulant_exponent,
     build_davies_generator,
     build_redfield_generator,
@@ -232,8 +233,6 @@ def check_generator_agreement(case):
     h0, _, jumps = case.system()
     t = 2.0 / case.omega0
     h = 2e-4
-    from scipy.linalg import expm
-
     k0 = build_cumulant_exponent(h0, jumps, bath, 1.0, t, case.config).matrix
     kp = build_cumulant_exponent(h0, jumps, bath, 1.0, t + h, case.config).matrix
     km = build_cumulant_exponent(h0, jumps, bath, 1.0, t - h, case.config).matrix
@@ -241,8 +240,8 @@ def check_generator_agreement(case):
     lams = (1e-1, 3e-2, 1e-2)
     norms = []
     for lam in lams:
-        e0 = expm(lam * lam * k0)
-        diff = (expm(lam * lam * kp) - expm(lam * lam * km)) / (2 * h)
+        e0 = _checked_expm(lam * lam * k0)
+        diff = (_checked_expm(lam * lam * kp) - _checked_expm(lam * lam * km)) / (2 * h)
         lc = diff @ np.linalg.inv(e0)
         norms.append(np.linalg.norm(lc - lam * lam * li, 2))
     slope = scaling_exponent(lams, norms)

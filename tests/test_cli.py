@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanforce.bath import pair_measure
 from meanforce.cli import RunConfig, load_config, main, parse_config, read_corrections_csv
 from meanforce.errors import ValidationError
 
@@ -40,6 +41,35 @@ FULL_MATRIX = dict(
     system={"hamiltonian": [[[0.3, 0], [0.1, 0.05]], [[0.1, -0.05], [-0.4, 0]]]},
     couplings=[{"operator": [[[0.0, 0], [1.0, 0]], [[1.0, 0], [0.5, 0]]], "bath": "d"}],
 )
+
+# d=3, H0 = diag(0, 1, 3), couplings |0><1| + |1><0| + 0.3|0><0| and
+# |0><2| + |2><0| + 0.3|0><0|; bath ids "b" and "c" have equal parameters
+OHMIC = {"type": "ohmic", "gamma_c": 1.0, "cutoff": 50.0}
+THREE_LEVEL = {
+    "task": "evolve",
+    "system": {"hamiltonian": [[[0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                               [[0, 0], [0, 0], [3, 0]]]},
+    "couplings": [
+        {"operator": [[[0.3, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]],
+         "bath": "b"},
+        {"operator": [[[0.3, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]]],
+         "bath": "b"},
+    ],
+    "baths": {"b": OHMIC, "c": OHMIC},
+    "beta": 1.0,
+    "lambda": 0.05,
+    "evolve": {"initial_state": [[[0.5, 0], [0.1, 0], [0, 0]], [[0.1, 0], [0.3, 0], [0, 0]],
+                                 [[0, 0], [0, 0], [0.2, 0]]],
+               "times": [7.0], "equations": ["cumulant", "redfield", "davies"]},
+}
+
+
+def three_level(task, second_bath):
+    """THREE_LEVEL as a `task` run with the second coupling on bath id `second_bath`."""
+    cfg = json.loads(json.dumps(THREE_LEVEL))
+    cfg["task"] = task
+    cfg["couplings"][1]["bath"] = second_bath
+    return cfg
 
 
 def field_paths(obj, prefix=()):
@@ -383,6 +413,42 @@ class TestSteadyStateTask:
         assert float(davies[3]) == 0.0 and float(davies[4]) == 0.0
 
 
+class TestBathIdentity:
+    """Bath ids name baths: two ids of equal parameters are two independent baths."""
+
+    @staticmethod
+    def _run(tmp_path, task, second_bath):
+        path = tmp_path / f"{task}_{second_bath}.json"
+        path.write_text(json.dumps(three_level(task, second_bath)))
+        out = tmp_path / f"{task}_{second_bath}.csv"
+        assert main([task, "--config", str(path), "--out", str(out)]) == 0
+        return out.read_text()
+
+    def test_two_ids_parse_to_two_baths(self):
+        baths = parse_config(three_level("evolve", "c")).bath_list()
+        assert baths[0] == baths[1]
+        assert pair_measure(baths, 0, 1) is None
+        assert pair_measure(parse_config(three_level("evolve", "b")).bath_list(), 0, 1) is not None
+
+    def test_evolve_differs_from_one_bath(self, tmp_path):
+        assert self._run(tmp_path, "evolve", "c") != self._run(tmp_path, "evolve", "b")
+
+    def test_corrections_cross_bath_blocks_are_zero(self, tmp_path):
+        def cross(text):
+            values = []
+            for line in text.strip().split("\n")[1:]:
+                _, name, _, re, im = line.split(",")
+                a, b = name[2:].split(";")[:2]
+                if a != b:
+                    values.append(complex(float(re), float(im)))
+            return values
+
+        one = cross(self._run(tmp_path, "corrections", "b"))
+        two = cross(self._run(tmp_path, "corrections", "c"))
+        assert max(map(abs, one)) > 0
+        assert all(v == 0 for v in two)
+
+
 class TestValidateTask:
     def test_broken_detailed_balance_exits_nonzero(self, tmp_path):
         cfg = write_config(tmp_path, task="validate",
@@ -432,3 +498,38 @@ def test_start_up_loads_no_process_pool():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+NO_SCIPY = """
+import json, sys
+import meanforce.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = [scipy_modules()]
+for args in json.loads(sys.argv[1]):
+    code = meanforce.cli.main(args)
+    loaded.append([code] + scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_tasks_load_no_scipy(tmp_path):
+    # numpy alone runs corrections (the qubit sweep and the coefficient table),
+    # steadystate and evolve (the cumulant exponential included)
+    configs = {
+        "sweep": dict(BASE, sweep={"parameter": "omega0", "values": [0.5, 1.0]}),
+        "table": three_level("corrections", "b"),
+        "steady": dict(BASE, task="steadystate"),
+        "evolve": dict(three_level("evolve", "c"), evolve=dict(THREE_LEVEL["evolve"], times=[0.5, 7.0])),
+    }
+    runs = []
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        runs.append([cfg["task"], "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(tmp_path / f"{name}.csv")])
+    r = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(runs)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[]] + [[0]] * len(runs)

@@ -8,6 +8,7 @@ from meanforce.corrections import build_upsilon_table
 from meanforce.errors import DegenerateSteadyStateError, NumericsError, ValidationError
 from meanforce.generators import (
     Superoperator,
+    _checked_expm,
     build_cumulant_exponent,
     build_davies_generator,
     build_redfield_generator,
@@ -149,7 +150,7 @@ class TestCumulant:
         assert np.abs(out - oracle).max() <= 5e-4
 
     def test_non_finite_exponent_raises(self, h0, jumps, bath, rho0, monkeypatch):
-        # scipy's expm returns NaN for a NaN input without raising
+        # the package's expm rejects a NaN exponent; scipy's, the reference, returns NaN silently
         import meanforce.generators as mg
 
         nan = Superoperator(2, np.full((4, 4), np.nan, dtype=complex))
@@ -414,6 +415,20 @@ class TestBathTabulation:
             union = set(jumps[0].frequencies) | set(jumps[1].frequencies)
             assert calls == [tuple(sorted(union))]
 
+    def test_equal_parameter_baths_are_independent(self, two_on_one_bath):
+        # baths are told apart by identity: an equal-parameter twin is a second bath
+        from meanforce.generators import _coefficients, _integrated_pair
+        _, jumps, bath = two_on_one_bath
+        twin = OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0)
+        assert twin == bath
+        counted, calls = _counting(_integrated_pair)
+        xi, big_xi = _coefficients(jumps, (bath, twin), counted, 7.0, DEFAULT_QUAD)
+        n0 = len(jumps[0].frequencies)
+        assert len(calls) == 2
+        assert not xi[:n0, n0:].any() and not big_xi[:n0, n0:].any()
+        shared, _ = _coefficients(jumps, (bath, bath), _integrated_pair, 7.0, DEFAULT_QUAD)
+        assert np.abs(shared[:n0, n0:]).max() > 0
+
     @pytest.mark.parametrize("kind", ["davies", "interaction"])
     def test_zero_coupling_tabulates_nothing(self, two_on_one_bath, kind, monkeypatch):
         import meanforce.generators as mg
@@ -424,3 +439,51 @@ class TestBathTabulation:
         assert calls == []
         expect = commutator_superop(h0) if kind == "davies" else np.zeros((9, 9))
         assert np.array_equal(gen.matrix, expect)
+
+
+class TestExpm:
+    """The package's scaling-and-squaring Pade-13 exponential, scipy's expm the reference."""
+
+    @pytest.mark.parametrize("n", [4, 9, 16, 36])
+    @pytest.mark.parametrize("norm", [1e-3, 1e-1, 1.0, 10.0, 1e2, 1e3])
+    def test_matches_scipy(self, n, norm):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a *= norm / np.linalg.norm(a, 1)
+        ref = expm(a)
+        assert np.linalg.norm(_checked_expm(a) - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
+
+    @pytest.mark.parametrize("norm", [1e2, 1e3])
+    def test_real_non_normal_matches_mpmath(self, norm):
+        # on these scipy's own error reaches 2e-12, so 50 digits are the reference
+        import mpmath
+
+        a = np.random.default_rng(1).normal(size=(4, 4))
+        a *= norm / np.linalg.norm(a, 1)
+        with mpmath.workdps(50):
+            ref = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+        assert np.linalg.norm(_checked_expm(a) - ref, 1) <= 1e-12 * np.linalg.norm(ref, 1)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_zero_is_identity(self, n, dtype):
+        assert np.array_equal(_checked_expm(np.zeros((n, n), dtype=dtype)), np.eye(n))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(NumericsError):
+            _checked_expm(m)
+
+    def test_overflow_raises(self):
+        with pytest.raises(NumericsError):
+            _checked_expm(1e4 * np.eye(3))
+
+    @pytest.mark.parametrize("t", [0.3, 7.0, 40.0])
+    def test_cumulant_free_unitary_matches_expm(self, qutrit, t):
+        # at lam = 0 the cumulant map is u . u^dag with u = V e^{-iEt} V^dag from eigh
+        h0, ops, baths = qutrit
+        u = expm(-1j * h0 * t)
+        got = cumulant_map(h0, [ops["a1"]], baths["ohmic"], 0.0, t).matrix
+        assert np.abs(got - np.kron(u.conj(), u)).max() <= 1e-13

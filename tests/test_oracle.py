@@ -91,6 +91,20 @@ class TestEffectiveHamiltonian:
         heff = effective_hamiltonian(thermal_state(h, BETA), BETA)
         assert np.abs(heff - traceless(h)).max() <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["gibbs", "random"])
+    def test_matches_logm(self, kind):
+        # the eigh route -V log(lambda) V^dag / beta against scipy's logm
+        from scipy.linalg import logm
+
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        if kind == "gibbs":
+            rho = thermal_state(0.5 * (a + a.conj().T), BETA)
+        else:
+            rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+        expect = traceless(-logm(rho) / BETA)
+        assert np.abs(effective_hamiltonian(rho, BETA) - expect).max() <= 1e-13
+
     def test_maximally_mixed(self):
         heff = effective_hamiltonian(np.eye(2) / 2, BETA)
         assert np.abs(heff).max() <= 1e-12

@@ -60,7 +60,7 @@ __all__ = [
     "correlation_time_domain",
     "integrated_gamma_matrix",
     "integrated_S_matrix",
-    "pair_measure",
+    "stacked_tables",
     "bath_list",
     "redfield_pair_matrices",
 ]
@@ -179,15 +179,28 @@ def bath_list(baths, n):
     return tuple(baths)
 
 
-def pair_measure(baths, a, b):
-    """Shared spectral measure of couplings a and b, or None if independent.
+def stacked_tables(jumps, baths, table):
+    """Complex arrays (..., N, N) over the stacked (coupling, Bohr frequency) index,
+    and the boolean mask of the index pairs whose couplings share a bath.
 
-    `baths` is one bath shared by every coupling or a list from `bath_list`.
-    Couplings share a bath when they hold the same bath object; two objects
-    of equal parameters are independent baths.
+    table(measure, freqs), an (..., n, n) array, runs once per distinct bath
+    object (one per coupling in `baths`; equal parameters do not merge two
+    objects) over the sorted union of its couplings' Bohr frequencies, and
+    fills every entry between those couplings; the rest stay zero.
     """
-    bath_a, bath_b = (baths[a], baths[b]) if isinstance(baths, (list, tuple)) else (baths, baths)
-    return as_measure(bath_a) if bath_a is bath_b else None
+    stacked = np.array([w for j in jumps for w in j.frequencies])
+    owner = [baths[a] for a, j in enumerate(jumps) for _ in j.frequencies]
+    shared = np.zeros((stacked.size, stacked.size), dtype=bool)
+    out = None
+    for bath in {id(b): b for b in baths}.values():
+        rows = np.flatnonzero([b is bath for b in owner])
+        freqs, at = np.unique(stacked[rows], return_inverse=True)
+        block = np.asarray(table(as_measure(bath), tuple(freqs.tolist())))
+        if out is None:
+            out = np.zeros(block.shape[:-2] + shared.shape, dtype=complex)
+        out[..., rows[:, None], rows] = block[..., at[:, None], at]
+        shared[rows[:, None], rows] = True
+    return out, shared
 
 
 def measure_value(measure, omega):

@@ -116,8 +116,10 @@ class RunConfig:
     output: str = "out.csv"
 
     @property
-    def is_tls(self):
-        return self.omega0 is not None
+    def is_qubit_sweep(self):
+        """Corrections sweep omega0 for a qubit on one Ohmic bath, else emit one table."""
+        return self.omega0 is not None and len(self.couplings) == 1 \
+            and isinstance(self.bath_list()[0], OhmicBath)
 
     def bath_list(self):
         return [self.baths[bid] for _, bid in self.couplings]
@@ -238,6 +240,8 @@ def parse_config(data):
         vals = sweep.get("values")
         if not isinstance(vals, list) or not all(_finite(v) and v > 0 for v in vals):
             raise ValidationError("sweep.values: must be a list of positive finite numbers")
+        if task == "corrections" and not cfg.is_qubit_sweep:
+            raise ValidationError("sweep: only a qubit coupled once to an Ohmic bath is swept")
         cfg.sweep_values = [float(v) for v in vals]
     elif task == "corrections":
         cfg.sweep_values = list(SWEEP_BW0)
@@ -307,8 +311,7 @@ def run_corrections(cfg):
     header = ["sweep_value", "coefficient_name", "correction_kind", "value_re", "value_im"]
     rows = []
     failures = []
-    if cfg.is_tls and len(cfg.couplings) == 1 \
-            and isinstance(cfg.bath_list()[0], OhmicBath):
+    if cfg.is_qubit_sweep:
         bath = cfg.bath_list()[0]
         for bw0 in cfg.sweep_values:
             try:

@@ -23,8 +23,11 @@ function of the bath:
 
 For several couplings, indices (a, b) refer to couplings; pairs attached to
 the same reservoir share one gamma, pairs on independent reservoirs vanish.
+`bath.stacked_tables` is the one tabulation of the tables and the generators:
+each bath once, over the union of its couplings' Bohr frequencies.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +43,8 @@ from .bath import (
     gamma_finite_time,
     lamb_shift_S,
     measure_value,
-    pair_measure,
+    redfield_pair_matrices,
+    stacked_tables,
 )
 from .errors import DetailedBalanceError, DomainError, NearDegenerateError, ValidationError
 from .operators import UpsilonTable
@@ -203,17 +207,16 @@ class KossakowskiSpec:
 
 def _long_time_spec(kind, baths, kmat, config):
     """Spec with K from kmat(measure, w, w') and Y_dyn = S(w,w',oo); zero across independent baths."""
-    beta = pair_measure(baths, 0, 0).beta
+    bath_of = (lambda a: baths[a]) if isinstance(baths, (list, tuple)) else (lambda a: baths)
 
     def per_pair(rule):
         def value(a, b, w, wp):
-            m = pair_measure(baths, a, b)
-            return 0.0 if m is None else rule(m, w, wp)
+            return rule(as_measure(bath_of(a)), w, wp) if bath_of(a) is bath_of(b) else 0.0
 
         return value
 
     dyn = per_pair(lambda m, w, wp: S_finite_time(m, w, wp, np.inf, config))
-    return KossakowskiSpec(kind, beta, per_pair(kmat), dyn)
+    return KossakowskiSpec(kind, as_measure(bath_of(0)).beta, per_pair(kmat), dyn)
 
 
 def kossakowski_redfield(baths, config=DEFAULT_QUAD):
@@ -240,7 +243,10 @@ def kossakowski_custom(beta, kmat, dyn):
 
 def upsilon_steady_offdiag(spec, bath, w, wp, alpha=0, beta_idx=0, config=DEFAULT_QUAD):
     """Steady-state coherence coefficient Y_st(w, w'), w != w', for a generator
-    described by a Kossakowski spec whose diagonal obeys detailed balance."""
+    described by a Kossakowski spec whose diagonal obeys detailed balance.
+
+    Everything comes from `spec`; `bath` and `config` are not read and are
+    kept for API compatibility."""
     if w == wp:
         raise DomainError("steady-state coherence formula requires w != w'")
     b = spec.beta
@@ -352,58 +358,55 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
 # --- full coefficient tables ---------------------------------------------------
 
 
+def _bath_table(kind, measure, freqs, config):
+    """One bath's n x n table of a correction over its frequency list; the
+    steady-state table holds the coherences w != w' and a zero diagonal."""
+    if kind == "dynamical":
+        return redfield_pair_matrices(measure, freqs, np.inf, config)[1]
+    spec = kossakowski_redfield(measure, config)
+
+    def entry(w, wp):
+        if kind == "mean_force":
+            return upsilon_mean_force(measure, w, wp, "kernel", config)
+        return 0.0 if w == wp else upsilon_steady_offdiag(spec, measure, w, wp, config=config)
+
+    return [[entry(w, wp) for wp in freqs] for w in freqs]
+
+
 def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_QUAD):
     """Tabulate a correction over all coupling pairs and Bohr-frequency pairs.
 
     kind: "dynamical", "mean_force" or "steady_state"; for steady_state the
     `equation` selects the generator ("redfield" or "cumulant").  Steady-state
     diagonals follow the gauge Y_st(0,0) = 0; the cumulant diagonal is only
-    known for a two-level system with a single coupling.
+    known for a two-level system with a single coupling.  Arguments are checked
+    before any integral; each bath is tabulated once (`bath.stacked_tables`).
     """
+    if kind not in ("dynamical", "mean_force", "steady_state"):
+        raise ValidationError(f"unknown table kind {kind!r}")
+    if equation not in ("redfield", "cumulant"):
+        raise ValidationError(f"unknown equation kind {equation!r}")
+    cumulant_diag = kind == "steady_state" and equation == "cumulant"
+    if cumulant_diag and (jumps[0].dim != 2 or len(jumps) != 1):
+        raise NotImplementedError(
+            "cumulant steady-state diagonal is only solved for a "
+            "two-level system with a single coupling"
+        )
     baths = bath_list(baths, len(jumps))
-    entries = {}
-    spec = kossakowski_redfield(baths, config) if kind == "steady_state" else None
+    values, shared = stacked_tables(jumps, baths, lambda m, f: _bath_table(kind, m, f, config))
+    stacked = itertools.count()
+    slots = [[(next(stacked), w) for w in j.frequencies] for j in jumps]  # (index, w) per coupling
+    entries = {}  # insertion order (a, b, w, w') fixes the summation order of assemble_correction
+    for (a, slots_a), (b, slots_b) in itertools.product(enumerate(slots), repeat=2):
+        for (i, w), (j, wp) in itertools.product(slots_a, slots_b):
+            if shared[i, j] and not (kind == "steady_state" and w == wp):
+                entries[(a, b, w, wp)] = complex(values[i, j])
 
-    for a, ja in enumerate(jumps):
-        for b, jb in enumerate(jumps):
-            measure = pair_measure(baths, a, b)
-            if measure is None:
-                continue
-            for w in ja.frequencies:
-                for wp in jb.frequencies:
-                    if kind == "dynamical":
-                        val = upsilon_dynamical(measure, w, wp, config)
-                    elif kind == "mean_force":
-                        val = upsilon_mean_force(measure, w, wp, "kernel", config)
-                    elif kind == "steady_state":
-                        if w == wp:
-                            continue
-                        val = upsilon_steady_offdiag(spec, measure, w, wp, a, b, config)
-                    else:
-                        raise ValidationError(f"unknown table kind {kind!r}")
-                    entries[(a, b, w, wp)] = complex(val)
-
-    if kind == "steady_state":
-        diag_freqs = sorted({w for j in jumps for w in j.frequencies})
-        if equation == "cumulant":
-            dim = jumps[0].dim
-            if dim != 2 or len(jumps) != 1:
-                raise NotImplementedError(
-                    "cumulant steady-state diagonal is only solved for a "
-                    "two-level system with a single coupling"
-                )
-            w0 = max(abs(w) for w in diag_freqs)
-            plus, minus = tls_diagonal_steady(baths[0], w0, "cumulant", config)
-            values = {w0: plus, -w0: minus, 0.0: 0.0}
-            for a in range(len(jumps)):
-                for w in diag_freqs:
-                    entries[(a, a, w, w)] = complex(values.get(w, 0.0))
-        elif equation == "redfield":
-            for a in range(len(jumps)):
-                for w in diag_freqs:
-                    if w in jumps[a].frequencies:
-                        entries[(a, a, w, w)] = 0.0
-        else:
-            raise ValidationError(f"unknown equation kind {equation!r}")
-
+    if cumulant_diag:
+        w0 = max(abs(w) for w in jumps[0].frequencies)
+        plus, minus = tls_diagonal_steady(baths[0], w0, "cumulant", config)
+        diag = {w0: plus, -w0: minus}
+        entries.update({(0, 0, w, w): complex(diag.get(w, 0.0)) for w in sorted(jumps[0].frequencies)})
+    elif kind == "steady_state":
+        entries.update({(a, a, w, w): 0.0 for a, slots_a in enumerate(slots) for _, w in slots_a})
     return UpsilonTable(kind, entries)

@@ -15,11 +15,11 @@ rho(t) = e^{-iH0 t} exp(K_t) e^{+iH0 t} with the interaction-picture exponent
         + xi_ab(w,w',t) ( A_b(w') rho A_a(w)^dag - {.,.}/2 ) ),
 
 where xi and Xi are the time-integrated coefficient matrices from the bath
-module.  Every builder tabulates its coefficients once per bath, over the
-sorted union of the Bohr frequencies of that bath's couplings, and selects
-the stacked (coupling, frequency) entries from that one table.  So xi is one
-Gram matrix per bath, positive semi-definite by construction for any number
-of couplings, which makes the map CPTP.
+module.  Every builder tabulates its coefficients once per bath with
+`bath.stacked_tables`, over the sorted union of the Bohr frequencies of that
+bath's couplings, and selects the stacked (coupling, frequency) entries from
+that one table.  So xi is one Gram matrix per bath, positive semi-definite by
+construction for any number of couplings, which makes the map CPTP.
 """
 
 from dataclasses import dataclass
@@ -28,11 +28,11 @@ import numpy as np
 
 from ._quad import DEFAULT_QUAD
 from .bath import (
-    as_measure,
     bath_list,
     integrated_S_matrix,
     integrated_gamma_matrix,
     redfield_pair_matrices,
+    stacked_tables,
 )
 from .errors import (
     DegenerateSteadyStateError,
@@ -112,31 +112,6 @@ def _assemble(jumps, kmat, smat):
             - 0.5 * (_sandwich(hk, one) + _sandwich(one, hk)))
 
 
-def _coefficients(jumps, baths, pair, t, config):
-    """Stacked (K, S) arrays over the (coupling, Bohr frequency) index.
-
-    The bath is the unit of tabulation: pair(measure, freqs, t, config) runs
-    once per distinct bath object, over the sorted union of its couplings'
-    Bohr frequencies, and that one table fills every row and column of the
-    bath's couplings.  A bath's block is therefore a selection from one table
-    (for the cumulant's xi one Gram matrix, so PSD whatever the couplings);
-    entries between couplings on different baths stay zero.  `baths` holds
-    one bath per coupling, and baths are told apart by identity: two bath
-    objects of equal parameters are two independent baths.
-    """
-    stacked = np.array([w for j in jumps for w in j.frequencies])
-    owner = [baths[a] for a, j in enumerate(jumps) for _ in j.frequencies]
-    kmat = np.zeros((stacked.size, stacked.size), dtype=complex)
-    smat = np.zeros_like(kmat)
-    for bath in {id(b): b for b in baths}.values():
-        rows = [i for i, b in enumerate(owner) if b is bath]
-        freqs, at = np.unique(stacked[rows], return_inverse=True)
-        k, s = pair(as_measure(bath), tuple(freqs.tolist()), t, config)
-        kmat[np.ix_(rows, rows)] = k[np.ix_(at, at)]
-        smat[np.ix_(rows, rows)] = s[np.ix_(at, at)]
-    return kmat, smat
-
-
 def dissipative_generator(jumps, kmat, dyn):
     """lam^2-part of the generator for coefficient accessors kmat/dyn(a,b,w,w')."""
     index = [(a, w) for a, j in enumerate(jumps) for w in j.frequencies]
@@ -163,7 +138,8 @@ def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
     h = np.zeros((jumps[0].dim,) * 2) if h0 is None else require_hermitian(h0, name="H0")
     gen = commutator_superop(h) if free else np.zeros((h.size, h.size), dtype=complex)
     if lam > 0 and t > 0:
-        gen = gen + lam**2 * _assemble(jumps, *_coefficients(jumps, baths, pair, t, config))
+        kmat, smat = stacked_tables(jumps, baths, lambda m, f: pair(m, f, t, config))[0]
+        gen = gen + lam**2 * _assemble(jumps, kmat, smat)
     return Superoperator(h.shape[0], gen)
 
 

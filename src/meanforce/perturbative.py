@@ -111,7 +111,8 @@ def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):
 
     With `relative` the norm is divided by ||L2[rho_0]||; a correct table
     drives the ratio to rounding level, an all-zero table leaves the full
-    coherence source uncancelled.
+    coherence source uncancelled.  L2 comes from `spec`; `baths` is not read
+    and is kept for API compatibility.
     """
     beta = spec.beta
     for a, ja in enumerate(jumps):

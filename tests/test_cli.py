@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanforce.bath import pair_measure
+from meanforce.bath import stacked_tables
 from meanforce.cli import RunConfig, load_config, main, parse_config, read_corrections_csv
 from meanforce.errors import ValidationError
 
@@ -334,6 +334,37 @@ class TestCorrectionsTask:
         assert "Y[0;0;" in text
         assert "st_redfield" in text
 
+    # a sweep only applies to the qubit path; elsewhere it would be silently dropped
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda c: c.update(
+            system={"hamiltonian": [[[float(i == j) * (0.0, 1.0, 2.5, 4.0)[i], 0] for j in range(4)]
+                                    for i in range(4)]},
+            couplings=[{"operator": [[[1.0 if abs(i - j) == 1 else 0.0, 0] for j in range(4)]
+                                     for i in range(4)], "bath": "b1"}]), id="d4_hamiltonian"),
+        pytest.param(lambda c: c.update(baths={"b1": {"type": "discrete", "modes": [[1.0, 0.1]]}}),
+                     id="tls_discrete_bath"),
+        pytest.param(lambda c: c.update(couplings=[c["couplings"][0], {"pauli": {"z": 1.0}, "bath": "b1"}]),
+                     id="tls_two_couplings"),
+    ])
+    def test_sweep_on_table_path_exits_2(self, tmp_path, capsys, edit):
+        cfg = json.loads(json.dumps(BASE))
+        cfg.update(sweep={"parameter": "omega0", "values": [0.5, 1.0]}, output=str(tmp_path / "t.csv"))
+        edit(cfg)
+        with pytest.raises(ValidationError, match="^sweep:"):
+            parse_config(cfg)
+        del cfg["sweep"]
+        assert not parse_config(cfg).is_qubit_sweep
+        cfg["sweep"] = {"parameter": "omega0", "values": [0.5, 1.0]}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["corrections", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: sweep:")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_qubit_sweep_decides_both_paths(self):
+        assert parse_config(BASE).is_qubit_sweep
+        assert not parse_config(three_level("corrections", "b")).is_qubit_sweep
+
 
 @pytest.fixture(scope="module")
 def evolve_csv(tmp_path_factory):
@@ -427,8 +458,14 @@ class TestBathIdentity:
     def test_two_ids_parse_to_two_baths(self):
         baths = parse_config(three_level("evolve", "c")).bath_list()
         assert baths[0] == baths[1]
-        assert pair_measure(baths, 0, 1) is None
-        assert pair_measure(parse_config(three_level("evolve", "b")).bath_list(), 0, 1) is not None
+
+        def cross_shared(second_bath):
+            cfg = parse_config(three_level("evolve", second_bath))
+            zero = lambda measure, freqs: np.zeros((len(freqs), len(freqs)))
+            return stacked_tables(cfg.jump_list(), cfg.bath_list(), zero)[1][0, -1]
+
+        assert not cross_shared("c")
+        assert cross_shared("b")
 
     def test_evolve_differs_from_one_bath(self, tmp_path):
         assert self._run(tmp_path, "evolve", "c") != self._run(tmp_path, "evolve", "b")

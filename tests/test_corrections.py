@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanforce.bath import DiscreteBath, bose_occupation, gamma_spectral, lamb_shift_S
+from meanforce import _quad, corrections
+from meanforce import bath as bath_module
+from meanforce.bath import DiscreteBath, OhmicBath, bose_occupation, gamma_spectral, lamb_shift_S
 from meanforce.corrections import (
     build_upsilon_table,
     guarnieri_sigma_x,
@@ -274,3 +276,68 @@ class TestUpsilonTables:
         shared = build_upsilon_table("dynamical", [j1, j2], [b1, b1])
         assert any(a != b for (a, b, _, _) in shared.entries)
         shared.validate_pairing()
+
+
+TABLE_KINDS = ("mean_force", "dynamical", "steady_state")
+
+
+def _two_baths(bath, second):
+    """The same bath twice, or a second bath object of equal parameters (an independent bath)."""
+    return [bath, bath if second == "same" else OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0)]
+
+
+class TestStackedTables:
+    """Two couplings with different frequency sets on a d=3 system: each bath is
+    tabulated once over the union of its couplings' Bohr frequencies."""
+
+    @pytest.mark.parametrize("second, sizes", [("same", (36, 36, 34)), ("other", (18, 18, 18))])
+    def test_key_counts(self, two_on_one_bath, second, sizes):
+        _, jumps, bath = two_on_one_bath
+        baths = _two_baths(bath, second)
+        assert tuple(len(build_upsilon_table(k, jumps, baths).entries) for k in TABLE_KINDS) == sizes
+
+    def test_entries_equal_public_functions(self, two_on_one_bath):
+        _, jumps, bath = two_on_one_bath
+        spec = kossakowski_redfield([bath, bath])
+        per_entry = {
+            "mean_force": lambda a, b, w, wp: upsilon_mean_force(bath, w, wp),
+            "dynamical": lambda a, b, w, wp: upsilon_dynamical(bath, w, wp),
+            "steady_state": lambda a, b, w, wp:
+                0.0 if w == wp else upsilon_steady_offdiag(spec, bath, w, wp, a, b),
+        }
+        for kind, value in per_entry.items():
+            for key, v in build_upsilon_table(kind, jumps, [bath, bath]).entries.items():
+                assert v == value(*key), (kind, key)
+
+    @pytest.mark.parametrize("second, n_calls", [("same", 25), ("other", 18)])
+    def test_mean_force_integrals_per_union_entry(self, two_on_one_bath, monkeypatch, second, n_calls):
+        # one bath: 5 union frequencies, 25 integrals for the 36 entries
+        _, jumps, bath = two_on_one_bath
+        calls = []
+        engine = corrections.upsilon_mean_force
+        monkeypatch.setattr(corrections, "upsilon_mean_force",
+                            lambda *args: calls.append(args) or engine(*args))
+        build_upsilon_table("mean_force", jumps, _two_baths(bath, second))
+        assert len(calls) == n_calls
+
+    @pytest.mark.parametrize("kind, equation, error", [
+        ("lamb_shift", "redfield", ValidationError),
+        ("steady_state", "lindblad", ValidationError),
+        ("mean_force", "lindblad", ValidationError),
+        ("steady_state", "cumulant", NotImplementedError),
+    ])
+    def test_arguments_checked_before_any_integral(self, two_on_one_bath, monkeypatch, kind, equation, error):
+        _, jumps, bath = two_on_one_bath
+        calls = []
+        engine = _quad.adaptive_quad
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return engine(*args, **kwargs)
+
+        for module in (_quad, bath_module, corrections):
+            monkeypatch.setattr(module, "adaptive_quad", counted)
+        bath_module._lamb_shift_cached.cache_clear()  # a cached S(w) would hide its integral
+        with pytest.raises(error):
+            build_upsilon_table(kind, jumps, bath, equation)
+        assert calls == []

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from meanforce._quad import DEFAULT_QUAD
-from meanforce.bath import DiscreteBath, OhmicBath
+from meanforce.bath import DiscreteBath, OhmicBath, stacked_tables
 from meanforce.corrections import build_upsilon_table
 from meanforce.errors import DegenerateSteadyStateError, NumericsError, ValidationError
 from meanforce.generators import (
@@ -368,21 +368,6 @@ class TestMultipleCouplings:
         assert np.abs(rho - thermal_state(h0, 1.0)).max() <= 1e-10
 
 
-@pytest.fixture(scope="module")
-def two_on_one_bath():
-    """d=3 system with two couplings on one Ohmic bath whose frequency sets differ."""
-    h0 = np.diag([0.0, 1.0, 3.0])
-    a1 = np.zeros((3, 3))
-    a1[0, 1] = a1[1, 0] = 1.0
-    a1[0, 0] = 0.3
-    a2 = np.zeros((3, 3))
-    a2[0, 2] = a2[2, 0] = 1.0
-    a2[0, 0] = 0.3
-    dec = spectral_decompose(h0)
-    jumps = [bohr_decompose(dec, a1, index=0), bohr_decompose(dec, a2, index=1)]
-    return h0, jumps, OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0)
-
-
 def _counting(pair):
     calls = []
 
@@ -393,23 +378,28 @@ def _counting(pair):
     return counted, calls
 
 
+def _tabulate(jumps, baths, pair, t):
+    """The stacked arrays `pair` gives at t, tabulated as the generator builders do."""
+    return stacked_tables(jumps, baths, lambda measure, freqs: pair(measure, freqs, t, DEFAULT_QUAD))[0]
+
+
 class TestBathTabulation:
     @pytest.mark.parametrize("t", [7.0, 40.0])
     def test_stacked_xi_is_psd(self, two_on_one_bath, t):
         # one table per bath makes xi a selection from one Gram matrix; tabulating
         # each coupling pair on its own frequency union gave -8.8e-7 and -1.6e-7
-        from meanforce.generators import _coefficients, _integrated_pair
+        from meanforce.generators import _integrated_pair
         _, jumps, bath = two_on_one_bath
-        xi, _ = _coefficients(jumps, (bath, bath), _integrated_pair, t, DEFAULT_QUAD)
+        xi, _ = _tabulate(jumps, (bath, bath), _integrated_pair, t)
         assert np.linalg.eigvalsh(xi).min() >= -1e-12 * np.trace(xi).real
 
     @pytest.mark.parametrize("second, n_calls", [("same", 1), ("other", 2)])
     def test_one_table_per_distinct_bath(self, two_on_one_bath, second, n_calls):
-        from meanforce.generators import _coefficients, _integrated_pair
+        from meanforce.generators import _integrated_pair
         _, jumps, bath = two_on_one_bath
         other = DiscreteBath(beta=1.0, modes=((0.7, 0.3), (1.9, 0.2)))
         counted, calls = _counting(_integrated_pair)
-        _coefficients(jumps, (bath, bath if second == "same" else other), counted, 7.0, DEFAULT_QUAD)
+        _tabulate(jumps, (bath, bath if second == "same" else other), counted, 7.0)
         assert len(calls) == n_calls
         if second == "same":
             union = set(jumps[0].frequencies) | set(jumps[1].frequencies)
@@ -417,16 +407,16 @@ class TestBathTabulation:
 
     def test_equal_parameter_baths_are_independent(self, two_on_one_bath):
         # baths are told apart by identity: an equal-parameter twin is a second bath
-        from meanforce.generators import _coefficients, _integrated_pair
+        from meanforce.generators import _integrated_pair
         _, jumps, bath = two_on_one_bath
         twin = OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0)
         assert twin == bath
         counted, calls = _counting(_integrated_pair)
-        xi, big_xi = _coefficients(jumps, (bath, twin), counted, 7.0, DEFAULT_QUAD)
+        xi, big_xi = _tabulate(jumps, (bath, twin), counted, 7.0)
         n0 = len(jumps[0].frequencies)
         assert len(calls) == 2
         assert not xi[:n0, n0:].any() and not big_xi[:n0, n0:].any()
-        shared, _ = _coefficients(jumps, (bath, bath), _integrated_pair, 7.0, DEFAULT_QUAD)
+        shared, _ = _tabulate(jumps, (bath, bath), _integrated_pair, 7.0)
         assert np.abs(shared[:n0, n0:]).max() > 0
 
     @pytest.mark.parametrize("kind", ["davies", "interaction"])

@@ -329,11 +329,9 @@ def run_corrections(cfg):
     else:
         jumps = cfg.jump_list()
         baths = cfg.bath_list()
-        for kind, table_kind, eq in (("mf", "mean_force", None),
-                                     ("dyn", "dynamical", None),
-                                     ("st_redfield", "steady_state", "redfield")):
-            table = build_upsilon_table(table_kind, jumps, baths,
-                                        equation=eq or "redfield", config=cfg.quad)
+        for kind, table_kind in (("mf", "mean_force"), ("dyn", "dynamical"),
+                                 ("st_redfield", "steady_state")):
+            table = build_upsilon_table(table_kind, jumps, baths, config=cfg.quad)
             for (a, b, w, wp), v in sorted(table.entries.items()):
                 name = f"Y[{a};{b};{_fmt(w)};{_fmt(wp)}]"
                 rows.append(["0", name, kind, _fmt(np.real(v)), _fmt(np.imag(v))])

@@ -24,7 +24,9 @@ function of the bath:
 For several couplings, indices (a, b) refer to couplings; pairs attached to
 the same reservoir share one gamma, pairs on independent reservoirs vanish.
 `bath.stacked_tables` is the one tabulation of the tables and the generators:
-each bath once, over the union of its couplings' Bohr frequencies.
+each bath once, over the union of its couplings' Bohr frequencies.  The
+dynamical and steady-state tables read K and Y_dyn off that bath's one
+long-time Redfield pair (`bath.redfield_pair_matrices` at t = oo).
 """
 
 import itertools
@@ -359,18 +361,22 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
 
 
 def _bath_table(kind, measure, freqs, config):
-    """One bath's n x n table of a correction over its frequency list; the
-    steady-state table holds the coherences w != w' and a zero diagonal."""
+    """One bath's n x n table of a correction over its frequency list.  The
+    dynamical and steady-state tables read one long-time Redfield pair (K, Y_dyn);
+    the steady-state coherences w != w' pass a view of it, over the list closed
+    under w -> -w, to `upsilon_steady_offdiag`, and its diagonal is the gauge zero."""
+    if kind == "mean_force":
+        return [[upsilon_mean_force(measure, w, wp, "kernel", config) for wp in freqs] for w in freqs]
     if kind == "dynamical":
         return redfield_pair_matrices(measure, freqs, np.inf, config)[1]
-    spec = kossakowski_redfield(measure, config)
-
-    def entry(w, wp):
-        if kind == "mean_force":
-            return upsilon_mean_force(measure, w, wp, "kernel", config)
-        return 0.0 if w == wp else upsilon_steady_offdiag(spec, measure, w, wp, config=config)
-
-    return [[entry(w, wp) for wp in freqs] for w in freqs]
+    closed = sorted(set(freqs) | {-w for w in freqs})
+    at = {w: i for i, w in enumerate(closed)}
+    kmat, dyn = redfield_pair_matrices(measure, closed, np.inf, config)
+    # Python complex scalars, as the per-entry spec returns, keep every cell's bits
+    view = kossakowski_custom(measure.beta, lambda a, b, w, wp: complex(kmat[at[w], at[wp]]),
+                              lambda a, b, w, wp: complex(dyn[at[w], at[wp]]))
+    return [[0.0 if w == wp else upsilon_steady_offdiag(view, measure, w, wp, config=config)
+             for wp in freqs] for w in freqs]
 
 
 def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_QUAD):
@@ -399,14 +405,12 @@ def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_
     entries = {}  # insertion order (a, b, w, w') fixes the summation order of assemble_correction
     for (a, slots_a), (b, slots_b) in itertools.product(enumerate(slots), repeat=2):
         for (i, w), (j, wp) in itertools.product(slots_a, slots_b):
-            if shared[i, j] and not (kind == "steady_state" and w == wp):
+            if shared[i, j] and not (kind == "steady_state" and w == wp and a != b):
                 entries[(a, b, w, wp)] = complex(values[i, j])
 
-    if cumulant_diag:
-        w0 = max(abs(w) for w in jumps[0].frequencies)
+    w0 = max(abs(w) for w in jumps[0].frequencies)
+    if cumulant_diag and w0 > 0:  # a pure-dephasing qubit (w0 = 0) keeps the zero gauge
         plus, minus = tls_diagonal_steady(baths[0], w0, "cumulant", config)
         diag = {w0: plus, -w0: minus}
-        entries.update({(0, 0, w, w): complex(diag.get(w, 0.0)) for w in sorted(jumps[0].frequencies)})
-    elif kind == "steady_state":
-        entries.update({(a, a, w, w): 0.0 for a, slots_a in enumerate(slots) for _, w in slots_a})
+        entries.update({(0, 0, w, w): complex(diag.get(w, 0.0)) for w in jumps[0].frequencies})
     return UpsilonTable(kind, entries)

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import DEFAULT_QUAD
-from .bath import OhmicBath, integrated_gamma_matrix, lamb_shift_S
+from .bath import OhmicBath, as_measure, integrated_gamma_matrix, lamb_shift_S
 from .corrections import (
+    _bath_table,
     build_upsilon_table,
     kossakowski_custom,
     kossakowski_redfield,
@@ -325,25 +326,20 @@ def qubit_sweep_point(bath, w0, gamma_c, config=DEFAULT_QUAD):
     beta * [Y_k(0,-w0) - Y_k(w0,0)] / gamma_c (re, im) and
     beta * [Y_k(w0,w0) - Y_k(-w0,-w0)] / gamma_c.
     """
-    beta = bath.beta
-    norm = beta / gamma_c
-    spec_r = kossakowski_redfield(bath, config)
-
-    def offdiag(fn):
-        return fn(0.0, -w0) - fn(w0, 0.0)
+    norm = bath.beta / gamma_c
+    freqs = (-w0, 0.0, w0)  # table index 0, 1, 2
+    dyn = _bath_table("dynamical", as_measure(bath), freqs, config)
+    st = _bath_table("steady_state", as_measure(bath), freqs, config)
 
     vals = {}
     vals["mf"] = (
-        offdiag(lambda w, wp: upsilon_mean_force(bath, w, wp, "kernel", config)),
+        upsilon_mean_force(bath, 0.0, -w0, "kernel", config)
+        - upsilon_mean_force(bath, w0, 0.0, "kernel", config),
         upsilon_mean_force(bath, w0, w0, "kernel", config)
         - upsilon_mean_force(bath, -w0, -w0, "kernel", config),
     )
-    vals["dyn"] = (
-        offdiag(lambda w, wp: upsilon_dynamical(bath, w, wp, config)),
-        upsilon_dynamical(bath, w0, w0, config)
-        - upsilon_dynamical(bath, -w0, -w0, config),
-    )
-    st_off = offdiag(lambda w, wp: upsilon_steady_offdiag(spec_r, bath, w, wp, config=config))
+    vals["dyn"] = (dyn[1][0] - dyn[2][1], dyn[2][2] - dyn[0][0])
+    st_off = st[1][0] - st[2][1]
     vals["st_redfield"] = (st_off, 0.0)
     cp, cm = tls_diagonal_steady(bath, w0, "cumulant", config)
     vals["st_cumulant"] = (st_off, cp - cm)

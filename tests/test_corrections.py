@@ -27,6 +27,8 @@ from meanforce.errors import (
     NearDegenerateError,
     ValidationError,
 )
+from meanforce.operators import JumpDecomposition, bohr_decompose, spectral_decompose
+from meanforce.validation import qubit_sweep_point
 
 
 def kernel_D_mpmath(beta, w, wp, om):
@@ -263,6 +265,17 @@ class TestUpsilonTables:
         with pytest.raises(NotImplementedError):
             build_upsilon_table("steady_state", jq, bath, equation="cumulant")
 
+    @pytest.mark.parametrize("equation", ["redfield", "cumulant"])
+    def test_pure_dephasing_qubit(self, tls_decomposition, bath, equation):
+        # sigma_z has the one Bohr frequency 0, so the steady table is the gauge zero
+        # and the cumulant diagonal solve (which needs w0 > 0) has nothing to fill
+        from meanforce.operators import SIGMA_Z
+
+        jumps = [bohr_decompose(tls_decomposition, SIGMA_Z)]
+        assert jumps[0].frequencies == (0.0,)
+        table = build_upsilon_table("steady_state", jumps, bath, equation=equation)
+        assert table.entries == {(0, 0, 0.0, 0.0): 0}
+
     def test_cross_bath_couplings_vanish(self, tls_decomposition):
         from meanforce.bath import OhmicBath
         from meanforce.operators import SIGMA_X, SIGMA_Z, bohr_decompose
@@ -341,3 +354,105 @@ class TestStackedTables:
         with pytest.raises(error):
             build_upsilon_table(kind, jumps, bath, equation)
         assert calls == []
+
+
+def _count_pairs(monkeypatch):
+    """Record every redfield_pair_matrices call, also those of the per-entry bath functions."""
+    calls = []
+    engine = bath_module.redfield_pair_matrices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return engine(*args, **kwargs)
+
+    for module in (bath_module, corrections):
+        monkeypatch.setattr(module, "redfield_pair_matrices", counted)
+    return calls
+
+
+def _sweep_per_entry(bath, w0, gamma_c):
+    """qubit_sweep_point's dyn and st_* values that do not involve the mean force or the
+    cumulant diagonal, from upsilon_dynamical and upsilon_steady_offdiag per entry."""
+    spec = kossakowski_redfield(bath)
+    norm = bath.beta / gamma_c
+    dyn_off = upsilon_dynamical(bath, 0.0, -w0) - upsilon_dynamical(bath, w0, 0.0)
+    dyn_diag = upsilon_dynamical(bath, w0, w0) - upsilon_dynamical(bath, -w0, -w0)
+    st_off = upsilon_steady_offdiag(spec, bath, 0.0, -w0) - upsilon_steady_offdiag(spec, bath, w0, 0.0)
+    out = {("dyn", "diag_diff"): float(np.real(dyn_diag)) * norm}
+    for kind, off in (("dyn", dyn_off), ("st_redfield", st_off), ("st_cumulant", st_off)):
+        out[(kind, "offdiag_re")] = float(np.real(off)) * norm
+        out[(kind, "offdiag_im")] = float(np.imag(off)) * norm
+    return out
+
+
+class TestLongTimePair:
+    """The steady-state table and the qubit sweep read K and Y_dyn off one long-time
+    Redfield pair per bath, with the bits of the per-entry functions."""
+
+    @pytest.mark.parametrize("second, n_calls", [("same", 1), ("other", 2)])
+    def test_steady_table_one_pair_per_bath(self, two_on_one_bath, monkeypatch, second, n_calls):
+        _, jumps, bath = two_on_one_bath
+        calls = _count_pairs(monkeypatch)
+        build_upsilon_table("steady_state", jumps, _two_baths(bath, second))
+        assert len(calls) == n_calls
+
+    def test_sweep_point_two_pairs(self, bath, monkeypatch):
+        calls = _count_pairs(monkeypatch)
+        qubit_sweep_point(bath, 1.0, 1.0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("bw0", [0.1, 1.3, 4.2])
+    def test_sweep_point_equals_per_entry_functions(self, bath, bw0):
+        w0 = bw0 / bath.beta
+        point = qubit_sweep_point(bath, w0, 0.7)
+        for key, value in _sweep_per_entry(bath, w0, 0.7).items():
+            assert point[key] == value, key
+
+    def test_frequencies_not_closed_under_negation(self, bath):
+        # Bohr frequencies (0, 1) without -1: the coherence formula reads K at -1
+        ops = {0.0: np.diag([1.0, -1.0]).astype(complex), 1.0: np.array([[0, 1], [0, 0]], dtype=complex)}
+        jumps = [JumpDecomposition(0, (0.0, 1.0), ops)]
+        spec = kossakowski_redfield(bath)
+        expect = {(0, 0, w, wp): 0.0 if w == wp else upsilon_steady_offdiag(spec, bath, w, wp)
+                  for w in (0.0, 1.0) for wp in (0.0, 1.0)}
+        assert build_upsilon_table("steady_state", jumps, bath).entries == expect
+
+
+def _seeded_d4(seed):
+    """H0 with a Haar-random eigenbasis and levels (-1.7, -1, 0.2, 1.7) jittered by at
+    most 0.05 (13 Bohr frequencies), and a random Hermitian coupling, as jumps."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    levels = np.array([-1.7, -1.0, 0.2, 1.7]) + rng.uniform(-0.05, 0.05, 4)
+    h0 = (u * levels) @ u.conj().T
+    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return [bohr_decompose(spectral_decompose(0.5 * (h0 + h0.conj().T)), 0.5 * (b + b.conj().T))]
+
+
+def _claim_two_gap(jumps, baths, config=_quad.DEFAULT_QUAD):
+    """max over w != w' of |Y_st - Y_mf| for the Redfield steady table, over max |Y_mf|."""
+    mf = build_upsilon_table("mean_force", jumps, baths, config=config).entries
+    st = build_upsilon_table("steady_state", jumps, baths, config=config).entries
+    coherences = sorted(k for k in st if k[2] != k[3])
+    assert coherences == sorted(k for k in mf if k[2] != k[3])
+    return max(abs(st[k] - mf[k]) for k in coherences) / max(abs(v) for v in mf.values())
+
+
+class TestClaimTwoTables:
+    """Claim (ii) on whole tables: every Bloch-Redfield steady coherence equals the
+    mean-force entry (Cresser & Anders, PRL 127, 250601 (2021))."""
+
+    @pytest.mark.parametrize("second", ["same", "other"])
+    def test_two_couplings(self, two_on_one_bath, second):
+        _, jumps, bath = two_on_one_bath
+        assert _claim_two_gap(jumps, _two_baths(bath, second)) <= 1e-8  # 3.2e-11 on one bath
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_d4(self, bath, seed):
+        # At the default tolerances S(w) errs by up to about 2e-8 relative, and the
+        # coherence formula multiplies that by e^{b(w+w')}/|e^{bw} - e^{bw'}|, about 27
+        # for the largest frequencies here: the gap is then 2.0e-7 at seed 0.  At
+        # 1e-10 the integrals resolve the identity (gaps below 1e-10).
+        config = _quad.QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
+        assert _claim_two_gap(_seeded_d4(seed), bath, config) <= 1e-8

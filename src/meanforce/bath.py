@@ -253,18 +253,30 @@ def lamb_shift_S(bath, omega, config=DEFAULT_QUAD):
 def _discretize(measure, rate, reach):
     """Nodes W_k and weights c_k >= 0 with (1/2pi) int gamma(W) f(W) dW ~ sum_k c_k f(W_k).
 
-    Atoms are exact nodes of weight w_k/2pi.  The density is sampled on the
-    panel rule that resolves oscillation rate `rate` on the smooth domain
-    widened by `reach`; a panel edge falls on the |W| cusp at W = 0 only when
-    the panel count is even.
+    Atoms are exact nodes of weight w_k/2pi and are always kept.  The density
+    is sampled on the panel rule that resolves oscillation rate `rate` on the
+    smooth domain widened by `reach` (its node cap applies to the whole rule);
+    a panel edge falls on the |W| cusp at W = 0 only when the panel count is
+    even.  Of those N panel nodes only the ones with |c_k| > eps max|c| / N
+    are kept, so the dropped weight totals at most eps max|c|: on the W < 0
+    side the Bose factor e^{-beta|W|} puts about half the nodes below that
+    floor.  The kept nodes keep their order and their bits.  A weight that is
+    not finite raises NumericsError naming its node.
     """
     atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
     nodes, c = [atoms[:, 0]], [atoms[:, 1] / (2.0 * np.pi)]
     if measure.density is not None:
         lo, hi = _smooth_domain(measure, reach)
         panel, weights = panel_nodes(lo, hi, rate, structure_scale=_structure_scale(measure))
-        nodes.append(panel)
-        c.append(weights * measure.density(panel) / (2.0 * np.pi))
+        cw = weights * measure.density(panel) / (2.0 * np.pi)
+        bad = ~np.isfinite(cw)
+        if bad.any():
+            k = np.argmax(bad)
+            raise NumericsError(f"spectral density weight is not finite at W = {panel[k]:.17g}")
+        size = np.abs(cw)
+        keep = size > np.finfo(float).eps * size.max() / cw.size
+        nodes.append(panel[keep])
+        c.append(cw[keep])
     return np.concatenate(nodes), np.concatenate(c)
 
 

@@ -11,7 +11,7 @@ Config schema (complex numbers are [re, im] pairs):
       "beta": 1.0,
       "lambda": 0.05,
       "sweep": {"parameter": "omega0", "values": [...]},        # corrections
-      "evolve": {"initial_state": [...], "times": [...],
+      "evolve": {"initial_state": [...], "times": [...],        # evolve
                  "equations": ["cumulant","davies","redfield"]},
       "validate": {"skip_oracle": false, "break_detailed_balance": false},
       "quadrature": {"abs_tol": 1e-9, "rel_tol": 1e-8, "limit": 400},
@@ -246,10 +246,11 @@ def parse_config(data):
     elif task == "corrections":
         cfg.sweep_values = list(SWEEP_BW0)
 
-    if task == "evolve":
-        ev = data.get("evolve")
-        if not isinstance(ev, dict):
-            raise ValidationError("evolve: required for the evolve task")
+    # a present evolve section is checked on every task, as sweep and validate are
+    if task == "evolve" and "evolve" not in data:
+        raise ValidationError("evolve: required for the evolve task")
+    if "evolve" in data:
+        ev = _object(data["evolve"], "evolve")
         times = ev.get("times")
         if not isinstance(times, list) or not all(_finite(t) and t >= 0 for t in times):
             raise ValidationError("evolve.times: must be a list of nonnegative finite numbers")

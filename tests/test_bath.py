@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from meanforce.bath import (
     SpectralMeasure,
     S_finite_time,
     _discretize,
+    _smooth_domain,
+    _structure_scale,
     bose_occupation,
     correlation_time_domain,
     finite_time_Gamma,
@@ -25,7 +29,8 @@ from meanforce.bath import (
     measure_value,
     redfield_pair_matrices,
 )
-from meanforce.errors import PoleError, ValidationError
+from meanforce.cli import parse_config
+from meanforce.errors import NumericsError, PoleError, ValidationError
 
 
 def panel_quad(f, lo, hi, osc_freq, structure_scale):
@@ -455,6 +460,98 @@ class TestIntegratedCoefficients:
         assert passed == small >= 2 * len(freqs)
         expect = self.two_term_xi(measure, freqs, t)
         assert np.abs(sig - expect).max() <= 1e-14 * np.abs(sig).max()
+
+
+def evolve_d4_frequencies(seed):
+    """Bohr frequencies of the benchmark's seeded d=4 `evolve` system, as the CLI decomposes it."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = parse_config(workloads.make_config("evolve_d4", seed, "out.csv"))
+    return tuple(w for j in cfg.jump_list() for w in j.frequencies)
+
+
+class TestWeightFloor:
+    """`_discretize` keeps the panel nodes with |c_k| > eps max|c| / N, and every atom."""
+
+    @staticmethod
+    def full_panel(measure, t, reach):
+        """The panel rule's nodes and quadrature weights, before the floor."""
+        lo, hi = _smooth_domain(measure, reach)
+        return panel_nodes(lo, hi, t, structure_scale=_structure_scale(measure))
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
+    def test_kept_nodes_are_panel_nodes_bit_for_bit(self, bath, t):
+        measure = gamma_spectral(bath)
+        nodes, c = _discretize(measure, t, 1.0)
+        panel, weights = self.full_panel(measure, t, 1.0)
+        keep = np.isin(panel, nodes)
+        assert np.array_equal(panel[keep], nodes)
+        assert np.array_equal(weights[keep] * measure.density(nodes) / (2.0 * np.pi), c)
+        assert nodes.size < 0.6 * panel.size  # the Bose factor puts about half below the floor
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
+    def test_dropped_weight_below_rounding(self, bath, t):
+        measure = gamma_spectral(bath)
+        nodes, _ = _discretize(measure, t, 1.0)
+        panel, weights = self.full_panel(measure, t, 1.0)
+        c = weights * measure.density(panel) / (2.0 * np.pi)
+        dropped = ~np.isin(panel, nodes)
+        assert dropped.any()
+        assert np.abs(c[dropped]).sum() <= np.finfo(float).eps * np.abs(c).max()
+
+    def test_non_finite_density_raises(self, bath):
+        smooth = gamma_spectral(bath)
+
+        def density(w):
+            w = np.asarray(w, dtype=float)
+            return np.where(w > 5.0, np.nan, smooth.density(w))
+
+        measure = replace(smooth, density=density)
+        freqs = (-1.0, 0.0, 1.0)
+        with pytest.raises(NumericsError, match="not finite at W = "):
+            integrated_gamma_matrix(measure, freqs, 2.0)
+        with pytest.raises(NumericsError, match="not finite at W = "):
+            redfield_pair_matrices(measure, freqs, 2.0)
+
+    def test_negative_density_keeps_its_nodes(self, bath):
+        # |c| in the floor: a sign error stays visible as a non-PSD xi
+        smooth = gamma_spectral(bath)
+        negated = replace(smooth, density=lambda w: -smooth.density(w))
+        nodes, c = _discretize(smooth, 2.0, 1.0)
+        neg_nodes, neg_c = _discretize(negated, 2.0, 1.0)
+        assert np.array_equal(neg_nodes, nodes) and np.array_equal(neg_c, -c)
+        freqs = (-1.0, 0.0, 1.0)
+        xi = integrated_gamma_matrix(negated, freqs, 2.0)
+        assert np.array_equal(xi, -integrated_gamma_matrix(smooth, freqs, 2.0))
+        assert np.linalg.eigvalsh(xi).min() < 0.0
+
+    @pytest.mark.parametrize("t", [2.0, 80.0])
+    def test_zero_coupling_gives_exact_zeros(self, t):
+        # every weight is 0, so no panel node passes the floor
+        bath = OhmicBath(beta=1.0, coupling=0.0, cutoff=50.0)
+        freqs = (-1.0, 0.0, 1.0)
+        assert _discretize(gamma_spectral(bath), t, 1.0)[0].size == 0
+        for m in (integrated_gamma_matrix(bath, freqs, t), integrated_S_matrix(bath, freqs, t),
+                  *redfield_pair_matrices(bath, freqs, t)):
+            assert m.shape == (3, 3) and not m.any()
+        assert finite_time_Gamma(bath, 0.5, t) == 0.0
+
+    def test_atoms_of_weight_zero_are_kept(self, bath):
+        silent = gamma_spectral(DiscreteBath(beta=bath.beta, modes=((1.3, 0.0), (2.1, 0.25))))
+        nodes, c = _discretize(silent, 2.0, 1.0)
+        assert np.array_equal(nodes, [1.3, -1.3, 2.1, -2.1]) and not c[:2].any()
+        mixed = replace(gamma_spectral(bath), atoms=silent.atoms)
+        nodes, c = _discretize(mixed, 2.0, 1.0)
+        assert np.array_equal(nodes[:4], [1.3, -1.3, 2.1, -2.1]) and not c[:2].any()
+
+    @pytest.mark.parametrize("t, most, before", [(2.0, 33_500, 64_144), (10.0, 53_000, 102_096)])
+    def test_seeded_d4_table_size(self, bath, t, most, before):
+        reach = np.abs(evolve_d4_frequencies(0)).max()
+        nodes, _ = _discretize(gamma_spectral(bath), t, reach)
+        assert self.full_panel(gamma_spectral(bath), t, reach)[0].size == before
+        assert nodes.size <= most
 
 
 class TestMixedMeasure:

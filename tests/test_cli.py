@@ -265,6 +265,29 @@ class TestConfigValidation:
         assert err.startswith(f"error: {path}:")
         assert not (tmp_path / "out.csv").exists()
 
+    # a present evolve section is checked on every task, as sweep and validate are
+    @pytest.mark.parametrize("task", ["corrections", "steadystate", "validate"])
+    @pytest.mark.parametrize("section, path", [
+        pytest.param({"times": "bad"}, "evolve.times", id="times"),
+        pytest.param([1.0], "evolve", id="not_object"),
+        pytest.param({"initial_state": [[[0.6, 0], [0.1, 0]], [[0.1, 0], [0.4, 0]]], "times": [1.0],
+                      "equations": ["bogus"]}, "evolve.equations", id="equation"),
+    ])
+    def test_evolve_section_checked_on_every_task(self, tmp_path, capsys, task, section, path):
+        cfg = write_config(tmp_path, task=task, evolve=section, output=str(tmp_path / "out.csv"))
+        assert main([task, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("task", ["corrections", "steadystate", "validate"])
+    def test_evolve_section_optional_off_evolve(self, task):
+        cfg = dict(BASE, task=task)
+        assert parse_config(cfg).initial_state is None
+        state = [[[0.6, 0], [0.1, 0]], [[0.1, 0], [0.4, 0]]]
+        assert parse_config(dict(cfg, evolve={"initial_state": state, "times": [1.0]})).evolve_times == [1.0]
+        with pytest.raises(ValidationError, match="^evolve: required"):
+            parse_config(dict(cfg, task="evolve"))
+
 
 @pytest.fixture(scope="module")
 def csv_pair(tmp_path_factory):

@@ -4,18 +4,23 @@ Three kinds of integrals recur throughout the package:
 
 * smooth integrals of spectral densities: a globally adaptive 21-point
   Gauss-Kronrod rule (QUADPACK's qk21 nodes, weights and error estimate,
-  Piessens et al. 1983), vectorised over subintervals, so each bisection
-  round is one call of the integrand on an array of nodes,
+  Piessens et al. 1983) over a batch of entries, so each bisection round is
+  one call of the integrand on the nodes of every interval any entry
+  bisects, while every entry keeps its own target, interval set, `limit`
+  and failure; a whole correction table or qubit sweep is one call,
 * principal-value integrals through a simple pole, done by pairing the
   integrand symmetrically around the pole so the 1/u singularity cancels
-  analytically before any quadrature sees it,
+  analytically before any quadrature sees it; the three pieces of every
+  pole of a batch are entries of one adaptive call, and a cusp of the
+  integrand becomes an interval edge,
 * Fourier-type integrals with a bounded oscillation rate, sampled by
   `bath._discretize` on the panel rule `panel_nodes`: fixed-order
   Gauss-Legendre panels, at most one oscillation period each, with positive
   weights so Gram-structured integrands stay positive semi-definite.
 
-Every integrand handed to these engines takes a float array and returns an
-array of the same shape.
+A batched integrand takes the (r, 21) node array of r intervals and their
+entry indices and returns an array of the nodes' shape; with scalar limits
+(one entry) it takes the node array alone.
 """
 
 from dataclasses import dataclass
@@ -89,78 +94,152 @@ DEFAULT_QUAD = QuadratureConfig()
 def _qk21(f, a, b):
     """QUADPACK qk21 on each interval [a_i, b_i]: (integrals, error estimates).
 
-    The integrand is called once, on all 21 nodes of every interval; a value
-    that is not finite raises NumericsError naming its interval.
+    The integrand is called once, on the (n, 21) array of every interval's
+    nodes.  An interval with a value that is not finite gets a nan integral.
+    Each row is summed on its own, so an interval's bits do not depend on the
+    other rows of the call.
     """
     centre = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fv = np.asarray(f(centre[:, None] + half[:, None] * _KR_NODES), dtype=float)
-    bad = ~np.isfinite(fv).all(axis=1)
-    if bad.any():
-        i = np.argmax(bad)
-        raise NumericsError(f"integrand is not finite on [{a[i]:.17g}, {b[i]:.17g}]")
-    resk = fv @ _KR_WEIGHTS
-    resg = fv @ _G_WEIGHTS
-    resabs = np.abs(fv) @ _KR_WEIGHTS * half
-    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _KR_WEIGHTS * half
-    err = np.abs(resk - resg) * half
+    with np.errstate(invalid="ignore", over="ignore"):
+        resk = (fv * _KR_WEIGHTS).sum(axis=1)
+        resg = (fv * _G_WEIGHTS).sum(axis=1)
+        resabs = (np.abs(fv) * _KR_WEIGHTS).sum(axis=1) * half
+        resasc = (np.abs(fv - 0.5 * resk[:, None]) * _KR_WEIGHTS).sum(axis=1) * half
+        err = np.abs(resk - resg) * half
     with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where((resasc != 0) & (err != 0),
                        resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
-    return resk * half, np.maximum(50.0 * _EPS * resabs, err)
+    res = np.where(np.isfinite(fv).all(axis=1), resk * half, np.nan)
+    return res, np.maximum(50.0 * _EPS * resabs, err)
 
 
-def adaptive_quad(f, lo, hi, config=DEFAULT_QUAD):
-    """Globally adaptive 21-point Gauss-Kronrod integral of a real integrand on [lo, hi].
+def _raise_failed(failed):
+    """Raise the NumericsError of the lowest failed entry of a batch, if any."""
+    if failed:
+        raise NumericsError(failed[min(failed)])
 
-    `f` takes a float array and returns an array of the same shape.  Each
-    round evaluates f once, on the 21 qk21 nodes of every interval to be
-    bisected.  The summed error estimate must reach max(abs_tol, rel_tol |I|);
-    until it does, every interval whose error exceeds that target divided by
-    the interval count is bisected, which always includes the worst one.
-    NumericsError is raised when the bisection would need more than
-    `config.limit` intervals, or when f returns a value that is not finite.
+
+def adaptive_quad(f, lo, hi, config=DEFAULT_QUAD, cut=None):
+    """Globally adaptive 21-point Gauss-Kronrod integrals of m real integrands at once.
+
+    `lo`, `hi` (and `cut`) hold one entry each; f(x, k) takes the (r, 21)
+    nodes of r intervals and their entry indices k and returns an array of
+    x's shape.  Each round calls f once, on the 21 qk21 nodes of every
+    interval that any entry bisects.  Entry k stops once its summed error
+    estimate is at most max(abs_tol, rel_tol |I_k|); until then every one of
+    its intervals whose error exceeds that target divided by its interval
+    count is bisected, which always includes its worst one.  An entry whose
+    `cut` lies strictly inside (lo_k, hi_k) starts from the two intervals on
+    either side of it.  An entry fails alone when it would need more than
+    `config.limit` intervals or meets a value that is not finite; the others
+    carry on.  Returns (values, errors, failed): the integrals, the summed
+    error estimates and {k: message} of the failed entries, whose values are
+    nan.  An entry with hi <= lo is 0.
+
+    With scalar `lo` and `hi` this is the one-entry case: f takes the nodes
+    alone, the integral is returned as a float and a failure raises
+    NumericsError.
     """
-    if hi <= lo:
-        return 0.0
-    a, b = np.array([float(lo)]), np.array([float(hi)])
-    res, err = _qk21(f, a, b)
-    while True:
-        total = np.sum(res)
-        target = max(config.abs_tol, config.rel_tol * abs(total))
-        if np.sum(err) <= target:
-            return float(total)
-        split = err > target / a.size
-        if a.size + np.count_nonzero(split) > config.limit:
-            raise NumericsError(
-                f"quadrature on [{lo:g}, {hi:g}] did not converge: "
-                f"achieved abs error {np.sum(err):.3e} (target {config.abs_tol:.1e})"
-            )
+    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        value, _, failed = adaptive_quad(lambda x, k: f(x), np.array([float(lo)]),
+                                         np.array([float(hi)]), config, cut)
+        _raise_failed(failed)
+        return float(value[0])
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    m = lo.size
+    cut = np.broadcast_to(np.nan if cut is None else np.asarray(cut, dtype=float), (m,))
+    value, error, failed = np.zeros(m), np.zeros(m), {}
+    dead = np.zeros(m, dtype=bool)
+    two = (lo < cut) & (cut < hi)
+    first, second = np.flatnonzero(hi > lo), np.flatnonzero(two)
+    k = np.concatenate([first, second])
+    a = np.concatenate([lo[first], cut[second]])
+    b = np.concatenate([np.where(two, cut, hi)[first], hi[second]])
+    res, err = _qk21(lambda x: f(x, k), a, b)
+    while k.size:
+        for row in np.flatnonzero(~np.isfinite(res))[::-1]:  # an entry's first bad interval names it
+            j = int(k[row])
+            failed[j] = f"integrand is not finite on [{a[row]:.17g}, {b[row]:.17g}]"
+            dead[j], error[j] = True, np.inf
+        n = np.bincount(k, minlength=m)
+        total, summed = np.bincount(k, res, m), np.bincount(k, err, m)
+        target = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
+        done = (n > 0) & ~dead & (summed <= target)
+        value[done], error[done] = total[done], summed[done]
+        split = err > (target / np.maximum(n, 1))[k]
+        over = (n + np.bincount(k[split], minlength=m) > config.limit) & (n > 0) & ~dead & ~done
+        for j in np.flatnonzero(over).tolist():
+            failed[j] = (f"quadrature on [{lo[j]:g}, {hi[j]:g}] did not converge: "
+                         f"achieved abs error {summed[j]:.3e} (target {config.abs_tol:.1e})")
+            error[j] = summed[j]
+        dead |= over
+        stay = ~(done | dead)[k]
+        k, a, b, res, err, split = k[stay], a[stay], b[stay], res[stay], err[stay], split[stay]
+        if not k.size:
+            break
         mid = 0.5 * (a[split] + b[split])
+        new_k = np.concatenate([k[split], k[split]])
         new_a, new_b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        new_res, new_err = _qk21(f, new_a, new_b)
-        a, b = np.concatenate([a[~split], new_a]), np.concatenate([b[~split], new_b])
+        new_res, new_err = _qk21(lambda x: f(x, new_k), new_a, new_b)
+        k, a, b = (np.concatenate([k[~split], new_k]), np.concatenate([a[~split], new_a]),
+                   np.concatenate([b[~split], new_b]))
         res, err = np.concatenate([res[~split], new_res]), np.concatenate([err[~split], new_err])
+    value[dead] = np.nan
+    return value, error, failed
 
 
-def principal_value(f, pole, lo, hi, scale, config=DEFAULT_QUAD):
-    """PV integral of f over [lo, hi] where f has a simple pole at `pole`.
+def principal_value(f, pole, lo, hi, scale, config=DEFAULT_QUAD, cusp=None):
+    """PV integrals of f over [lo_k, hi_k] through a simple pole at pole_k, for m poles at once.
 
     The window [pole-W, pole+W] is integrated as
     int_0^W (f(pole+u) + f(pole-u)) du, which is finite without knowing the
-    residue; the remaining pole-free pieces go through adaptive quadrature.
-    The half-width W = min(|pole| + 5 scale, 10 scale) follows the
-    integrand's frequency `scale` and stays inside 99% of either side of
-    the domain.
-    """
-    if not lo < pole < hi:
-        raise ValidationError("pole must lie strictly inside the integration domain")
-    w = min(0.99 * (pole - lo), 0.99 * (hi - pole), abs(pole) + 5.0 * scale, 10.0 * scale)
+    residue; the remaining pole-free pieces [lo, pole-W] and [pole+W, hi] are
+    plain integrals.  The half-width W = min(|pole| + 5 scale, 10 scale)
+    follows the integrand's frequency `scale` and stays inside 99% of either
+    side of the domain.  The three pieces of every pole are entries of one
+    `adaptive_quad` call, each with its own target, and a pole fails with the
+    message of its first failed piece.  `cusp`, a point where f is
+    continuous but not smooth, becomes an interval edge of the piece that
+    holds it: u = |cusp - pole| in the paired piece.
 
-    paired = adaptive_quad(lambda u: f(pole + u) + f(pole - u), 0.0, w, config)
-    left = adaptive_quad(f, lo, pole - w, config)
-    right = adaptive_quad(f, pole + w, hi, config)
-    return paired + left + right
+    f(x, k) takes nodes and pole indices; returns (values, errors, failed) as
+    `adaptive_quad` does.  With scalar `pole`, `lo` and `hi` this is the
+    one-pole case: f takes the nodes alone, a float is returned and a failure
+    raises NumericsError.
+    """
+    if np.ndim(pole) == 0 and np.ndim(lo) == 0 and np.ndim(hi) == 0:
+        value, _, failed = principal_value(lambda x, k: f(x), np.array([float(pole)]),
+                                           lo, hi, scale, config, cusp)
+        _raise_failed(failed)
+        return float(value[0])
+    pole, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (pole, lo, hi)))
+    if not np.all((lo < pole) & (pole < hi)):
+        raise ValidationError("pole must lie strictly inside the integration domain")
+    m = pole.size
+    w = np.minimum(np.minimum(0.99 * (pole - lo), 0.99 * (hi - pole)),
+                   np.minimum(np.abs(pole) + 5.0 * scale, 10.0 * scale))
+
+    def pieces(x, e):
+        # entries [0, m) are the paired window, [m, 2m) the left and [2m, 3m) the right piece
+        k, paired = e % m, e < m
+        u, kp = x[paired], k[paired]
+        centre = pole[kp, None]
+        v = np.asarray(f(np.concatenate([centre + u, centre - u, x[~paired]]),
+                         np.concatenate([kp, kp, k[~paired]])), dtype=float)
+        out = np.empty(x.shape)
+        out[paired] = v[:kp.size] + v[kp.size:2 * kp.size]
+        out[~paired] = v[2 * kp.size:]
+        return out
+
+    cuts = None if cusp is None else np.concatenate([np.abs(cusp - pole), np.full(2 * m, float(cusp))])
+    v, err, failed = adaptive_quad(pieces, np.concatenate([np.zeros(m), lo, pole + w]),
+                                   np.concatenate([w, pole - w, hi]), config, cuts)
+    by_pole = {}
+    for j in sorted(failed):  # paired, left, right
+        by_pole.setdefault(j % m, failed[j])
+    return v[:m] + v[m:2 * m] + v[2 * m:], err[:m] + err[m:2 * m] + err[2 * m:], by_pole
 
 
 def panel_nodes(lo, hi, osc_freq, structure_scale):

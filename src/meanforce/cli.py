@@ -35,7 +35,7 @@ import numpy as np
 from ._quad import DEFAULT_QUAD, QuadratureConfig
 from .bath import DiscreteBath, OhmicBath
 from .corrections import build_upsilon_table
-from .errors import MeanforceError, NumericsError, ValidationError
+from .errors import MeanforceError, ValidationError
 from .generators import (
     build_davies_generator,
     build_redfield_generator,
@@ -314,12 +314,11 @@ def run_corrections(cfg):
     failures = []
     if cfg.is_qubit_sweep:
         bath = cfg.bath_list()[0]
-        for bw0 in cfg.sweep_values:
-            try:
-                vals = qubit_sweep_point(bath, bw0 / bath.beta, bath.coupling, cfg.quad)
-            except NumericsError as exc:
-                vals = None
-                failures.append(f"sweep value {bw0:g}: {exc}")
+        points, messages = qubit_sweep_point(bath, [bw0 / bath.beta for bw0 in cfg.sweep_values],
+                                             bath.coupling, cfg.quad)
+        for bw0, vals, msg in zip(cfg.sweep_values, points, messages):
+            if msg is not None:
+                failures.append(f"sweep value {bw0:g}: {msg}")
             for kind in SWEEP_KINDS:
                 for name in SWEEP_NAMES:
                     if vals is None:

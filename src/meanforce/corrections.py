@@ -35,11 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, _diff_quotient, adaptive_quad, principal_value
+from ._quad import DEFAULT_QUAD, _diff_quotient, _raise_failed, adaptive_quad, principal_value
 from .bath import (
     OhmicBath,
     S_finite_time,
     _check_atom_pole,
+    _long_time_pair,
     as_measure,
     bath_list,
     gamma_finite_time,
@@ -55,6 +56,9 @@ _EXP_GUARD = 300.0  # |beta*w| beyond which thermal-ratio formulas overflow
 
 
 def _exp_factor(x):
+    """e^x by math.exp, elementwise for an array."""
+    if np.ndim(x):
+        return np.array([_exp_factor(v) for v in np.ravel(x)]).reshape(np.shape(x))
     if abs(x) > _EXP_GUARD:
         raise DomainError(f"thermal exponent beta*w = {x:g} out of supported range")
     return math.exp(x)
@@ -87,10 +91,11 @@ def _E_prime(x, beta):
 
 
 def _E_diff_quotient(x, x0, beta):
-    """(E(x) - E(x0)) / (x - x0), midpoint-derivative branch for small gaps."""
+    """(E(x) - E(x0)) / (x - x0), midpoint-derivative branch for small gaps; x0 broadcasts."""
     x = np.asarray(x, dtype=float)
     return _diff_quotient(_E(x, beta) - _E(x0, beta), x - x0, beta, 1e-5,
-                          lambda small: _E_prime(0.5 * (x[small] + x0), beta))
+                          lambda small: _E_prime(0.5 * (x[small] + np.broadcast_to(x0, x.shape)[small]),
+                                                 beta))
 
 
 def kernel_D(beta, w, wp, big_omega):
@@ -98,14 +103,15 @@ def kernel_D(beta, w, wp, big_omega):
 
     Evaluated as D = -(E(w - W) - E(a)) / ((w' - W) E(a)) with a = w - w',
     which reproduces the textbook form away from the removable points and the
-    diagonal form (1 - e^{b(w-W)} + b(w-W)) / (b (w-W)^2) at w = w'.
+    diagonal form (1 - e^{b(w-W)} + b(w-W)) / (b (w-W)^2) at w = w'.  w, w'
+    and W broadcast against each other; all scalars give a float.
     """
     if beta <= 0:
         raise ValidationError("beta must be positive")
-    a = w - wp
+    a = np.subtract(w, wp)
     x = w - np.asarray(big_omega, dtype=float)
     val = -_E_diff_quotient(x, a, beta) / _E(a, beta)
-    return val if np.ndim(big_omega) else float(val)
+    return val if np.ndim(val) else float(val)
 
 
 def _kernel_D_folded_negative(beta, w, wp, big_omega):
@@ -113,17 +119,19 @@ def _kernel_D_folded_negative(beta, w, wp, big_omega):
 
     e^{-bW} E(w + W) = e^{bw} E(-w - W), so the numerator
     N(W) = e^{bw} E(-w-W) - e^{-bW} E(a) stays bounded; its zero at W = -w'
-    is removable and handled by a midpoint-derivative branch.
+    is removable and handled by a midpoint-derivative branch.  w and w'
+    broadcast against W.
     """
-    a = w - wp
+    a = np.subtract(w, wp)
     big_omega = np.asarray(big_omega, dtype=float)
-    ea = float(_E(a, beta))
-    ebw = _exp_factor(beta * w)
-    num = ebw * _E(-(w + big_omega), beta) - np.exp(-beta * big_omega) * _E(a, beta)
+    ea = _E(a, beta)
+    ebw = _exp_factor(beta * np.asarray(w, dtype=float))
+    num = ebw * _E(-(w + big_omega), beta) - np.exp(-beta * big_omega) * ea
 
     def nprime(small):  # derivative of N at the midpoint of [W, -w']
-        mid = 0.5 * (big_omega[small] + (-wp))
-        return -ebw * _E_prime(-(w + mid), beta) + beta * np.exp(-beta * mid) * ea
+        w_s, wp_s, ebw_s, ea_s = (np.broadcast_to(v, num.shape)[small] for v in (w, wp, ebw, ea))
+        mid = 0.5 * (big_omega[small] + (-wp_s))
+        return -ebw_s * _E_prime(-(w_s + mid), beta) + beta * np.exp(-beta * mid) * ea_s
 
     return -_diff_quotient(num, wp + big_omega, beta, 1e-5, nprime) / ea
 
@@ -147,21 +155,32 @@ def upsilon_mean_force(bath, w, wp, representation="kernel", config=DEFAULT_QUAD
         return num / (ew - ewp)
     if representation != "kernel":
         raise ValidationError(f"unknown representation {representation!r}")
+    values, failed = _mean_force_kernel(measure, [w], [wp], config)
+    _raise_failed(failed)
+    return float(values[0])
 
-    total = 0.0
+
+def _mean_force_kernel(measure, w, wp, config):
+    """(Y_mf(w_k, w'_k) of the kernel representation, {k: message} of the failed entries)
+    over the pairs of two equal-length frequency lists, in one batched integral."""
+    beta = measure.beta
+    w, wp = np.array(w, dtype=float), np.array(wp, dtype=float)
+    total = np.zeros(w.size)
     for loc, wgt in measure.atoms:
         total += wgt * kernel_D(beta, w, wp, loc) / (2.0 * np.pi)
+    failed = {}
     if measure.density is not None:
-        hi = measure.support + abs(w) + abs(wp) + 1.0
+        hi = measure.support + np.abs(w) + np.abs(wp) + 1.0
 
-        def folded(om):
-            om = np.asarray(om)
+        def folded(om, k):
+            wk, wpk = w[k, None], wp[k, None]
             return measure.density(om) * (
-                kernel_D(beta, w, wp, om) + _kernel_D_folded_negative(beta, w, wp, om)
+                kernel_D(beta, wk, wpk, om) + _kernel_D_folded_negative(beta, wk, wpk, om)
             )
 
-        total += adaptive_quad(folded, 0.0, hi, config) / (2.0 * np.pi)
-    return total
+        integral, _, failed = adaptive_quad(folded, np.zeros(w.size), hi, config)
+        total += integral / (2.0 * np.pi)
+    return total, failed
 
 
 def upsilon_dynamical(bath, w, wp, config=DEFAULT_QUAD):
@@ -273,28 +292,38 @@ def tls_time_integrated_balance(bath, w, config=DEFAULT_QUAD):
     as gamma(W) [E(w-W)/(W-w) - e^{beta w} E(-W-w)/(W+w)] with one simple pole
     at W = |w|.
     """
-    if w == 0.0:
+    values, failed = _balance_integrals(as_measure(bath), [w], config)
+    _raise_failed(failed)
+    return float(values[0])
+
+
+def _balance_integrals(measure, w, config):
+    """(T(w_k), {k: message} of the failed entries) over a frequency list, in one
+    batched principal-value call with a pole at |w_k| for each entry."""
+    w = np.array(w, dtype=float)
+    if np.any(w == 0.0):
         raise DomainError("T(w) is defined for w != 0")
-    measure = as_measure(bath)
     beta = measure.beta
-    _check_atom_pole(measure, w)
-    total = 0.0
+    for x in w:
+        _check_atom_pole(measure, x)
+    total = np.zeros(w.size)
     for loc, wgt in measure.atoms:
         d = loc - w
-        total += wgt * float(_E(-d, beta)) / d / np.pi
+        total += wgt * _E(-d, beta) / d / np.pi
+    failed = {}
     if measure.density is not None:
         ebw = _exp_factor(beta * w)
-        pole = abs(w)
-        hi = measure.support + abs(w) + 1.0
 
-        def integrand(om):
-            om = np.asarray(om)
+        def integrand(om, k):
+            wk, ek = w[k, None], ebw[k, None]
             return measure.density(om) * (
-                _E(w - om, beta) / (om - w) - ebw * _E(-(om + w), beta) / (om + w)
+                _E(wk - om, beta) / (om - wk) - ek * _E(-(om + wk), beta) / (om + wk)
             ) / np.pi
 
-        total += principal_value(integrand, pole, 0.0, hi, measure.scale, config)
-    return total
+        pv, _, failed = principal_value(integrand, np.abs(w), 0.0, measure.support + np.abs(w) + 1.0,
+                                        measure.scale, config)
+        total += pv
+    return total, failed
 
 
 def tls_diagonal_steady(bath, omega0, equation, config=DEFAULT_QUAD):
@@ -310,10 +339,11 @@ def tls_diagonal_steady(bath, omega0, equation, config=DEFAULT_QUAD):
         return 0.0, 0.0
     if equation != "cumulant":
         raise ValidationError(f"unknown equation kind {equation!r}")
-    beta = as_measure(bath).beta
-    plus = tls_time_integrated_balance(bath, omega0, config) / (2.0 * beta)
-    minus = tls_time_integrated_balance(bath, -omega0, config) / (2.0 * beta)
-    return plus, minus
+    measure = as_measure(bath)
+    values, failed = _balance_integrals(measure, [omega0, -omega0], config)
+    _raise_failed(failed)
+    plus, minus = values / (2.0 * measure.beta)
+    return float(plus), float(minus)
 
 
 def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
@@ -360,23 +390,71 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
 # --- full coefficient tables ---------------------------------------------------
 
 
+def _pair_view(beta, freqs, kmat, dyn):
+    """A spec whose K and Y_dyn look up the long-time pair (kmat, dyn) over `freqs`.
+    Python complex scalars, as the per-entry spec returns, keep every cell's bits."""
+    at = {w: i for i, w in enumerate(freqs)}
+    return kossakowski_custom(beta, lambda a, b, w, wp: complex(kmat[at[w], at[wp]]),
+                              lambda a, b, w, wp: complex(dyn[at[w], at[wp]]))
+
+
 def _bath_table(kind, measure, freqs, config):
     """One bath's n x n table of a correction over its frequency list.  The
+    mean-force table is one batched integral over all n^2 entries.  The
     dynamical and steady-state tables read one long-time Redfield pair (K, Y_dyn);
     the steady-state coherences w != w' pass a view of it, over the list closed
     under w -> -w, to `upsilon_steady_offdiag`, and its diagonal is the gauge zero."""
     if kind == "mean_force":
-        return [[upsilon_mean_force(measure, w, wp, "kernel", config) for wp in freqs] for w in freqs]
+        n = len(freqs)
+        values, failed = _mean_force_kernel(measure, np.repeat(freqs, n), np.tile(freqs, n), config)
+        _raise_failed(failed)
+        return values.reshape(n, n)
     if kind == "dynamical":
         return redfield_pair_matrices(measure, freqs, np.inf, config)[1]
     closed = sorted(set(freqs) | {-w for w in freqs})
-    at = {w: i for i, w in enumerate(closed)}
-    kmat, dyn = redfield_pair_matrices(measure, closed, np.inf, config)
-    # Python complex scalars, as the per-entry spec returns, keep every cell's bits
-    view = kossakowski_custom(measure.beta, lambda a, b, w, wp: complex(kmat[at[w], at[wp]]),
-                              lambda a, b, w, wp: complex(dyn[at[w], at[wp]]))
+    view = _pair_view(measure.beta, closed, *redfield_pair_matrices(measure, closed, np.inf, config))
     return [[0.0 if w == wp else upsilon_steady_offdiag(view, measure, w, wp, config=config)
              for wp in freqs] for w in freqs]
+
+
+def _qubit_sweep(measure, w0, config):
+    """The qubit sweep's coefficient combinations at every w0 > 0 of an array, each
+    integral one batched call over all points: S(w) over the union of (-w0, 0, w0),
+    four mean-force entries and T(+-w0) per point.
+
+    Returns (points, failures): per point kind -> (Y(0,-w0) - Y(w0,0),
+    Y(w0,w0) - Y(-w0,-w0)) for "mf", "dyn", "st_redfield" and "st_cumulant"
+    (whose diagonal is T(w0)/2beta - T(-w0)/2beta), or None where one of its
+    integrals failed, and that integral's message, or None.  A failed integral
+    fails only the points that read it (S(0) is read by all).
+    """
+    n, zero = w0.size, np.zeros(w0.size)
+    freqs = np.unique(np.concatenate([-w0, zero, w0])).tolist()
+    (kmat, dyn), s_failed = _long_time_pair(measure, freqs, config)
+    view = _pair_view(measure.beta, freqs, kmat, dyn)
+    # (0, -w0), (w0, 0), (w0, w0), (-w0, -w0) per point
+    mf, mf_failed = _mean_force_kernel(measure, np.stack([zero, w0, w0, -w0], 1).ravel(),
+                                       np.stack([-w0, zero, w0, -w0], 1).ravel(), config)
+    balance, t_failed = _balance_integrals(measure, np.concatenate([w0, -w0]), config)
+    cp, cm = np.split(balance / (2.0 * measure.beta), 2)
+    points, failures = [], []
+    for i, w in enumerate(w0.tolist()):
+        im, i0, ip = freqs.index(-w), freqs.index(0.0), freqs.index(w)
+        msgs = [s_failed.get(im), s_failed.get(i0), s_failed.get(ip)]
+        msgs += [mf_failed.get(j) for j in range(4 * i, 4 * i + 4)] + [t_failed.get(i), t_failed.get(n + i)]
+        failures.append(next((m for m in msgs if m is not None), None))
+        if failures[-1] is not None:
+            points.append(None)
+            continue
+        st_off = (upsilon_steady_offdiag(view, measure, 0.0, -w, config=config)
+                  - upsilon_steady_offdiag(view, measure, w, 0.0, config=config))
+        points.append({
+            "mf": (mf[4 * i] - mf[4 * i + 1], mf[4 * i + 2] - mf[4 * i + 3]),
+            "dyn": (dyn[i0, im] - dyn[ip, i0], dyn[ip, ip] - dyn[im, im]),
+            "st_redfield": (st_off, 0.0),
+            "st_cumulant": (st_off, cp[i] - cm[i]),
+        })
+    return points, failures
 
 
 def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_QUAD):

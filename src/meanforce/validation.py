@@ -14,7 +14,7 @@ import numpy as np
 from ._quad import DEFAULT_QUAD
 from .bath import OhmicBath, as_measure, integrated_gamma_matrix, lamb_shift_S
 from .corrections import (
-    _bath_table,
+    _qubit_sweep,
     build_upsilon_table,
     kossakowski_custom,
     kossakowski_redfield,
@@ -24,7 +24,7 @@ from .corrections import (
     upsilon_mean_force,
     upsilon_steady_offdiag,
 )
-from .errors import DetailedBalanceError
+from .errors import DetailedBalanceError, NumericsError, ValidationError
 from .generators import (
     _checked_expm,
     build_cumulant_exponent,
@@ -320,30 +320,33 @@ SWEEP_BW0 = tuple(float(v) for v in np.linspace(0.1, 5.0, 20))  # the default be
 
 
 def qubit_sweep_point(bath, w0, gamma_c, config=DEFAULT_QUAD):
-    """Normalised coefficient combinations of a qubit at one frequency.
+    """Normalised coefficient combinations of a qubit at one frequency, or at each of a list.
 
-    Returns (kind, name) -> value with the figure's axis normalisation
+    A point is (kind, name) -> value with the figure's axis normalisation
     beta * [Y_k(0,-w0) - Y_k(w0,0)] / gamma_c (re, im) and
-    beta * [Y_k(w0,w0) - Y_k(-w0,-w0)] / gamma_c.
+    beta * [Y_k(w0,w0) - Y_k(-w0,-w0)] / gamma_c.  For a list of w0 each
+    integral is one batched call over all points: the S(w) over the union of
+    (-w0, 0, w0), the four mean-force kernels and T(+-w0) of every point.  It
+    returns (points, failures): each point's dict, or None where one of its
+    integrals failed, and that integral's message, or None; a failed integral
+    fails only the points that read it (S(0) is read by all).  A scalar w0 is
+    the one-point case: it returns the dict, and a failed integral raises
+    NumericsError.
     """
+    if np.ndim(w0) == 0:
+        points, failures = qubit_sweep_point(bath, [w0], gamma_c, config)
+        if failures[0] is not None:
+            raise NumericsError(failures[0])
+        return points[0]
+    if np.min(w0) <= 0:
+        raise ValidationError("omega0 must be positive")
+    points, failures = _qubit_sweep(as_measure(bath), np.array(w0, dtype=float), config)
     norm = bath.beta / gamma_c
-    freqs = (-w0, 0.0, w0)  # table index 0, 1, 2
-    dyn = _bath_table("dynamical", as_measure(bath), freqs, config)
-    st = _bath_table("steady_state", as_measure(bath), freqs, config)
+    return [None if p is None else _normalised(norm, p) for p in points], failures
 
-    vals = {}
-    vals["mf"] = (
-        upsilon_mean_force(bath, 0.0, -w0, "kernel", config)
-        - upsilon_mean_force(bath, w0, 0.0, "kernel", config),
-        upsilon_mean_force(bath, w0, w0, "kernel", config)
-        - upsilon_mean_force(bath, -w0, -w0, "kernel", config),
-    )
-    vals["dyn"] = (dyn[1][0] - dyn[2][1], dyn[2][2] - dyn[0][0])
-    st_off = st[1][0] - st[2][1]
-    vals["st_redfield"] = (st_off, 0.0)
-    cp, cm = tls_diagonal_steady(bath, w0, "cumulant", config)
-    vals["st_cumulant"] = (st_off, cp - cm)
 
+def _normalised(norm, vals):
+    """kind -> (off-diagonal, diagonal) combinations as the (kind, name) -> value of a point."""
     out = {}
     for kind, (off, diag) in vals.items():
         out[(kind, "offdiag_re")] = float(np.real(off)) * norm
@@ -353,11 +356,15 @@ def qubit_sweep_point(bath, w0, gamma_c, config=DEFAULT_QUAD):
 
 
 def qubit_sweep_rows(case):
-    """(bw0, kind, name) -> value over the default beta*w0 sweep."""
+    """(bw0, kind, name) -> value over the default beta*w0 sweep, in one batched pass."""
     bath = case.bath()
+    points, failures = qubit_sweep_point(bath, np.array(SWEEP_BW0) / case.beta,
+                                         case.coupling_strength, case.config)
+    for msg in failures:
+        if msg is not None:
+            raise NumericsError(msg)
     rows = {}
-    for bw0 in SWEEP_BW0:
-        point = qubit_sweep_point(bath, bw0 / case.beta, case.coupling_strength, case.config)
+    for bw0, point in zip(SWEEP_BW0, points):
         for (kind, name), v in point.items():
             rows[(bw0, kind, name)] = v
     return rows

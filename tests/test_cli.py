@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanforce import bath as mb
 from meanforce.bath import stacked_tables
 from meanforce.cli import RunConfig, load_config, main, parse_config, read_corrections_csv
 from meanforce.errors import ValidationError
@@ -330,13 +332,44 @@ class TestCorrectionsTask:
         assert (tmp_path / "p.csv").read_bytes() == a
 
     def test_quadrature_limit_reaches_workers(self, tmp_path, capsys):
-        # limit 10 cannot resolve the spectral integrals at beta*w0 = 1
+        # limit 10 cannot resolve T(w0) at beta*w0 = 1 and rel_tol 1e-9 (at the default
+        # 1e-8 every integral of this point converges within 10 intervals)
         cfg = write_config(tmp_path, sweep={"parameter": "omega0", "values": [1.0]},
-                           quadrature={"limit": 10}, output=str(tmp_path / "lim.csv"))
+                           quadrature={"limit": 10, "rel_tol": 1e-9}, output=str(tmp_path / "lim.csv"))
         assert main(["corrections", "--config", cfg]) == 0
         rows = (tmp_path / "lim.csv").read_text().strip().split("\n")[1:]
         assert rows and all(r.endswith(",nan,nan") for r in rows)
         assert "warning: sweep value 1" in capsys.readouterr().err
+
+    def test_failed_point_alone(self, tmp_path, capsys, monkeypatch):
+        # a density that is nan within 1e-6 of W = 1002.5, the centre node of the first
+        # round of Y_mf(+-w0, +-w0) at w0 = 2 (domain [0, support + 2 w0 + 1]), fails
+        # those two integrals only; the batched sweep gives nan rows for that point
+        # alone, and the other points' rows equal their one-point runs
+        real, holed = mb.gamma_spectral, {}
+
+        def with_hole(b):
+            if b not in holed:
+                m = real(b)
+                holed[b] = dataclasses.replace(
+                    m, density=lambda w: np.where(np.abs(w - 1002.5) < 1e-6, np.nan, m.density(w)))
+            return holed[b]
+
+        monkeypatch.setattr(mb, "gamma_spectral", with_hole)
+
+        def run(values, name):
+            cfg = write_config(tmp_path, sweep={"parameter": "omega0", "values": values},
+                               output=str(tmp_path / name))
+            assert main(["corrections", "--config", cfg]) == 0
+            return (tmp_path / name).read_text().strip().split("\n")[1:]
+
+        rows = run([0.5, 1.0, 2.0], "all.csv")
+        err = capsys.readouterr().err
+        assert "warning: sweep value 2: integrand is not finite" in err
+        assert "sweep value 0.5" not in err and "sweep value 1:" not in err
+        assert len(rows) == 36 and all(r.endswith(",nan,nan") for r in rows[24:])
+        assert rows[:12] == run([0.5], "half.csv")
+        assert rows[12:24] == run([1.0], "one.csv")
 
     @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--tol-abs", "-1"),
                                              ("--tol-abs", "0"), ("--tol-rel", "nan"),

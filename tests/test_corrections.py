@@ -324,14 +324,15 @@ class TestStackedTables:
 
     @pytest.mark.parametrize("second, n_calls", [("same", 25), ("other", 18)])
     def test_mean_force_integrals_per_union_entry(self, two_on_one_bath, monkeypatch, second, n_calls):
-        # one bath: 5 union frequencies, 25 integrals for the 36 entries
+        # one bath: 5 union frequencies, 25 integrals for the 36 entries, in one batch per bath
         _, jumps, bath = two_on_one_bath
-        calls = []
-        engine = corrections.upsilon_mean_force
-        monkeypatch.setattr(corrections, "upsilon_mean_force",
-                            lambda *args: calls.append(args) or engine(*args))
+        batches = []
+        engine = corrections._mean_force_kernel
+        monkeypatch.setattr(corrections, "_mean_force_kernel",
+                            lambda m, w, wp, config: batches.append(len(w)) or engine(m, w, wp, config))
         build_upsilon_table("mean_force", jumps, _two_baths(bath, second))
-        assert len(calls) == n_calls
+        assert sum(batches) == n_calls
+        assert len(batches) == (1 if second == "same" else 2)
 
     @pytest.mark.parametrize("kind, equation, error", [
         ("lamb_shift", "redfield", ValidationError),
@@ -396,10 +397,14 @@ class TestLongTimePair:
         build_upsilon_table("steady_state", jumps, _two_baths(bath, second))
         assert len(calls) == n_calls
 
-    def test_sweep_point_two_pairs(self, bath, monkeypatch):
-        calls = _count_pairs(monkeypatch)
-        qubit_sweep_point(bath, 1.0, 1.0)
-        assert len(calls) == 2
+    def test_sweep_one_pair(self, bath, monkeypatch):
+        # a whole sweep reads one long-time pair, over the union of its (-w0, 0, w0)
+        calls = []
+        engine = corrections._long_time_pair
+        monkeypatch.setattr(corrections, "_long_time_pair",
+                            lambda m, freqs, config: calls.append(freqs) or engine(m, freqs, config))
+        qubit_sweep_point(bath, [0.5, 1.0, 2.0], 1.0)
+        assert calls == [[-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]]
 
     @pytest.mark.parametrize("bw0", [0.1, 1.3, 4.2])
     def test_sweep_point_equals_per_entry_functions(self, bath, bw0):
@@ -430,10 +435,11 @@ def _seeded_d4(seed):
     return [bohr_decompose(spectral_decompose(0.5 * (h0 + h0.conj().T)), 0.5 * (b + b.conj().T))]
 
 
-def _claim_two_gap(jumps, baths, config=_quad.DEFAULT_QUAD):
-    """max over w != w' of |Y_st - Y_mf| for the Redfield steady table, over max |Y_mf|."""
-    mf = build_upsilon_table("mean_force", jumps, baths, config=config).entries
-    st = build_upsilon_table("steady_state", jumps, baths, config=config).entries
+def _claim_two_gap(jumps, baths):
+    """max over w != w' of |Y_st - Y_mf| for the Redfield steady table, over max |Y_mf|,
+    at the default tolerances."""
+    mf = build_upsilon_table("mean_force", jumps, baths).entries
+    st = build_upsilon_table("steady_state", jumps, baths).entries
     coherences = sorted(k for k in st if k[2] != k[3])
     assert coherences == sorted(k for k in mf if k[2] != k[3])
     return max(abs(st[k] - mf[k]) for k in coherences) / max(abs(v) for v in mf.values())
@@ -450,9 +456,4 @@ class TestClaimTwoTables:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_d4(self, bath, seed):
-        # At the default tolerances S(w) errs by up to about 2e-8 relative, and the
-        # coherence formula multiplies that by e^{b(w+w')}/|e^{bw} - e^{bw'}|, about 27
-        # for the largest frequencies here: the gap is then 2.0e-7 at seed 0.  At
-        # 1e-10 the integrals resolve the identity (gaps below 1e-10).
-        config = _quad.QuadratureConfig(abs_tol=1e-10, rel_tol=1e-10)
-        assert _claim_two_gap(_seeded_d4(seed), bath, config) <= 1e-8
+        assert _claim_two_gap(_seeded_d4(seed), bath) <= 1e-8

@@ -17,6 +17,10 @@ Three kinds of integrals recur throughout the package:
   `bath._discretize` on the panel rule `panel_nodes`: fixed-order
   Gauss-Legendre panels, at most one oscillation period each, with positive
   weights so Gram-structured integrands stay positive semi-definite.
+  `bath._phi_blocks` walks those nodes in blocks and forms phi_t from a
+  factorised rotation; `phi_kernel` is the reference it is tested against
+  and the kernel it keeps for small arguments, and `phi_diff_quotient`
+  gives the difference quotients near the switch.
 
 A batched integrand takes the (r, 21) node array of r intervals and their
 entry indices and returns an array of the nodes' shape; with scalar limits
@@ -26,12 +30,23 @@ entry indices and returns an array of the nodes' shape; with scalar limits
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericsError, ValidationError
 
-_GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
+# 16-point Gauss-Legendre rule of the panels: the positive nodes, ascending,
+# and their weights (repr-exact copies of numpy's leggauss(16), which is
+# symmetric to the bit)
+_XGL = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_WGL = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GL_NODES = np.concatenate([-_XGL[::-1], _XGL])
+_GL_WEIGHTS = np.concatenate([_WGL[::-1], _WGL])
+_GL_ORDER = _GL_NODES.size
 _MIN_PANELS = 8
 _MAX_PANEL_NODES = 4_000_000
 _PHI_SWITCH = 1e-6  # |(x - x0) t| below which phi_diff_quotient takes the midpoint phi_t'

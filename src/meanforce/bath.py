@@ -43,6 +43,7 @@ from ._quad import (
 from .errors import NumericsError, PoleError, ValidationError
 
 _SUPPORT_MULT = 40.0  # Ohmic support radius in units of max(cutoff, 1/beta)
+_PHI_BLOCK = 1024  # discretisation nodes per phi block of the finite-time transforms
 
 __all__ = [
     "OhmicBath",
@@ -308,11 +309,66 @@ def _discretize(measure, rate, reach):
     return np.concatenate(nodes), np.concatenate(c)
 
 
-def _phi_table(measure, freqs, t):
-    """(nodes W_k, weights c_k, phi_t(w_i - W_k) as a nodes x n array) on one discretisation."""
-    fa = np.array(freqs, dtype=float)
+def _phi_blocks(measure, freqs, t):
+    """Walk one discretisation in blocks: yield (W_k, c_k, x, phi, small) per block.
+
+    The nodes are those of `_discretize`: the atoms form their own blocks, then
+    the panel nodes, at most _PHI_BLOCK of each per block.  x_ik = w_i - W_k
+    and phi_ik = phi_t(x_ik) are n x (block) arrays, contiguous along the
+    nodes.  phi comes from the factorised rotation e^{ih} = e^{itw_i/2}
+    e^{-itW_k/2}, h = x t / 2, as t (Im e^{ih} / h) e^{ih}: N + n complex
+    exponentials for the whole discretisation instead of a sin and a cos
+    per entry.  Its phase carries the rounding of both half-phases, so an
+    entry may differ from `phi_kernel` by about eps t max(|w_i|, |W_k|) |phi|.
+    Entries with |h| < 1/2 take `phi_kernel` itself, bit for bit, and
+    `small` is their mask, or None when the block has none.
+    """
+    fa = np.asarray(freqs, dtype=float)
     nodes, c = _discretize(measure, t, np.abs(fa).max())
-    return nodes, c, phi_kernel(fa[None, :] - nodes[:, None], t)
+    half = 0.5 * t
+    rot = np.exp(1j * (half * fa))[:, None]
+    start, n_atoms = 0, len(measure.atoms)
+    while start < nodes.size:
+        stop = min(start + _PHI_BLOCK, n_atoms if start < n_atoms else nodes.size)
+        w = nodes[start:stop]
+        x = fa[:, None] - w
+        h = x * half
+        phi = rot * np.exp(-1j * (half * w))
+        re, im = phi.real, phi.imag
+        with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 is a small entry
+            q = im / h
+        q *= t
+        re *= q
+        im *= q
+        small = np.abs(h, out=h) < 0.5
+        if small.any():
+            phi[small] = phi_kernel(x[small], t)
+        else:
+            small = None
+        yield w, c[start:stop], x, phi, small
+        start = stop
+
+
+def _pairwise_sum(blocks, zero):
+    """Sum of an iterable of equal-shape arrays (`zero` if it is empty), added pairwise.
+
+    A binary counter of partial sums merges two partials of equal block count,
+    so the rounding of the sum grows with the log of the block count, as
+    numpy's own pairwise sums do, not with the count.
+    """
+    partials = []  # (block count, partial sum), counts strictly decreasing
+    for total in blocks:
+        count = 1
+        while partials and partials[-1][0] == count:
+            total = partials.pop()[1] + total
+            count *= 2
+        partials.append((count, total))
+    if not partials:
+        return zero
+    total = partials.pop()[1]
+    while partials:
+        total = partials.pop()[1] + total
+    return total
 
 
 def finite_time_Gamma(bath, omega, t, config=DEFAULT_QUAD):
@@ -329,8 +385,9 @@ def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
     """(gamma(w,w',t), S(w,w',t)) as n x n arrays over the frequency list.
 
     Finite t: gamma = Gamma(w',t) + Gamma(w,t)^*, S = (Gamma(w',t) - Gamma(w,t)^*)/2i
-    with Gamma(w_i,t) = sum_k c_k phi_t(w_i - W_k) on `_phi_table`, the table
-    the cumulant's xi and Xi read.  t = inf: the long-time pair
+    with Gamma(w_i,t) = sum_k c_k phi_t(w_i - W_k) summed block by block over
+    `_phi_blocks`, the nodes and phi the cumulant's xi and Xi read.  t = inf:
+    the long-time pair
     K = (gamma(w)+gamma(w'))/2 + i (S(w')-S(w)),  Y_dyn = (S(w)+S(w'))/2 + i (gamma(w)-gamma(w'))/4,
     formed from the gamma and S vectors directly (not through Gamma(w,oo)),
     which keeps the bits of cells where the sums cancel.
@@ -342,8 +399,8 @@ def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
         return pair
     if t < 0:
         raise ValidationError("t must be nonnegative")
-    _, c, phi = _phi_table(measure, freqs, t)  # phi_0 = 0 exactly
-    big = c @ phi
+    big = _pairwise_sum((phi @ c for _, c, _, phi, _ in _phi_blocks(measure, freqs, t)),
+                        np.zeros(len(freqs), dtype=complex))  # phi_0 = 0 exactly
     return big[None, :] + big.conj()[:, None], (big[None, :] - big.conj()[:, None]) / 2.0j
 
 
@@ -420,34 +477,48 @@ def _log_tail_integral(delta, t0, t1):
 
 
 def _integrated_direct(measure, freqs, t):
-    """(xi, Xi) from two matrix products on the phi table phi_ki = phi_t(w_i - W_k) of `_phi_table`.
+    """(xi, Xi) summed over the phi blocks of `_phi_blocks`, phi_ik = phi_t(w_i - W_k).
 
-    xi is its Gram matrix phi^T (c phi^*), PSD and made exactly Hermitian.  As
-    phi_t(-x) = phi_t(x)^*, Xi = -(D + D^dag)/2 with the difference quotients
-    D_ij = sum_k c_k (phi_ki - phi_t(w_i - w_j)) / (w_j - W_k)
-         = (phi^T R)_ij - phi_t(w_i - w_j) sum_k R_kj,    R_kj = c_k / (w_j - W_k).
-    R is held as n x N, contiguous along the nodes, so the column sums are
-    pairwise.  Node/column pairs with |(w_j - W_k) t| < _PHI_SWITCH are left out
-    of R; each column that has any takes them from `phi_diff_quotient` (phi_t'
-    at the midpoint).  At t = 0 every node would be inside the switch, and
+    Each block gives its Gram matrix phi (c phi^*)^T, so xi is a sum of PSD
+    blocks, made exactly Hermitian at the end; the block matrices of xi and D
+    are added by `_pairwise_sum`.  As phi_t(-x) = phi_t(x)^*,
+    Xi = -(D + D^dag)/2 with the difference quotients
+    D_ij = sum_k c_k (phi_ik - phi_t(w_i - w_j)) / (w_j - W_k)
+         = (phi R^T)_ij - phi_t(w_i - w_j) sum_k R_jk,    R_jk = c_k / (w_j - W_k),
+    and each block gives its own D, cancelled within the block, so an atom's
+    terms cancel before they meet the rest of the sum.  R is n x (block),
+    contiguous along the nodes, so its row sums are pairwise.  Node/column
+    pairs with |(w_j - W_k) t| < _PHI_SWITCH are left out of R; each column
+    that has any in a block takes them from `phi_diff_quotient` (phi_t' at
+    the midpoint).  At t = 0 every node would be inside the switch, and
     phi_0 = phi_0' = 0 makes both matrices exactly zero.
     """
     fa = np.array(freqs, dtype=float)
+    zero = np.zeros((2, fa.size, fa.size), dtype=complex)
     if t == 0:
-        zero = np.zeros((fa.size, fa.size), dtype=complex)
-        return zero, zero.copy()
-    nodes, c, phi = _phi_table(measure, freqs, t)
-    weighted = phi.conj()
-    weighted *= c[:, None]
-    xi = phi.T @ weighted
-    del weighted
-    gap = fa[:, None] - nodes[None, :]
-    inside = np.abs(gap * t) < _PHI_SWITCH
-    r = np.divide(c, gap, out=np.zeros_like(gap), where=~inside)
-    d = (r @ phi).T - phi_kernel(fa[:, None] - fa[None, :], t) * r.sum(axis=1)
-    for j in np.flatnonzero(inside.any(axis=1)):
-        k = inside[j]
-        d[:, j] += c[k] @ phi_diff_quotient(fa[None, :] - nodes[k, None], phi[k], fa - fa[j], t)
+        return zero[0], zero[1]
+    pair = phi_kernel(fa[:, None] - fa[None, :], t)
+
+    def blocks():
+        for _, c, x, phi, small in _phi_blocks(measure, freqs, t):
+            out = np.empty_like(zero)
+            weighted = phi.conj()
+            weighted *= c
+            np.matmul(phi, weighted.T, out=out[0])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = c / x
+            columns = ()
+            if small is not None:
+                inside = small & (np.abs(x * t) < _PHI_SWITCH)
+                r[inside] = 0.0
+                columns = np.flatnonzero(inside.any(axis=1))
+            out[1] = phi @ r.T - pair * r.sum(axis=1)
+            for j in columns:
+                k = inside[j]
+                out[1][:, j] += phi_diff_quotient(x[:, k], phi[:, k], (fa - fa[j])[:, None], t) @ c[k]
+            yield out
+
+    xi, d = _pairwise_sum(blocks(), zero)
     return 0.5 * (xi + xi.conj().T), -0.5 * (d + d.conj().T)
 
 
@@ -481,8 +552,9 @@ def integrated_gamma_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     """Matrix int_0^t e^{i(w-w')s} gamma(w, w', s) ds over the given frequencies.
 
     Computed as the Gram matrix (1/2pi) int gamma(W) phi_t(w-W) phi_t(w'-W)^* dW,
-    so it is positive semi-definite by construction: one matrix product
-    phi^T (c phi^*) on the phi table of `_phi_table`, made exactly Hermitian.
+    so it is positive semi-definite by construction: a sum of Gram blocks
+    phi (c phi^*)^T over the node blocks of `_phi_blocks`, made exactly
+    Hermitian.
     """
     if t < 0:
         raise ValidationError("t must be nonnegative")
@@ -493,10 +565,11 @@ def integrated_gamma_matrix(bath, freqs, t, config=DEFAULT_QUAD):
 def integrated_S_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     """Matrix int_0^t e^{i(w-w')s} S(w, w', s) ds over the given frequencies.
 
-    Xi = -(D + D^dag)/2 with D = phi^T R - phi_t(w_i - w_j) sum_k R_kj,
-    R_kj = c_k / (w_j - W_k): one matrix product on the same phi table as
-    `integrated_gamma_matrix`.  A column with a node |(w_j - W_k) t| < 1e-6
-    takes that node from `phi_diff_quotient` (phi_t' at the midpoint).
+    Xi = -(D + D^dag)/2 with D = phi R^T - phi_t(w_i - w_j) sum_k R_jk,
+    R_jk = c_k / (w_j - W_k), summed over the same node blocks as
+    `integrated_gamma_matrix`, each block cancelled on its own.  A column with
+    a node |(w_j - W_k) t| < 1e-6 takes that node from `phi_diff_quotient`
+    (phi_t' at the midpoint).
     """
     if t < 0:
         raise ValidationError("t must be nonnegative")

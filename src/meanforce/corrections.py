@@ -429,7 +429,7 @@ def _qubit_sweep(measure, w0, config):
     fails only the points that read it (S(0) is read by all).
     """
     n, zero = w0.size, np.zeros(w0.size)
-    freqs = np.unique(np.concatenate([-w0, zero, w0])).tolist()
+    freqs = sorted(set(np.concatenate([-w0, zero, w0]).tolist()))
     (kmat, dyn), s_failed = _long_time_pair(measure, freqs, config)
     view = _pair_view(measure.beta, freqs, kmat, dyn)
     # (0, -w0), (w0, 0), (w0, w0), (-w0, -w0) per point

@@ -326,13 +326,13 @@ class TestIntegratedCoefficients:
         assert len(calls) == 1
 
     def test_one_phi_table_and_quotients_only_in_switch_columns(self, bath, monkeypatch):
-        # xi and Xi are products on one phi table; only a column j with a node
-        # |(w_j - W_k) t| < 1e-6 calls the difference quotient, once
+        # xi and Xi are sums over one walk of the phi blocks; only a column j with a
+        # node |(w_j - W_k) t| < 1e-6 calls the difference quotient, once
         import meanforce.bath as mb
 
         tables, quotients = [], []
-        table, quotient = mb._phi_table, mb.phi_diff_quotient
-        monkeypatch.setattr(mb, "_phi_table", lambda *args: tables.append(args[1:]) or table(*args))
+        table, quotient = mb._phi_blocks, mb.phi_diff_quotient
+        monkeypatch.setattr(mb, "_phi_blocks", lambda *args: tables.append(args[1:]) or table(*args))
         monkeypatch.setattr(mb, "phi_diff_quotient", lambda *args: quotients.append(1) or quotient(*args))
         freqs = (-1.0, 0.0, 0.7, 1.0)
         modes = gamma_spectral(DiscreteBath(beta=bath.beta, modes=((1.0, 0.4),)))
@@ -409,9 +409,7 @@ class TestIntegratedCoefficients:
                 allowance[:, j] += 10.0 * weight / (2.0 * np.pi) * np.abs(q) * d7
         return 0.5 * (allowance + allowance.T)
 
-    @pytest.mark.parametrize("t", [0.5, 5.0, 20.0, 50.0])
-    @pytest.mark.parametrize("name", ["ohmic", "discrete", "mixed", "near_switch"])
-    def test_matches_exactly_summed_reference(self, measures, name, t):
+    def check_exactly_summed(self, measures, name, t):
         # near_switch: atoms exactly on the Bohr frequencies +-1 (midpoint branch)
         # and at 0.7 + 2e-6/t, just above the switch of the column w_j = 0.7
         freqs = (-1.0, 0.0, 0.7, 1.0)
@@ -427,6 +425,57 @@ class TestIntegratedCoefficients:
         allowance = self.d7_allowance(measure, freqs, t)
         assert (name == "near_switch") == (allowance.max() > 0.0)
         assert np.all(np.abs(sig - sig_ref) <= 1e-14 * np.abs(sig_ref).max() + allowance)
+
+    @pytest.mark.parametrize("t", [0.5, 5.0, 20.0, 50.0])
+    @pytest.mark.parametrize("name", ["ohmic", "discrete", "mixed", "near_switch"])
+    def test_matches_exactly_summed_reference(self, measures, name, t):
+        self.check_exactly_summed(measures, name, t)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("name", ["ohmic", "discrete", "mixed", "near_switch"])
+    def test_block_size_keeps_exactly_summed_reference(self, measures, name, block, monkeypatch):
+        # xi and Xi accumulate block by block; the default block size is covered above
+        import meanforce.bath as mb
+
+        monkeypatch.setattr(mb, "_PHI_BLOCK", block)
+        mb._integrated_matrices_cached.cache_clear()
+        try:
+            self.check_exactly_summed(measures, name, 0.5)
+        finally:
+            mb._integrated_matrices_cached.cache_clear()
+
+    @pytest.mark.parametrize("t", [0.5, 10.0, 100.0])
+    @pytest.mark.parametrize("freqs", [(-1.0, 0.0, 0.7, 1.0), "evolve_d4"])
+    def test_rotation_phi_against_phi_kernel(self, measures, freqs, t):
+        # the factorised rotation carries the rounding of both half-phases t w_i / 2 and
+        # t W_k / 2: |phi - phi_kernel| <= 2 eps (1 + t max(|w_i|, |W_k|)) min(t, 2/|x|),
+        # where min(t, 2/|x|) bounds |phi_t(x)|; entries with |x t / 2| < 1/2 are
+        # phi_kernel's own bits (atoms at +-1 sit on two Bohr frequencies)
+        import meanforce.bath as mb
+
+        if freqs == "evolve_d4":
+            freqs = tuple(sorted(set(evolve_d4_frequencies(0))))
+        measure = replace(measures["ohmic"], atoms=gamma_spectral(
+            DiscreteBath(beta=measures["ohmic"].beta, modes=((1.0, 0.4),))).atoms)
+        fa, eps = np.array(freqs), np.finfo(float).eps
+        seen, small_entries = 0, 0
+        for nodes, c, x, phi, small in mb._phi_blocks(measure, freqs, t):
+            assert np.array_equal(x, fa[:, None] - nodes[None, :])
+            ref = phi_kernel(x, t)
+            below = np.abs(0.5 * t * x) < 0.5
+            if small is None:
+                assert not below.any()
+            else:
+                assert np.array_equal(small, below)
+                assert np.array_equal(phi[small], ref[small])
+                small_entries += int(below.sum())
+            reach = np.maximum(np.abs(fa)[:, None], np.abs(nodes)[None, :])
+            with np.errstate(divide="ignore"):
+                size = np.minimum(t, 2.0 / np.abs(x))
+            assert np.all(np.abs(phi - ref) <= 2.0 * eps * (1.0 + t * reach) * size)
+            seen += nodes.size
+        assert seen == mb._discretize(measure, t, np.abs(fa).max())[0].size
+        assert small_entries >= 2
 
     @staticmethod
     def midpoint_nodes(measure, freqs, t, monkeypatch):
@@ -552,6 +601,25 @@ class TestWeightFloor:
         nodes, _ = _discretize(gamma_spectral(bath), t, reach)
         assert self.full_panel(gamma_spectral(bath), t, reach)[0].size == before
         assert nodes.size <= most
+
+
+def test_integrated_gamma_memory_bounded(bath):
+    # no N x n array is held, only the node set and one block: at t = 10 the whole
+    # table of 52,246 nodes x 13 frequencies and its temporaries peaked at 39 MB
+    import tracemalloc
+
+    import meanforce.bath as mb
+
+    freqs = tuple(sorted(set(evolve_d4_frequencies(0))))
+    mb._integrated_matrices_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        integrated_gamma_matrix(bath, freqs, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        mb._integrated_matrices_cached.cache_clear()
+    assert peak <= 10e6
 
 
 class TestMixedMeasure:

@@ -626,3 +626,39 @@ def test_tasks_load_no_scipy(tmp_path):
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [[]] + [[0]] * len(runs)
+
+
+NUMPY_EXTRAS = """
+import json, sys
+import meanforce.cli
+
+def extras():
+    return sorted(m for m in sys.modules if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "polynomial"]))
+
+loaded = [extras()]
+for args in json.loads(sys.argv[1]):
+    code = meanforce.cli.main(args)
+    loaded.append([code] + extras())
+print(json.dumps(loaded))
+"""
+
+
+def test_benchmark_runs_load_no_numpy_ma_or_polynomial(tmp_path):
+    # the seed-0 sweep, steady and evolve runs of perfbench/workloads.py: np.unique
+    # without return_inverse imports numpy.ma, leggauss numpy.polynomial
+    import importlib.util
+    from pathlib import Path
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = []
+    for name in ("qubit_sweep", "steady_d4", "evolve_d4"):
+        cfg = workloads.make_config(name, 0, str(tmp_path / f"{name}.csv"))
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        runs.append([cfg["task"], "--config", str(tmp_path / f"{name}.json")])
+    r = subprocess.run([sys.executable, "-c", NUMPY_EXTRAS, json.dumps(runs)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[]] + [[0]] * len(runs)

@@ -183,6 +183,14 @@ def on_route(monkeypatch, engine, compute):
             bath._lamb_shift_cached.cache_clear()
 
 
+def test_gauss_legendre_literals_are_leggauss():
+    # the panel rule's nodes and weights, written out so no run imports numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(16)
+    assert np.array_equal(_quad._GL_NODES, nodes) and np.array_equal(_quad._GL_WEIGHTS, weights)
+
+
 @pytest.mark.parametrize("degree", range(32))
 def test_qk21_panel_exact_to_degree_31(degree):
     res, err = _qk21(lambda x: x**degree, np.array([0.0]), np.array([1.0]))

@@ -27,15 +27,27 @@ the same reservoir share one gamma, pairs on independent reservoirs vanish.
 each bath once, over the union of its couplings' Bohr frequencies.  The
 dynamical and steady-state tables read K and Y_dyn off that bath's one
 long-time Redfield pair (`bath.redfield_pair_matrices` at t = oo).
+A Kossakowski spec tabulates (K, Y_dyn) as arrays; `_steady_offdiag` is the one route
+from them to Y_st, for the tables, the qubit sweep and `upsilon_steady_offdiag` alike.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD, _diff_quotient, _raise_failed, adaptive_quad, principal_value
+from ._quad import (
+    DEFAULT_QUAD,
+    _diff_quotient,
+    _E,
+    _E_diff_quotient,
+    _E_prime,
+    _raise_failed,
+    adaptive_quad,
+    principal_value,
+)
 from .bath import (
     OhmicBath,
     S_finite_time,
@@ -43,9 +55,7 @@ from .bath import (
     _long_time_pair,
     as_measure,
     bath_list,
-    gamma_finite_time,
     lamb_shift_S,
-    measure_value,
     redfield_pair_matrices,
     stacked_tables,
 )
@@ -62,40 +72,6 @@ def _exp_factor(x):
     if abs(x) > _EXP_GUARD:
         raise DomainError(f"thermal exponent beta*w = {x:g} out of supported range")
     return math.exp(x)
-
-
-# --- stable building blocks -------------------------------------------------
-#
-# E(x) = (e^{beta x} - 1)/x       (E(0) = beta), and (1 - e^{-beta u})/u = E(-u);
-# entire up to the removable point; difference quotients of E switch to
-# a midpoint-derivative branch once the increment is below 1e-5/beta, a
-# crossover validated against extended-precision evaluation in the tests.
-
-
-def _E(x, beta):
-    x = np.asarray(x, dtype=float)
-    bx = beta * x
-    small = np.abs(bx) < 1e-12
-    safe = np.where(small, 1.0, x)
-    return np.where(small, beta * (1.0 + 0.5 * bx), np.expm1(beta * safe) / safe)
-
-
-def _E_prime(x, beta):
-    x = np.asarray(x, dtype=float)
-    bx = beta * x
-    small = np.abs(bx) < 1e-4
-    safe = np.where(small, 1.0, x)
-    exact = (beta * safe * np.exp(beta * safe) - np.expm1(beta * safe)) / safe**2
-    series = beta**2 * (0.5 + bx * (2.0 / 6.0 + bx * (3.0 / 24.0 + bx * 4.0 / 120.0)))
-    return np.where(small, series, exact)
-
-
-def _E_diff_quotient(x, x0, beta):
-    """(E(x) - E(x0)) / (x - x0), midpoint-derivative branch for small gaps; x0 broadcasts."""
-    x = np.asarray(x, dtype=float)
-    return _diff_quotient(_E(x, beta) - _E(x0, beta), x - x0, beta, 1e-5,
-                          lambda small: _E_prime(0.5 * (x[small] + np.broadcast_to(x0, x.shape)[small]),
-                                                 beta))
 
 
 def kernel_D(beta, w, wp, big_omega):
@@ -178,7 +154,7 @@ def _mean_force_kernel(measure, w, wp, config):
                 kernel_D(beta, wk, wpk, om) + _kernel_D_folded_negative(beta, wk, wpk, om)
             )
 
-        integral, _, failed = adaptive_quad(folded, np.zeros(w.size), hi, config)
+        integral, _, failed = adaptive_quad(folded, np.zeros(w.size), hi, config, cut=np.abs(wp))
         total += integral / (2.0 * np.pi)
     return total, failed
 
@@ -188,78 +164,114 @@ def upsilon_dynamical(bath, w, wp, config=DEFAULT_QUAD):
     return S_finite_time(bath, w, wp, np.inf, config)
 
 
-# --- Kossakowski specifications ----------------------------------------------
+# --- Kossakowski specifications and the steady-state coherences ---------------
 
 
 @dataclass(frozen=True)
 class KossakowskiSpec:
-    """Long-time Kossakowski matrix K and dynamical coefficient of one generator.
+    """Long-time Kossakowski matrix K and dynamical coefficient Y_dyn of one generator.
 
-    kind is "redfield", "secular" or "custom"; kmat/dyn map
-    (alpha, beta, w, w') -> complex.  Couplings attached to distinct
-    reservoirs have vanishing cross entries.
+    kind is "redfield", "secular" or "custom".  `tables(n, freqs)` gives both as
+    complex (n, n, m, m) arrays over n couplings and m frequencies: a bath kind runs
+    its pair rule (measure, freqs) -> (K, Y_dyn) once per distinct bath of `baths`
+    (zero across distinct baths; "secular" keeps K on w = w' only), "custom" calls
+    its two callables (a, b, w, w') once per entry.  The rest look up a tabulation.
     """
 
     kind: str
     beta: float
-    kmat: object = field(compare=False)
-    dyn: object = field(compare=False)
+    rule: object = field(compare=False)
+    baths: tuple = field(default=None, compare=False)
+
+    def tables(self, n, freqs):
+        shape = (2, n, n, len(freqs), len(freqs))
+        if self.baths is None:
+            grid = itertools.product(range(n), range(n), freqs, freqs)
+            return np.array([[f(*key) for f in self.rule] for key in grid], dtype=complex).T.reshape(shape)
+        owner = bath_list(self.baths[:n], n)
+        out = np.zeros(shape, dtype=complex)
+        for bath in {id(b): b for b in owner}.values():
+            on = np.array([b is bath for b in owner])
+            out[:, on[:, None] & on] = np.asarray(self.rule(as_measure(bath), tuple(freqs)))[:, None]
+        if self.kind == "secular":
+            out[0] *= np.equal.outer(freqs, freqs)
+        return out
 
     def K(self, a, b, w, wp):
-        return self.kmat(a, b, w, wp)
+        return complex(self.tables(max(a, b) + 1, (w, wp))[0, a, b, 0, 1])
 
     def upsilon_dyn(self, a, b, w, wp):
-        return self.dyn(a, b, w, wp)
+        return complex(self.tables(max(a, b) + 1, (w, wp))[1, a, b, 0, 1])
 
     def check_detailed_balance(self, freqs, n_couplings=1, rel_tol=1e-9):
         """Verify K_ab(w,w) = K_ba(-w,-w) e^{beta w} on the given frequencies."""
-        for w in freqs:
-            for a in range(n_couplings):
-                for b in range(n_couplings):
-                    lhs = self.K(a, b, w, w)
-                    rhs = self.K(b, a, -w, -w) * _exp_factor(self.beta * w)
-                    scale = max(abs(lhs), abs(rhs), 1e-30)
-                    if abs(lhs - rhs) > rel_tol * scale:
-                        raise DetailedBalanceError(
-                            f"K({a},{b};{w:g},{w:g}) breaks detailed balance: "
-                            f"{lhs:.6e} vs {rhs:.6e}"
-                        )
-
-
-def _long_time_spec(kind, baths, kmat, config):
-    """Spec with K from kmat(measure, w, w') and Y_dyn = S(w,w',oo); zero across independent baths."""
-    bath_of = (lambda a: baths[a]) if isinstance(baths, (list, tuple)) else (lambda a: baths)
-
-    def per_pair(rule):
-        def value(a, b, w, wp):
-            return rule(as_measure(bath_of(a)), w, wp) if bath_of(a) is bath_of(b) else 0.0
-
-        return value
-
-    dyn = per_pair(lambda m, w, wp: S_finite_time(m, w, wp, np.inf, config))
-    return KossakowskiSpec(kind, as_measure(bath_of(0)).beta, per_pair(kmat), dyn)
+        closed = sorted(set(freqs) | {-w for w in freqs})
+        _check_detailed_balance(self.beta, closed, self.tables(n_couplings, closed)[0], rel_tol)
 
 
 def kossakowski_redfield(baths, config=DEFAULT_QUAD):
     """Long-time Bloch-Redfield spec: K = gamma(w,w',oo), Y_dyn = S(w,w',oo)."""
-    return _long_time_spec(
-        "redfield", baths, lambda m, w, wp: gamma_finite_time(m, w, wp, np.inf, config), config)
+    baths = tuple(baths) if isinstance(baths, (list, tuple)) else (baths,)
+    return KossakowskiSpec("redfield", as_measure(baths[0]).beta,
+                           partial(redfield_pair_matrices, t=np.inf, config=config), baths)
 
 
 def kossakowski_secular(baths, config=DEFAULT_QUAD):
-    """Secular dissipator spec: K = gamma(w) delta_{w,w'}.
+    """Secular dissipator spec: K = gamma(w) delta_{w,w'}, the Redfield pair's w = w' entries.
 
     Only the dissipative part is secularised; the dynamical coefficient stays
     the full one, so the steady-state coherences of this generator equal the
     dynamical correction.  (The Davies generator secularises the Hamiltonian
     part as well; that variant lives in the generator builder.)
     """
-    return _long_time_spec(
-        "secular", baths, lambda m, w, wp: measure_value(m, w) if w == wp else 0.0, config)
+    return replace(kossakowski_redfield(baths, config), kind="secular")
 
 
 def kossakowski_custom(beta, kmat, dyn):
-    return KossakowskiSpec("custom", beta, kmat, dyn)
+    return KossakowskiSpec("custom", beta, (kmat, dyn))
+
+
+def _check_detailed_balance(beta, freqs, kmat, rel_tol=1e-9):
+    """Raise DetailedBalanceError unless K_ab(w,w) = K_ba(-w,-w) e^{beta w} at each w >= 0 of
+    a sorted list closed under w -> -w (so -w sits at index -1 - k when w sits at k), in one
+    comparison; the message names the first failing entry."""
+    f = np.asarray(freqs, dtype=float)
+    lhs = np.diagonal(kmat, 0, 2, 3)  # K_ab(w, w) at [a, b, w]
+    rhs = lhs.swapaxes(0, 1)[..., ::-1] * _exp_factor(beta * f)
+    bad = (np.abs(lhs - rhs) > rel_tol * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)) & (f >= 0)
+    if bad.any():
+        i, a, b = np.argwhere(np.moveaxis(bad, 2, 0))[0]
+        raise DetailedBalanceError(f"K({a},{b};{f[i]:g},{f[i]:g}) breaks detailed balance: "
+                                   f"{lhs[a, b, i]:.6e} vs {rhs[a, b, i]:.6e}")
+
+
+def _steady_offdiag(beta, freqs, kmat, dyn, i, j):
+    """Y_st(w_i, w_j) at index pairs (i, j) of a sorted list closed under w -> -w, from K and
+    Y_dyn as (coupling, coupling, w, w') arrays over it; i = j gives the gauge zero.  The
+    other pairs' thermal denominators and K's detailed balance are each one comparison."""
+    f = np.asarray(freqs, dtype=float)
+    off, ew = i != j, _exp_factor(beta * f)
+    ew, ewp = ew[i], ew[j]
+    near = np.flatnonzero(off & (np.abs(ew - ewp) < 1e-12 * np.maximum(ew, ewp)))
+    if near.size:
+        raise NearDegenerateError(f"e^{{beta w}} - e^{{beta w'}} below resolution for "
+                                  f"({f[i[near[0]]]:g}, {f[j[near[0]]]:g})")
+    _check_detailed_balance(beta, f, kmat)
+    mirror = kmat.swapaxes(0, 1)[..., -1 - j, -1 - i]  # K_ba(-w', -w)
+    bracket = (_exp_factor(beta * np.where(off, f[i] + f[j], 0.0)) * mirror
+               - 0.5 * kmat[..., i, j] * (ew + ewp))
+    gap = ew - ewp
+    with np.errstate(divide="ignore", invalid="ignore"):  # i bracket / gap, part by part as Python divides
+        return np.where(off, dyn[..., i, j] + (-bracket.imag / gap + 1j * (bracket.real / gap)), 0.0)
+
+
+def _spec_steady(spec, pairs, alpha=0, beta_idx=0):
+    """Y_st_ab(w, w') of a spec at each (w, w') of a list, from one tabulation over its
+    frequencies closed under w -> -w."""
+    freqs = sorted({x for pair in pairs for w in pair for x in (w, -w)})
+    i, j = np.searchsorted(freqs, pairs).T
+    tables = spec.tables(max(alpha, beta_idx) + 1, freqs)
+    return _steady_offdiag(spec.beta, freqs, *tables, i, j)[alpha, beta_idx]
 
 
 def upsilon_steady_offdiag(spec, bath, w, wp, alpha=0, beta_idx=0, config=DEFAULT_QUAD):
@@ -270,17 +282,7 @@ def upsilon_steady_offdiag(spec, bath, w, wp, alpha=0, beta_idx=0, config=DEFAUL
     kept for API compatibility."""
     if w == wp:
         raise DomainError("steady-state coherence formula requires w != w'")
-    b = spec.beta
-    ew, ewp = _exp_factor(b * w), _exp_factor(b * wp)
-    if abs(ew - ewp) < 1e-12 * max(ew, ewp):
-        raise NearDegenerateError(
-            f"e^{{beta w}} - e^{{beta w'}} below resolution for ({w:g}, {wp:g})"
-        )
-    spec.check_detailed_balance(sorted({abs(w), abs(wp)}), max(alpha, beta_idx) + 1)
-    dyn = spec.upsilon_dyn(alpha, beta_idx, w, wp)
-    bracket = _exp_factor(b * (w + wp)) * spec.K(beta_idx, alpha, -wp, -w) \
-        - 0.5 * spec.K(alpha, beta_idx, w, wp) * (ew + ewp)
-    return dyn + 1j * bracket / (ew - ewp)
+    return complex(_spec_steady(spec, [(w, wp)], alpha, beta_idx)[0])
 
 
 def tls_time_integrated_balance(bath, w, config=DEFAULT_QUAD):
@@ -308,8 +310,7 @@ def _balance_integrals(measure, w, config):
         _check_atom_pole(measure, x)
     total = np.zeros(w.size)
     for loc, wgt in measure.atoms:
-        d = loc - w
-        total += wgt * _E(-d, beta) / d / np.pi
+        total += wgt * _E(w - loc, beta) / (loc - w) / np.pi
     failed = {}
     if measure.density is not None:
         ebw = _exp_factor(beta * w)
@@ -364,7 +365,8 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
     th = math.tanh(0.5 * beta * omega0)
     measure = as_measure(bath)
 
-    def spectral_parts(om):
+    def integrand(om):
+        # 1/(W^2 - w^2) = -1/((w-W)(W+w)); both pieces share the pole at W = w
         om = np.asarray(om, dtype=float)
         j = gc * om * np.exp(-om / wc)
         x = 0.5 * beta * om
@@ -372,12 +374,6 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
             g = np.where(np.abs(x) < 1e-8, 1.0 + x * x / 3.0,
                          x / np.tanh(np.where(np.abs(x) < 1e-8, 1.0, x)))
         j_coth = gc * np.exp(-om / wc) * (2.0 / beta) * g  # J(W) coth(beta W/2)
-        return j, j_coth
-
-    def integrand(om):
-        # 1/(W^2 - w^2) = -1/((w-W)(W+w)); both pieces share the pole at W = w
-        om = np.asarray(om, dtype=float)
-        j, j_coth = spectral_parts(om)
         g1 = -omega0 * th * j_coth / (om + omega0)
         g2 = omega0**2 * j / (np.where(om == 0.0, 1.0, om) * (om + omega0))
         g2 = np.where(om == 0.0, omega0 * gc, g2)
@@ -390,70 +386,48 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
 # --- full coefficient tables ---------------------------------------------------
 
 
-def _pair_view(beta, freqs, kmat, dyn):
-    """A spec whose K and Y_dyn look up the long-time pair (kmat, dyn) over `freqs`.
-    Python complex scalars, as the per-entry spec returns, keep every cell's bits."""
-    at = {w: i for i, w in enumerate(freqs)}
-    return kossakowski_custom(beta, lambda a, b, w, wp: complex(kmat[at[w], at[wp]]),
-                              lambda a, b, w, wp: complex(dyn[at[w], at[wp]]))
-
-
 def _bath_table(kind, measure, freqs, config):
-    """One bath's n x n table of a correction over its frequency list.  The
-    mean-force table is one batched integral over all n^2 entries.  The
-    dynamical and steady-state tables read one long-time Redfield pair (K, Y_dyn);
-    the steady-state coherences w != w' pass a view of it, over the list closed
-    under w -> -w, to `upsilon_steady_offdiag`, and its diagonal is the gauge zero."""
+    """One bath's n x n table of a correction over its frequency list: the mean force
+    in one batched integral over all n^2 entries, the dynamical and steady-state
+    tables from one long-time Redfield pair (K, Y_dyn); the steady diagonal is zero."""
+    n = len(freqs)
     if kind == "mean_force":
-        n = len(freqs)
         values, failed = _mean_force_kernel(measure, np.repeat(freqs, n), np.tile(freqs, n), config)
         _raise_failed(failed)
         return values.reshape(n, n)
     if kind == "dynamical":
         return redfield_pair_matrices(measure, freqs, np.inf, config)[1]
-    closed = sorted(set(freqs) | {-w for w in freqs})
-    view = _pair_view(measure.beta, closed, *redfield_pair_matrices(measure, closed, np.inf, config))
-    return [[0.0 if w == wp else upsilon_steady_offdiag(view, measure, w, wp, config=config)
-             for wp in freqs] for w in freqs]
+    pairs = list(itertools.product(freqs, freqs))
+    return _spec_steady(kossakowski_redfield(measure, config), pairs).reshape(n, n)
 
 
 def _qubit_sweep(measure, w0, config):
-    """The qubit sweep's coefficient combinations at every w0 > 0 of an array, each
-    integral one batched call over all points: S(w) over the union of (-w0, 0, w0),
-    four mean-force entries and T(+-w0) per point.
-
-    Returns (points, failures): per point kind -> (Y(0,-w0) - Y(w0,0),
-    Y(w0,w0) - Y(-w0,-w0)) for "mf", "dyn", "st_redfield" and "st_cumulant"
-    (whose diagonal is T(w0)/2beta - T(-w0)/2beta), or None where one of its
-    integrals failed, and that integral's message, or None.  A failed integral
-    fails only the points that read it (S(0) is read by all).
-    """
+    """The qubit sweep's kind -> (Y(0,-w0) - Y(w0,0), Y(w0,w0) - Y(-w0,-w0)) at every
+    w0 > 0 of an array, for "mf", "dyn", "st_redfield" and "st_cumulant" (whose
+    diagonal is T(w0)/2beta - T(-w0)/2beta); see `validation.qubit_sweep_point`.
+    Returns (points, failures); a point is None where one of its integrals failed."""
     n, zero = w0.size, np.zeros(w0.size)
     freqs = sorted(set(np.concatenate([-w0, zero, w0]).tolist()))
     (kmat, dyn), s_failed = _long_time_pair(measure, freqs, config)
-    view = _pair_view(measure.beta, freqs, kmat, dyn)
+    ip = np.searchsorted(freqs, w0)
+    im, i0 = len(freqs) - 1 - ip, len(freqs) // 2  # a closed sorted list mirrors w -> -w
+    st = _steady_offdiag(measure.beta, freqs, kmat[None, None], dyn[None, None],
+                         np.r_[[i0] * n, ip], np.r_[im, [i0] * n])[0, 0]
     # (0, -w0), (w0, 0), (w0, w0), (-w0, -w0) per point
     mf, mf_failed = _mean_force_kernel(measure, np.stack([zero, w0, w0, -w0], 1).ravel(),
                                        np.stack([-w0, zero, w0, -w0], 1).ravel(), config)
     balance, t_failed = _balance_integrals(measure, np.concatenate([w0, -w0]), config)
     cp, cm = np.split(balance / (2.0 * measure.beta), 2)
+    combos = {"mf": (mf[0::4] - mf[1::4], mf[2::4] - mf[3::4]),
+              "dyn": (dyn[i0, im] - dyn[ip, i0], dyn[ip, ip] - dyn[im, im]),
+              "st_redfield": (st[:n] - st[n:], np.zeros(n)),
+              "st_cumulant": (st[:n] - st[n:], cp - cm)}
     points, failures = [], []
-    for i, w in enumerate(w0.tolist()):
-        im, i0, ip = freqs.index(-w), freqs.index(0.0), freqs.index(w)
-        msgs = [s_failed.get(im), s_failed.get(i0), s_failed.get(ip)]
+    for i in range(n):
+        msgs = [s_failed.get(im[i]), s_failed.get(i0), s_failed.get(ip[i])]
         msgs += [mf_failed.get(j) for j in range(4 * i, 4 * i + 4)] + [t_failed.get(i), t_failed.get(n + i)]
         failures.append(next((m for m in msgs if m is not None), None))
-        if failures[-1] is not None:
-            points.append(None)
-            continue
-        st_off = (upsilon_steady_offdiag(view, measure, 0.0, -w, config=config)
-                  - upsilon_steady_offdiag(view, measure, w, 0.0, config=config))
-        points.append({
-            "mf": (mf[4 * i] - mf[4 * i + 1], mf[4 * i + 2] - mf[4 * i + 3]),
-            "dyn": (dyn[i0, im] - dyn[ip, i0], dyn[ip, ip] - dyn[im, im]),
-            "st_redfield": (st_off, 0.0),
-            "st_cumulant": (st_off, cp[i] - cm[i]),
-        })
+        points.append(None if failures[-1] else {k: (off[i], diag[i]) for k, (off, diag) in combos.items()})
     return points, failures
 
 
@@ -472,10 +446,8 @@ def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_
         raise ValidationError(f"unknown equation kind {equation!r}")
     cumulant_diag = kind == "steady_state" and equation == "cumulant"
     if cumulant_diag and (jumps[0].dim != 2 or len(jumps) != 1):
-        raise NotImplementedError(
-            "cumulant steady-state diagonal is only solved for a "
-            "two-level system with a single coupling"
-        )
+        raise NotImplementedError("cumulant steady-state diagonal is only solved for a "
+                                  "two-level system with a single coupling")
     baths = bath_list(baths, len(jumps))
     values, shared = stacked_tables(jumps, baths, lambda m, f: _bath_table(kind, m, f, config))
     stacked = itertools.count()

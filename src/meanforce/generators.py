@@ -112,14 +112,6 @@ def _assemble(jumps, kmat, smat):
             - 0.5 * (_sandwich(hk, one) + _sandwich(one, hk)))
 
 
-def dissipative_generator(jumps, kmat, dyn):
-    """lam^2-part of the generator for coefficient accessors kmat/dyn(a,b,w,w')."""
-    index = [(a, w) for a, j in enumerate(jumps) for w in j.frequencies]
-    k = np.array([[kmat(a, b, w, wp) for b, wp in index] for a, w in index], dtype=complex)
-    s = np.array([[dyn(a, b, w, wp) for b, wp in index] for a, w in index], dtype=complex)
-    return _assemble(jumps, k, s)
-
-
 def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
     """The one path of every builder.
 

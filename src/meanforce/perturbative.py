@@ -28,11 +28,11 @@ from itertools import product
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD
+from ._quad import DEFAULT_QUAD, _E
 from .bath import _discretize, as_measure, measure_value
-from .corrections import _E, tls_time_integrated_balance
+from .corrections import tls_time_integrated_balance
 from .errors import DomainError, ValidationError
-from .generators import commutator_superop, dissipative_generator, thermal_state, unvectorize, vectorize
+from .generators import _assemble, commutator_superop, thermal_state, unvectorize, vectorize
 from .operators import _sum_products, require_hermitian
 
 __all__ = [
@@ -111,8 +111,10 @@ def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):
 
     With `relative` the norm is divided by ||L2[rho_0]||; a correct table
     drives the ratio to rounding level, an all-zero table leaves the full
-    coherence source uncancelled.  L2 comes from `spec`; `baths` is not read
-    and is kept for API compatibility.
+    coherence source uncancelled.  L2 is assembled from the spec's K and Y_dyn
+    arrays, tabulated once over the union of the couplings' Bohr frequencies and
+    read at the stacked (coupling, frequency) index; `baths` is not read and is
+    kept for API compatibility.
     """
     beta = spec.beta
     for a, ja in enumerate(jumps):
@@ -124,7 +126,9 @@ def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):
                     )
     rho2, rho0 = _rho2_matrix(h0, jumps, st_table, beta)
     l0 = commutator_superop(require_hermitian(h0))
-    l2 = dissipative_generator(jumps, spec.K, spec.upsilon_dyn)
+    freqs = sorted({w for j in jumps for w in j.frequencies})
+    c, i = np.array([(a, freqs.index(w)) for a, j in enumerate(jumps) for w in j.frequencies]).T
+    l2 = _assemble(jumps, *(x[c[:, None], c, i[:, None], i] for x in spec.tables(len(jumps), freqs)))
     resid = unvectorize(l0 @ vectorize(rho2) + l2 @ vectorize(rho0))
     norm = np.linalg.norm(resid)
     if not relative:

@@ -11,16 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import DEFAULT_QUAD
-from .bath import OhmicBath, as_measure, integrated_gamma_matrix, lamb_shift_S
+from ._quad import DEFAULT_QUAD, _raise_failed
+from .bath import OhmicBath, as_measure, integrated_gamma_matrix, lamb_shift_S, redfield_pair_matrices
 from .corrections import (
+    _mean_force_kernel,
     _qubit_sweep,
+    _spec_steady,
     build_upsilon_table,
     kossakowski_custom,
     kossakowski_redfield,
     kossakowski_secular,
     tls_diagonal_steady,
-    upsilon_dynamical,
     upsilon_mean_force,
     upsilon_steady_offdiag,
 )
@@ -110,28 +111,26 @@ _SKEW = 1.1  # factor on the w > 0 Kossakowski diagonal in the injected fault
 def check_dual_form(case):
     """Acceptance 1: pole-free kernel vs Lamb-shift form of the mean force."""
     bath = case.bath()
-    worst = 0.0
-    for w, wp in _PAIR_GRID:
-        k = upsilon_mean_force(bath, w, wp, "kernel", case.config)
-        s = upsilon_mean_force(bath, w, wp, "S_form", case.config)
-        worst = max(worst, abs(k - s) / max(1e-7, 1e-6 * abs(k)))
+    kernel, failed = _mean_force_kernel(as_measure(bath), *np.array(_PAIR_GRID).T, case.config)
+    _raise_failed(failed)
+    s_form = np.array([upsilon_mean_force(bath, w, wp, "S_form", case.config) for w, wp in _PAIR_GRID])
+    worst = float(np.max(np.abs(kernel - s_form) / np.maximum(1e-7, 1e-6 * np.abs(kernel))))
     return CheckResult("mean_force_dual_form", worst <= 1.0, worst, 1.0,
                        "max |kernel - S_form| / max(1e-7, 1e-6 |value|) over 10x10 grid")
 
 
 def check_steady_coherence_identities(case):
-    """Acceptance 2: steady coherences vs mean force (Redfield K) and dynamical (secular K)."""
+    """Acceptance 2: steady coherences vs mean force (Redfield K) and dynamical (secular K),
+    each spec tabulated once over the grid's frequencies closed under w -> -w."""
     bath = case.bath()
-    spec_r = kossakowski_redfield(bath, case.config)
-    spec_s = kossakowski_secular(bath, case.config)
-    worst_r = worst_s = 0.0
-    for w, wp in _PAIR_GRID:
-        st_r = upsilon_steady_offdiag(spec_r, bath, w, wp, config=case.config)
-        mf = upsilon_mean_force(bath, w, wp, "S_form", case.config)
-        worst_r = max(worst_r, abs(st_r - mf))
-        st_s = upsilon_steady_offdiag(spec_s, bath, w, wp, config=case.config)
-        dyn = upsilon_dynamical(bath, w, wp, case.config)
-        worst_s = max(worst_s, abs(st_s - dyn))
+    st_r = _spec_steady(kossakowski_redfield(bath, case.config), _PAIR_GRID)
+    mf = np.array([upsilon_mean_force(bath, w, wp, "S_form", case.config) for w, wp in _PAIR_GRID])
+    worst_r = float(np.max(np.abs(st_r - mf)))
+    st_s = _spec_steady(kossakowski_secular(bath, case.config), _PAIR_GRID)
+    freqs = sorted({x for pair in _PAIR_GRID for x in pair})
+    w, wp = np.searchsorted(freqs, _PAIR_GRID).T
+    dyn = redfield_pair_matrices(bath, freqs, np.inf, case.config)[1][w, wp]
+    worst_s = float(np.max(np.abs(st_s - dyn)))
     res = CheckResult("steady_coherences_redfield_vs_mean_force", worst_r <= 1e-7, worst_r, 1e-7)
     res2 = CheckResult("steady_coherences_secular_vs_dynamical", worst_s <= 1e-10, worst_s, 1e-10)
     return [res, res2]

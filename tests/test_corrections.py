@@ -28,6 +28,7 @@ from meanforce.errors import (
     ValidationError,
 )
 from meanforce.operators import JumpDecomposition, bohr_decompose, spectral_decompose
+from meanforce.perturbative import second_order_residual
 from meanforce.validation import qubit_sweep_point
 
 
@@ -457,3 +458,50 @@ class TestClaimTwoTables:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_d4(self, bath, seed):
         assert _claim_two_gap(_seeded_d4(seed), bath) <= 1e-8
+
+
+def _random_system(d, seed):
+    """A seeded random Hermitian H0 and coupling of dimension d, as (H0, jumps)."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
+    h0 = 0.5 * (a + a.conj().T)
+    return h0, [bohr_decompose(spectral_decompose(h0), 0.5 * (b + b.conj().T))]
+
+
+class TestRandomSystems:
+    """Invariants of the Kossakowski specs and the steady-state table on seeded random
+    systems of dimension 2 to 4."""
+
+    @pytest.fixture(params=[(d, seed) for d in (2, 3, 4) for seed in (0, 1)],
+                    ids=lambda p: f"d{p[0]}-seed{p[1]}")
+    def system(self, request):
+        return _random_system(*request.param)
+
+    def test_steady_table_equals_per_entry_function(self, bath, system):
+        _, jumps = system
+        spec = kossakowski_redfield(bath)
+        for (a, b, w, wp), v in build_upsilon_table("steady_state", jumps, bath).entries.items():
+            assert v == (0.0 if w == wp else upsilon_steady_offdiag(spec, bath, w, wp, a, b)), (w, wp)
+
+    def test_redfield_table_cancels_the_source(self, bath, system):
+        h0, jumps = system
+        table = build_upsilon_table("steady_state", jumps, bath)
+        assert second_order_residual(h0, jumps, bath, kossakowski_redfield(bath), table) <= 1e-8
+
+    def test_secular_coherences_equal_dynamical(self, bath, system):
+        _, jumps = system
+        spec = kossakowski_secular(bath)
+        freqs = jumps[0].frequencies
+        for w, wp in ((w, wp) for w in freqs for wp in freqs if w != wp):
+            assert abs(upsilon_steady_offdiag(spec, bath, w, wp) - upsilon_dynamical(bath, w, wp)) <= 1e-10
+
+    def test_one_skewed_diagonal_entry_rejected(self, bath, system):
+        _, jumps = system
+        base = kossakowski_redfield(bath)
+        w = max(jumps[0].frequencies)
+        bad = kossakowski_custom(
+            bath.beta, lambda a, b, x, y: base.K(a, b, x, y) * (1.1 if x == y == w else 1.0), base.upsilon_dyn)
+        with pytest.raises(DetailedBalanceError, match=f"K\\(0,0;{w:g},{w:g}\\)"):
+            upsilon_steady_offdiag(bad, bath, w, min(jumps[0].frequencies))
+        with pytest.raises(DetailedBalanceError):
+            bad.check_detailed_balance(jumps[0].frequencies)

@@ -127,7 +127,7 @@ class TestG22:
 
     def test_operator_level_reconstruction(self, h0, bath, jumps, tls_decomposition):
         # sum_g g22 rho0 A A A A reproduces L2[rho2] entrywise
-        from meanforce.generators import dissipative_generator, unvectorize, vectorize
+        from meanforce.generators import _assemble, unvectorize, vectorize
         from meanforce.perturbative import _rho2_matrix
 
         table = build_upsilon_table("steady_state", jumps, bath, equation="redfield")
@@ -135,7 +135,7 @@ class TestG22:
         kmat, dyn, st = table_accessors(bath, table)
         rho2, rho0m = _rho2_matrix(h0, jumps, table, BETA)
         truth = unvectorize(
-            dissipative_generator(jumps, spec.K, spec.upsilon_dyn) @ vectorize(rho2))
+            _assemble(jumps, *(x[0, 0] for x in spec.tables(1, jumps[0].frequencies))) @ vectorize(rho2))
         j = jumps[0]
         recon = np.zeros((2, 2), dtype=complex)
         for a1 in j.frequencies:

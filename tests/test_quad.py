@@ -262,6 +262,8 @@ def lamb_shift_qawc(w):
     return total
 
 
+EARLY_STOP = ((-0.770595, 1.252642), (0.416784, -0.344954))
+
 SPECTRAL = {
     "lamb_shift": (lambda c: lamb_shift_S(OHMIC, 1.3, c), lambda: lamb_shift_mp(1.3)),
     "lamb_shift_poles": (lambda c: np.diag(redfield_pair_matrices(OHMIC, POLES, np.inf, c)[1]).real,
@@ -270,6 +272,11 @@ SPECTRAL = {
                            lambda: mean_force_mp(0.4, -1.1)),
     "mean_force_diag": (lambda c: upsilon_mean_force(OHMIC, 1.0, 1.0, "kernel", c),
                         lambda: mean_force_mp(1.0, 1.0)),
+    # without an interval edge at |w'| the kernel integral stopped early here, 72 and 2
+    # times rel_tol off at the default tolerances, and this entry failed at (1e-9, 1e-8)
+    "mean_force_early_stop": (
+        lambda c: np.array([upsilon_mean_force(OHMIC, w, wp, "kernel", c) for w, wp in EARLY_STOP]),
+        lambda: np.array([mean_force_mp(w, wp) for w, wp in EARLY_STOP])),
 }
 
 

@@ -2,6 +2,7 @@
 function or class is left that no library code or benchmark reaches."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,23 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreached_definitions(path):
     assert unreached_definitions(path) == []
+
+
+def perfbench_imports():
+    """(script, module, name) of every `from meanforce... import name` in perfbench/*.py."""
+    out = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "meanforce":
+                out += [(path.name, node.module, a.name) for a in node.names]
+    return out
+
+
+def test_perfbench_imports_resolve():
+    # the benchmark gate imports these from the checkout under test inside the harness
+    # process, and an ImportError there ends the whole benchmark run
+    imports = perfbench_imports()
+    assert imports, "no meanforce import found under perfbench/"
+    missing = [f"{script}: {module}.{name}" for script, module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

@@ -27,6 +27,7 @@ entry indices and returns an array of the nodes' shape; with scalar limits
 (one entry) it takes the node array alone.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ _EPS = np.finfo(float).eps
 class QuadratureConfig:
     """Shared quadrature settings.
 
-    abs_tol / rel_tol   target accuracies handed to the adaptive routine
+    abs_tol / rel_tol   target accuracies handed to the adaptive routine, in (0, max float]
     limit               max number of subintervals the adaptive routine may use
     """
 
@@ -97,7 +98,7 @@ class QuadratureConfig:
     limit: int = 400
 
     def __post_init__(self):
-        if not all(np.isfinite(x) and x > 0 for x in (self.abs_tol, self.rel_tol)):
+        if not all(0 < x <= sys.float_info.max for x in (self.abs_tol, self.rel_tol)):
             raise ValidationError("quadrature tolerances must be positive and finite")
         if self.limit < 10:
             raise ValidationError("subdivision limit must be at least 10")

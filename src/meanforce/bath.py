@@ -41,6 +41,7 @@ from ._quad import (
     principal_value,
 )
 from .errors import NumericsError, PoleError, ValidationError
+from .operators import _stacked_jumps
 
 _SUPPORT_MULT = 40.0  # Ohmic support radius in units of max(cutoff, 1/beta)
 _PHI_BLOCK = 1024  # discretisation nodes per phi block of the finite-time transforms
@@ -190,19 +191,17 @@ def stacked_tables(jumps, baths, table):
     objects) over the sorted union of its couplings' Bohr frequencies, and
     fills every entry between those couplings; the rest stay zero.
     """
-    stacked = np.array([w for j in jumps for w in j.frequencies])
-    owner = [baths[a] for a, j in enumerate(jumps) for _ in j.frequencies]
-    shared = np.zeros((stacked.size, stacked.size), dtype=bool)
+    coupling, stacked, _ = _stacked_jumps(jumps)
+    owner = np.array([id(baths[a]) for a in coupling])
     out = None
     for bath in {id(b): b for b in baths}.values():
-        rows = np.flatnonzero([b is bath for b in owner])
+        rows = np.flatnonzero(owner == id(bath))
         freqs, at = np.unique(stacked[rows], return_inverse=True)
         block = np.asarray(table(as_measure(bath), tuple(freqs.tolist())))
         if out is None:
-            out = np.zeros(block.shape[:-2] + shared.shape, dtype=complex)
+            out = np.zeros(block.shape[:-2] + (stacked.size,) * 2, dtype=complex)
         out[..., rows[:, None], rows] = block[..., at[:, None], at]
-        shared[rows[:, None], rows] = True
-    return out, shared
+    return out, np.equal.outer(owner, owner)
 
 
 def measure_value(measure, omega):

@@ -26,7 +26,6 @@ malformed config (the message names the field path) or a library error.
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -72,11 +71,9 @@ def _fmt(x):
 
 
 def _finite(x):
-    """A finite JSON number; a JSON boolean is not one, though bool subclasses int."""
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # a JSON integer beyond the float range
-        return False
+    """A finite JSON number; a JSON boolean is not one, though bool subclasses int.  Compared,
+    not converted, so a JSON integer beyond the float range is not finite."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _object(obj, path):

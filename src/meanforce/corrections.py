@@ -60,18 +60,18 @@ from .bath import (
     stacked_tables,
 )
 from .errors import DetailedBalanceError, DomainError, NearDegenerateError, ValidationError
-from .operators import UpsilonTable
+from .operators import UpsilonTable, _stacked_jumps
 
 _EXP_GUARD = 300.0  # |beta*w| beyond which thermal-ratio formulas overflow
 
 
 def _exp_factor(x):
-    """e^x by math.exp, elementwise for an array."""
-    if np.ndim(x):
-        return np.array([_exp_factor(v) for v in np.ravel(x)]).reshape(np.shape(x))
-    if abs(x) > _EXP_GUARD:
-        raise DomainError(f"thermal exponent beta*w = {x:g} out of supported range")
-    return math.exp(x)
+    """e^x elementwise; DomainError names the first exponent beyond the guard."""
+    x = np.asarray(x, dtype=float)
+    bad = np.flatnonzero(np.abs(x) > _EXP_GUARD)
+    if bad.size:
+        raise DomainError(f"thermal exponent beta*w = {x.flat[bad[0]]:g} out of supported range")
+    return np.exp(x)
 
 
 def kernel_D(beta, w, wp, big_omega):
@@ -449,18 +449,14 @@ def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_
         raise NotImplementedError("cumulant steady-state diagonal is only solved for a "
                                   "two-level system with a single coupling")
     baths = bath_list(baths, len(jumps))
-    values, shared = stacked_tables(jumps, baths, lambda m, f: _bath_table(kind, m, f, config))
-    stacked = itertools.count()
-    slots = [[(next(stacked), w) for w in j.frequencies] for j in jumps]  # (index, w) per coupling
-    entries = {}  # insertion order (a, b, w, w') fixes the summation order of assemble_correction
-    for (a, slots_a), (b, slots_b) in itertools.product(enumerate(slots), repeat=2):
-        for (i, w), (j, wp) in itertools.product(slots_a, slots_b):
-            if shared[i, j] and not (kind == "steady_state" and w == wp and a != b):
-                entries[(a, b, w, wp)] = complex(values[i, j])
-
-    w0 = max(abs(w) for w in jumps[0].frequencies)
-    if cumulant_diag and w0 > 0:  # a pure-dephasing qubit (w0 = 0) keeps the zero gauge
-        plus, minus = tls_diagonal_steady(baths[0], w0, "cumulant", config)
-        diag = {w0: plus, -w0: minus}
-        entries.update({(0, 0, w, w): complex(diag.get(w, 0.0)) for w in jumps[0].frequencies})
+    values, keep = stacked_tables(jumps, baths, lambda m, f: _bath_table(kind, m, f, config))
+    coupling, stacked, _ = _stacked_jumps(jumps)
+    if cumulant_diag and stacked.max() > 0:  # a pure-dephasing qubit (w0 = 0) keeps the zero gauge
+        plus, minus = tls_diagonal_steady(baths[0], float(stacked.max()), "cumulant", config)
+        np.fill_diagonal(values, np.select([stacked > 0, stacked < 0], [plus, minus]))
+    if kind == "steady_state":  # no entry for the cross-coupling w = w' coherences
+        keep = keep & ~(np.equal.outer(stacked, stacked) & np.not_equal.outer(coupling, coupling))
+    i, j = np.nonzero(keep)
+    a, w = coupling.tolist(), stacked.tolist()
+    entries = {(a[p], a[q], w[p], w[q]): v for p, q, v in zip(i.tolist(), j.tolist(), values[i, j].tolist())}
     return UpsilonTable(kind, entries)

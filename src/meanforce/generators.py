@@ -39,7 +39,7 @@ from .errors import (
     NumericsError,
     ValidationError,
 )
-from .operators import require_hermitian
+from .operators import _contract, _stacked_jumps, require_hermitian
 
 __all__ = [
     "Superoperator",
@@ -98,15 +98,13 @@ def commutator_superop(h):
 def _assemble(jumps, kmat, smat):
     """lam^2-part of the generator for coefficient arrays over the stacked jump index.
 
-    Index I runs over (coupling, Bohr frequency) in jump order, A_I = A_a(w);
-    the result is -i[sum S_IJ A_I^dag A_J, .] + sum K_IJ (A_J . A_I^dag
-    - {A_I^dag A_J, .}/2).
+    I is the index of `operators._stacked_jumps`, A_I = A_a(w); the result is
+    -i[sum S_IJ A_I^dag A_J, .] + sum K_IJ (A_J . A_I^dag - {A_I^dag A_J, .}/2).
     """
-    ops = np.array([j.op(w) for j in jumps for w in j.frequencies])
+    ops = _stacked_jumps(jumps)[2]
     d = ops.shape[1]
     one = np.eye(d)
-    hs = np.einsum("ij,iyx,jyz->xz", smat, ops.conj(), ops, optimize=True)
-    hk = np.einsum("ij,iyx,jyz->xz", kmat, ops.conj(), ops, optimize=True)
+    hs, hk = _contract(smat, ops), _contract(kmat, ops)
     sandwich = np.einsum("ij,ipr,jqs->pqrs", kmat, ops.conj(), ops, optimize=True)
     return (commutator_superop(hs) + sandwich.reshape(d * d, d * d)
             - 0.5 * (_sandwich(hk, one) + _sandwich(one, hk)))

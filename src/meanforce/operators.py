@@ -8,8 +8,10 @@ Conventions (hbar = k_B = 1 throughout):
 * The two-level system is taken as H0 = -(omega0/2) sigma_z, so basis index 0
   (the sigma_z = +1 state) is the ground state and eps1 - eps0 = omega0.
   A(+omega0) lowers the excited state into the ground state.
-* A correction Hamiltonian is assembled from a coefficient table as
-  H = sum_{a,b} sum_{w,w'} Y_ab(w, w') A_a(w)^dag A_b(w').
+* The stacked jump index I = (a, w) runs over the couplings a in list order, then
+  each one's Bohr frequencies in order (`_stacked_jumps`).  Every operator
+  sum_{a,b,w,w'} Y_ab(w, w') A_a(w)^dag A_b(w'), a correction Hamiltonian or a
+  generator's Hamiltonian part, is one contraction sum_IJ y_IJ A_I^dag A_J (`_contract`).
 """
 
 from dataclasses import dataclass, field
@@ -129,9 +131,7 @@ def bohr_decompose(decomp, coupling, index=0):
     """
     a = require_hermitian(coupling, name="coupling operator")
     if a.shape[0] != decomp.dim:
-        raise ValidationError(
-            f"coupling dimension {a.shape[0]} != H0 dimension {decomp.dim}"
-        )
+        raise ValidationError(f"coupling dimension {a.shape[0]} != H0 dimension {decomp.dim}")
     energies = decomp.energies
     scale = max(1.0, max(abs(e) for e in energies))
     thresh = decomp.tol * scale
@@ -194,29 +194,42 @@ class UpsilonTable:
         for (a, b, w, wp), v in self.entries.items():
             mate = self.entries.get((b, a, wp, w))
             if mate is None or abs(v - np.conj(mate)) > tol:
-                raise ConsistencyError(
-                    f"hermiticity pairing violated at ({a},{b},{w:g},{wp:g})"
-                )
+                raise ConsistencyError(f"hermiticity pairing violated at ({a},{b},{w:g},{wp:g})")
             if self.kind == "mean_force":
                 sym = self.entries.get((a, b, wp, w))
                 if sym is None or abs(v - sym) > tol:
-                    raise ConsistencyError(
-                        f"mean-force symmetry violated at ({a},{b},{w:g},{wp:g})"
-                    )
+                    raise ConsistencyError(f"mean-force symmetry violated at ({a},{b},{w:g},{wp:g})")
 
 
-def _sum_products(entries, jumps):
-    """sum Y_ab(w,w') A_a(w)^dag A_b(w') over the nonzero entries of a coefficient dict,
-    with a and b positions in `jumps` (the key every table builder writes)."""
-    dim = jumps[0].dim
-    h = np.zeros((dim, dim), dtype=complex)
+def _stacked_jumps(jumps):
+    """The coupling a and Bohr frequency w of each stacked index I = (a, w), as arrays,
+    and the jump operators A_I as an (N, d, d) stack."""
+    coupling = np.array([a for a, j in enumerate(jumps) for _ in j.frequencies])
+    freqs = np.array([w for j in jumps for w in j.frequencies])
+    return coupling, freqs, np.array([j.ops[w] for j in jumps for w in j.frequencies])
+
+
+def _contract(y, ops):
+    """sum_IJ y_IJ A_I^dag A_J for an (N, N) array over the stacked index."""
+    return np.einsum("ij,iyx,jyz->xz", y, ops.conj(), ops, optimize=True)
+
+
+def _table_array(entries, jumps):
+    """(y, freqs, ops): a coefficient dict's nonzero entries (a, b, w, w') -> v, a and b positions
+    in `jumps`, on the stacked index; a frequency a coupling lacks raises as `JumpDecomposition.op`."""
+    coupling, freqs, ops = _stacked_jumps(jumps)
+    slot = {key: i for i, key in enumerate(zip(coupling.tolist(), freqs.tolist()))}
+    y = np.zeros((freqs.size,) * 2, dtype=complex)
     for (a, b, w, wp), v in entries.items():
         if v == 0.0:
             continue
         if not (0 <= a < len(jumps) and 0 <= b < len(jumps)):
             raise ValidationError(f"table refers to unknown coupling index {a} or {b}")
-        h += v * (jumps[a].op(w).conj().T @ jumps[b].op(wp))
-    return h
+        i, j = slot.get((a, w)), slot.get((b, wp))
+        if i is None or j is None:
+            jumps[a].op(w), jumps[b].op(wp)  # raises for the missing one
+        y[i, j] = v
+    return y, freqs, ops
 
 
 def assemble_correction(table, jumps):
@@ -225,12 +238,11 @@ def assemble_correction(table, jumps):
     For mean_force and steady_state kinds the result must come out Hermitian
     (to 1e-8 relative); a violation signals an inconsistent table.
     """
-    h = _sum_products(table.entries, jumps)
+    y, _, ops = _table_array(table.entries, jumps)
+    h = _contract(y, ops)
     if table.kind in ("mean_force", "steady_state"):
         scale = max(1.0, np.abs(h).max())
         if np.abs(h - h.conj().T).max() > 1e-8 * scale:
-            raise ConsistencyError(
-                f"{table.kind} table assembled to a non-Hermitian operator"
-            )
+            raise ConsistencyError(f"{table.kind} table assembled to a non-Hermitian operator")
         h = 0.5 * (h + h.conj().T)
     return h

@@ -33,7 +33,7 @@ from .bath import _discretize, as_measure, measure_value
 from .corrections import tls_time_integrated_balance
 from .errors import DomainError, ValidationError
 from .generators import _assemble, commutator_superop, thermal_state, unvectorize, vectorize
-from .operators import _sum_products, require_hermitian
+from .operators import _contract, _stacked_jumps, _table_array, require_hermitian
 
 __all__ = [
     "alpha_weight",
@@ -101,9 +101,10 @@ def g22_coefficient(kmat, dyn, st, w1, w2, w3, w4, beta):
 def _rho2_matrix(h0, jumps, table, beta):
     """rho_2 = -rho_0 sum Y(w,w') a(w'-w) A^dag(w) A(w'), rho_0 = e^{-beta H0}/Z."""
     rho0 = thermal_state(h0, beta)
-    weighted = {(a, b, w, wp): v * alpha_weight(beta, wp - w)
-                for (a, b, w, wp), v in table.entries.items() if v != 0.0}
-    return -rho0 @ _sum_products(weighted, jumps), rho0
+    y, freqs, ops = _table_array(table.entries, jumps)
+    i, j = np.nonzero(y)
+    y[i, j] *= _E(freqs[i] - freqs[j], beta)  # a(w' - w) = E(w - w')
+    return -rho0 @ _contract(y, ops), rho0
 
 
 def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):
@@ -116,19 +117,15 @@ def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):
     read at the stacked (coupling, frequency) index; `baths` is not read and is
     kept for API compatibility.
     """
-    beta = spec.beta
-    for a, ja in enumerate(jumps):
-        for w in ja.frequencies:
-            for wp in ja.frequencies:
-                if w != wp and (a, a, w, wp) not in st_table.entries:
-                    raise ValidationError(
-                        f"steady-state table misses entry ({a},{a},{w:g},{wp:g})"
-                    )
-    rho2, rho0 = _rho2_matrix(h0, jumps, st_table, beta)
+    c, stacked, _ = _stacked_jumps(jumps)
+    a, w = c.tolist(), stacked.tolist()
+    for p, q in zip(*np.nonzero(np.equal.outer(c, c) & np.not_equal.outer(stacked, stacked))):
+        if (a[p], a[p], w[p], w[q]) not in st_table.entries:
+            raise ValidationError(f"steady-state table misses entry ({a[p]},{a[p]},{w[p]:g},{w[q]:g})")
+    rho2, rho0 = _rho2_matrix(h0, jumps, st_table, spec.beta)
     l0 = commutator_superop(require_hermitian(h0))
-    freqs = sorted({w for j in jumps for w in j.frequencies})
-    c, i = np.array([(a, freqs.index(w)) for a, j in enumerate(jumps) for w in j.frequencies]).T
-    l2 = _assemble(jumps, *(x[c[:, None], c, i[:, None], i] for x in spec.tables(len(jumps), freqs)))
+    freqs, i = np.unique(stacked, return_inverse=True)
+    l2 = _assemble(jumps, *(x[c[:, None], c, i[:, None], i] for x in spec.tables(len(jumps), freqs.tolist())))
     resid = unvectorize(l0 @ vectorize(rho2) + l2 @ vectorize(rho0))
     norm = np.linalg.norm(resid)
     if not relative:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanforce import bath as mb
+from meanforce._quad import QuadratureConfig
 from meanforce.bath import stacked_tables
 from meanforce.cli import RunConfig, load_config, main, parse_config, read_corrections_csv
 from meanforce.errors import ValidationError
@@ -162,6 +163,10 @@ class TestConfigValidation:
         pytest.param(lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[1.0, float("inf")]]}),
                      "baths.b1.modes", id="mode_inf"),
         pytest.param(lambda c: c.update(beta=10**400), "beta", id="beta_huge_int"),
+        pytest.param(lambda c: c.update(quadrature={"abs_tol": 2**1024}), "quadrature.abs_tol",
+                     id="abs_tol_2_1024"),
+        pytest.param(lambda c: c.update(quadrature={"rel_tol": 2**1024}), "quadrature.rel_tol",
+                     id="rel_tol_2_1024"),
         pytest.param(lambda c: c.update(system={"hamiltonian": [[[1, 0]], [[1, 0], [0, 0]]]}),
                      "system.hamiltonian", id="ragged_matrix"),
         pytest.param(lambda c: c.update(system={"hamiltonian": [[[float("nan"), 0], [0, 0]],
@@ -200,6 +205,14 @@ class TestConfigValidation:
         edit(cfg)
         with pytest.raises(ValidationError, match=path):
             parse_config(cfg)
+
+    # a JSON integer of 2**64 is finite, as 2**63 is; 2**1024 is beyond the float range
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    def test_tolerance_beyond_int64(self, field):
+        assert getattr(parse_config(dict(BASE, quadrature={field: 2**64})).quad, field) == 2**64
+        assert getattr(QuadratureConfig(**{field: 2**64}), field) == 2**64
+        with pytest.raises(ValidationError, match="tolerances must be positive and finite"):
+            QuadratureConfig(**{field: 2**1024})
 
     def test_pure_state_accepted(self):
         cfg = json.loads(json.dumps(BASE))

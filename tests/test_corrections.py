@@ -178,6 +178,13 @@ class TestSteadyStateCoherences:
         with pytest.raises(DetailedBalanceError):
             upsilon_steady_offdiag(bad, bath, 1.0, 0.0, *pair)
 
+    def test_thermal_exponent_guard_names_first_offender(self):
+        # the closed list is -400, -300.5, -1, 1, 300.5, 400: -400 comes first
+        zero = kossakowski_custom(1.0, lambda a, b, w, wp: 0.0, lambda a, b, w, wp: 0.0)
+        with pytest.raises(DomainError, match=r"beta\*w = -400 out of supported range"):
+            zero.check_detailed_balance([1.0, 300.5, 400.0])
+        zero.check_detailed_balance([1.0, 299.5])
+
 
 class TestTlsDiagonal:
     def test_redfield_gauge_zero(self, bath):

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanforce.bath import DiscreteBath
+from meanforce.bath import DiscreteBath, OhmicBath
 from meanforce.corrections import build_upsilon_table
 from meanforce.errors import ConsistencyError, ValidationError
 from meanforce.operators import (
@@ -115,6 +117,9 @@ class TestAssembleCorrection:
     def test_zero_table(self, jumps):
         table = UpsilonTable("mean_force", {})
         assert np.abs(assemble_correction(table, jumps)).max() == 0.0
+        # zero entries are skipped before their keys are checked
+        table = UpsilonTable("mean_force", {(5, 0, 1.0, 1.0): 0.0, (0, 0, 0.25, 1.0): 0.0})
+        assert np.abs(assemble_correction(table, jumps)).max() == 0.0
 
     def test_tls_offdiagonal_structure(self, tls_decomposition):
         # completed Hermitian table with only the (0,-w0)/(w0,0) family populated
@@ -148,23 +153,43 @@ class TestAssembleCorrection:
         h3 = assemble_correction(table.scaled(3.0), jumps)
         assert np.abs(h3 - 3.0 * h1).max() <= 1e-12 * np.abs(h3).max()
 
+    @staticmethod
+    def _direct_sum(table, jumps):
+        """Oracle: Y_ab(w,w') A_a(w)^dag A_b(w') summed one product at a time over every
+        coupling pair and every pair of their frequencies."""
+        d = jumps[0].dim
+        direct = np.zeros((d, d), dtype=complex)
+        for (a, ja), (b, jb) in itertools.product(enumerate(jumps), repeat=2):
+            for w, wp in itertools.product(ja.frequencies, jb.frequencies):
+                direct += table.value(a, b, w, wp) * (ja.op(w).conj().T @ jb.op(wp))
+        return direct
+
     def test_mean_force_table_hermitian_and_matches_direct_sum(self, jumps, bath):
         table = build_upsilon_table("mean_force", jumps, bath)
         table.validate_pairing()
         h = assemble_correction(table, jumps)
         assert np.abs(h - h.conj().T).max() <= 1e-12 * np.abs(h).max()
-        # direct summation oracle over all (w, w')
-        j = jumps[0]
-        direct = np.zeros((2, 2), dtype=complex)
-        for w in j.frequencies:
-            for wp in j.frequencies:
-                direct += table.value(0, 0, w, wp) * (j.op(w).conj().T @ j.op(wp))
+        direct = self._direct_sum(table, jumps)
         assert np.abs(h - direct).max() <= 1e-12 * max(1.0, np.abs(h).max())
+
+    # two couplings on one bath and on two baths, at d = 3 and 4
+    @pytest.mark.parametrize("kind", ["dynamical", "steady_state"])
+    @pytest.mark.parametrize("n_baths", [1, 2])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_table_matches_direct_sum(self, dim, n_baths, kind):
+        dec = spectral_decompose(random_hermitian(dim, 40 + dim))
+        jumps = [bohr_decompose(dec, random_hermitian(dim, 50 + dim + k), index=k) for k in range(2)]
+        baths = [OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0),
+                 OhmicBath(beta=1.0, coupling=0.4, cutoff=20.0)][:n_baths]
+        table = build_upsilon_table(kind, jumps, baths)
+        h = assemble_correction(table, jumps)
+        direct = self._direct_sum(table, jumps)
+        assert np.abs(h - direct).max() <= 1e-13 * np.abs(direct).max()
 
     def test_missing_jump_entry_rejected(self, tls_decomposition):
         jd = bohr_decompose(tls_decomposition, SIGMA_X)  # no zero-frequency block
         table = UpsilonTable("dynamical", {(0, 0, 0.0, 1.0): 1.0})
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="coupling 0 has no jump operator at frequency 0"):
             assemble_correction(table, [jd])
 
     def test_non_hermitian_result_rejected(self, jumps):

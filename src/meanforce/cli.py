@@ -235,13 +235,18 @@ def parse_config(data):
         if _object(sweep, "sweep").get("parameter") != "omega0":
             raise ValidationError("sweep.parameter: only 'omega0' sweeps are supported")
         vals = sweep.get("values")
-        if not isinstance(vals, list) or not all(_finite(v) and v > 0 for v in vals):
-            raise ValidationError("sweep.values: must be a list of positive finite numbers")
+        if not isinstance(vals, list) or not vals or not all(_finite(v) and v > 0 for v in vals):
+            raise ValidationError("sweep.values: must be a non-empty list of positive finite numbers")
         if task == "corrections" and not cfg.is_qubit_sweep:
             raise ValidationError("sweep: only a qubit coupled once to an Ohmic bath is swept")
         cfg.sweep_values = [float(v) for v in vals]
     elif task == "corrections":
         cfg.sweep_values = list(SWEEP_BW0)
+    # the qubit sweep and the validate checks divide by the first coupling's gamma_c
+    bid = couplings[0][1]
+    if task == "validate" or (task == "corrections" and cfg.is_qubit_sweep):
+        if isinstance(baths[bid], OhmicBath) and baths[bid].coupling == 0:
+            raise ValidationError(f"baths.{bid}.gamma_c: must be positive for the {task} task")
 
     # a present evolve section is checked on every task, as sweep and validate are
     if task == "evolve" and "evolve" not in data:
@@ -308,21 +313,14 @@ def run_corrections(cfg):
     """Qubit coefficient sweep (TLS + single Ohmic bath) or a full coefficient table."""
     header = ["sweep_value", "coefficient_name", "correction_kind", "value_re", "value_im"]
     rows = []
-    failures = []
+    messages = []
     if cfg.is_qubit_sweep:
         bath = cfg.bath_list()[0]
-        points, messages = qubit_sweep_point(bath, [bw0 / bath.beta for bw0 in cfg.sweep_values],
+        values, messages = qubit_sweep_point(bath, [bw0 / bath.beta for bw0 in cfg.sweep_values],
                                              bath.coupling, cfg.quad)
-        for bw0, vals, msg in zip(cfg.sweep_values, points, messages):
-            if msg is not None:
-                failures.append(f"sweep value {bw0:g}: {msg}")
-            for kind in SWEEP_KINDS:
-                for name in SWEEP_NAMES:
-                    if vals is None:
-                        rows.append([_fmt(bw0), name, kind, "nan", "nan"])
-                    else:
-                        v = vals[(kind, name)]
-                        rows.append([_fmt(bw0), name, kind, _fmt(v), _fmt(0.0)])
+        rows = [[_fmt(bw0), name, kind, _fmt(v), "0" if msg is None else "nan"]
+                for bw0, point, msg in zip(cfg.sweep_values, values.tolist(), messages)
+                for kind, row in zip(SWEEP_KINDS, point) for name, v in zip(SWEEP_NAMES, row)]
     else:
         jumps = cfg.jump_list()
         baths = cfg.bath_list()
@@ -333,8 +331,9 @@ def run_corrections(cfg):
                 name = f"Y[{a};{b};{_fmt(w)};{_fmt(wp)}]"
                 rows.append(["0", name, kind, _fmt(np.real(v)), _fmt(np.imag(v))])
     _write_csv(cfg.output, header, rows)
-    for msg in failures:
-        print(f"warning: {msg}", file=sys.stderr)
+    for bw0, msg in zip(cfg.sweep_values, messages):
+        if msg is not None:
+            print(f"warning: sweep value {bw0:g}: {msg}", file=sys.stderr)
     return 0
 
 

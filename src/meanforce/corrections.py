@@ -265,13 +265,14 @@ def _steady_offdiag(beta, freqs, kmat, dyn, i, j):
         return np.where(off, dyn[..., i, j] + (-bracket.imag / gap + 1j * (bracket.real / gap)), 0.0)
 
 
-def _spec_steady(spec, pairs, alpha=0, beta_idx=0):
-    """Y_st_ab(w, w') of a spec at each (w, w') of a list, from one tabulation over its
-    frequencies closed under w -> -w."""
-    freqs = sorted({x for pair in pairs for w in pair for x in (w, -w)})
-    i, j = np.searchsorted(freqs, pairs).T
+def _spec_steady(spec, w, wp, alpha=0, beta_idx=0):
+    """Y_st_ab(w_k, w'_k) of a spec over two equal-length frequency arrays, from one
+    tabulation over their frequencies closed under w -> -w."""
+    w, wp = np.asarray(w, dtype=float), np.asarray(wp, dtype=float)
+    freqs = sorted(set(np.concatenate([w, wp, -w, -wp]).tolist()))
     tables = spec.tables(max(alpha, beta_idx) + 1, freqs)
-    return _steady_offdiag(spec.beta, freqs, *tables, i, j)[alpha, beta_idx]
+    return _steady_offdiag(spec.beta, freqs, *tables, np.searchsorted(freqs, w),
+                           np.searchsorted(freqs, wp))[alpha, beta_idx]
 
 
 def upsilon_steady_offdiag(spec, bath, w, wp, alpha=0, beta_idx=0, config=DEFAULT_QUAD):
@@ -282,7 +283,7 @@ def upsilon_steady_offdiag(spec, bath, w, wp, alpha=0, beta_idx=0, config=DEFAUL
     kept for API compatibility."""
     if w == wp:
         raise DomainError("steady-state coherence formula requires w != w'")
-    return complex(_spec_steady(spec, [(w, wp)], alpha, beta_idx)[0])
+    return complex(_spec_steady(spec, [w], [wp], alpha, beta_idx)[0])
 
 
 def tls_time_integrated_balance(bath, w, config=DEFAULT_QUAD):
@@ -390,22 +391,24 @@ def _bath_table(kind, measure, freqs, config):
     """One bath's n x n table of a correction over its frequency list: the mean force
     in one batched integral over all n^2 entries, the dynamical and steady-state
     tables from one long-time Redfield pair (K, Y_dyn); the steady diagonal is zero."""
-    n = len(freqs)
-    if kind == "mean_force":
-        values, failed = _mean_force_kernel(measure, np.repeat(freqs, n), np.tile(freqs, n), config)
-        _raise_failed(failed)
-        return values.reshape(n, n)
     if kind == "dynamical":
         return redfield_pair_matrices(measure, freqs, np.inf, config)[1]
-    pairs = list(itertools.product(freqs, freqs))
-    return _spec_steady(kossakowski_redfield(measure, config), pairs).reshape(n, n)
+    n = len(freqs)
+    w, wp = np.repeat(freqs, n), np.tile(freqs, n)
+    if kind == "mean_force":
+        values, failed = _mean_force_kernel(measure, w, wp, config)
+        _raise_failed(failed)
+        return values.reshape(n, n)
+    return _spec_steady(kossakowski_redfield(measure, config), w, wp).reshape(n, n)
 
 
 def _qubit_sweep(measure, w0, config):
-    """The qubit sweep's kind -> (Y(0,-w0) - Y(w0,0), Y(w0,w0) - Y(-w0,-w0)) at every
-    w0 > 0 of an array, for "mf", "dyn", "st_redfield" and "st_cumulant" (whose
-    diagonal is T(w0)/2beta - T(-w0)/2beta); see `validation.qubit_sweep_point`.
-    Returns (points, failures); a point is None where one of its integrals failed."""
+    """The qubit sweep over an array of w0 > 0 as a (points, 4, 3) float array: for the
+    kinds "mf", "dyn", "st_redfield" and "st_cumulant" (validation.SWEEP_KINDS), the re
+    and im parts of Y(0,-w0) - Y(w0,0) and the real part of Y(w0,w0) - Y(-w0,-w0)
+    (validation.SWEEP_NAMES); st_cumulant's diagonal is T(w0)/2beta - T(-w0)/2beta.
+    Returns (values, failures): a point's row is nan where one of its integrals failed,
+    and its failure is that integral's message, else None."""
     n, zero = w0.size, np.zeros(w0.size)
     freqs = sorted(set(np.concatenate([-w0, zero, w0]).tolist()))
     (kmat, dyn), s_failed = _long_time_pair(measure, freqs, config)
@@ -413,22 +416,22 @@ def _qubit_sweep(measure, w0, config):
     im, i0 = len(freqs) - 1 - ip, len(freqs) // 2  # a closed sorted list mirrors w -> -w
     st = _steady_offdiag(measure.beta, freqs, kmat[None, None], dyn[None, None],
                          np.r_[[i0] * n, ip], np.r_[im, [i0] * n])[0, 0]
+    st_off = st[:n] - st[n:]
     # (0, -w0), (w0, 0), (w0, w0), (-w0, -w0) per point
     mf, mf_failed = _mean_force_kernel(measure, np.stack([zero, w0, w0, -w0], 1).ravel(),
                                        np.stack([-w0, zero, w0, -w0], 1).ravel(), config)
     balance, t_failed = _balance_integrals(measure, np.concatenate([w0, -w0]), config)
     cp, cm = np.split(balance / (2.0 * measure.beta), 2)
-    combos = {"mf": (mf[0::4] - mf[1::4], mf[2::4] - mf[3::4]),
-              "dyn": (dyn[i0, im] - dyn[ip, i0], dyn[ip, ip] - dyn[im, im]),
-              "st_redfield": (st[:n] - st[n:], np.zeros(n)),
-              "st_cumulant": (st[:n] - st[n:], cp - cm)}
-    points, failures = [], []
+    off = np.stack([mf[0::4] - mf[1::4], dyn[i0, im] - dyn[ip, i0], st_off, st_off], 1)
+    diag = np.stack([mf[2::4] - mf[3::4], (dyn[ip, ip] - dyn[im, im]).real, zero, cp - cm], 1)
+    values = np.stack([off.real, off.imag, diag], 2)
+    failures = []
     for i in range(n):
         msgs = [s_failed.get(im[i]), s_failed.get(i0), s_failed.get(ip[i])]
         msgs += [mf_failed.get(j) for j in range(4 * i, 4 * i + 4)] + [t_failed.get(i), t_failed.get(n + i)]
         failures.append(next((m for m in msgs if m is not None), None))
-        points.append(None if failures[-1] else {k: (off[i], diag[i]) for k, (off, diag) in combos.items()})
-    return points, failures
+    values[[m is not None for m in failures]] = np.nan
+    return values, failures
 
 
 def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_QUAD):

@@ -25,7 +25,7 @@ from .corrections import (
     upsilon_mean_force,
     upsilon_steady_offdiag,
 )
-from .errors import DetailedBalanceError, NumericsError, ValidationError
+from .errors import DetailedBalanceError, ValidationError
 from .generators import (
     _checked_expm,
     build_cumulant_exponent,
@@ -123,10 +123,11 @@ def check_steady_coherence_identities(case):
     """Acceptance 2: steady coherences vs mean force (Redfield K) and dynamical (secular K),
     each spec tabulated once over the grid's frequencies closed under w -> -w."""
     bath = case.bath()
-    st_r = _spec_steady(kossakowski_redfield(bath, case.config), _PAIR_GRID)
+    grid = np.array(_PAIR_GRID).T
+    st_r = _spec_steady(kossakowski_redfield(bath, case.config), *grid)
     mf = np.array([upsilon_mean_force(bath, w, wp, "S_form", case.config) for w, wp in _PAIR_GRID])
     worst_r = float(np.max(np.abs(st_r - mf)))
-    st_s = _spec_steady(kossakowski_secular(bath, case.config), _PAIR_GRID)
+    st_s = _spec_steady(kossakowski_secular(bath, case.config), *grid)
     freqs = sorted({x for pair in _PAIR_GRID for x in pair})
     w, wp = np.searchsorted(freqs, _PAIR_GRID).T
     dyn = redfield_pair_matrices(bath, freqs, np.inf, case.config)[1][w, wp]
@@ -319,54 +320,31 @@ SWEEP_BW0 = tuple(float(v) for v in np.linspace(0.1, 5.0, 20))  # the default be
 
 
 def qubit_sweep_point(bath, w0, gamma_c, config=DEFAULT_QUAD):
-    """Normalised coefficient combinations of a qubit at one frequency, or at each of a list.
+    """Normalised coefficient combinations of a qubit at each w0 of a list.
 
-    A point is (kind, name) -> value with the figure's axis normalisation
+    Returns (values, failures).  values[p, k, n] is the name SWEEP_NAMES[n] of the
+    kind SWEEP_KINDS[k] at point p, with the figure's axis normalisation
     beta * [Y_k(0,-w0) - Y_k(w0,0)] / gamma_c (re, im) and
-    beta * [Y_k(w0,w0) - Y_k(-w0,-w0)] / gamma_c.  For a list of w0 each
-    integral is one batched call over all points: the S(w) over the union of
-    (-w0, 0, w0), the four mean-force kernels and T(+-w0) of every point.  It
-    returns (points, failures): each point's dict, or None where one of its
-    integrals failed, and that integral's message, or None; a failed integral
-    fails only the points that read it (S(0) is read by all).  A scalar w0 is
-    the one-point case: it returns the dict, and a failed integral raises
-    NumericsError.
+    beta * [Y_k(w0,w0) - Y_k(-w0,-w0)] / gamma_c.  Each integral is one batched
+    call over all points: the S(w) over the union of (-w0, 0, w0), the four
+    mean-force kernels and T(+-w0) of every point.  A failed integral fails only
+    the points that read it (S(0) is read by all): their rows are nan, and their
+    failures hold its message, the others None.
     """
-    if np.ndim(w0) == 0:
-        points, failures = qubit_sweep_point(bath, [w0], gamma_c, config)
-        if failures[0] is not None:
-            raise NumericsError(failures[0])
-        return points[0]
-    if np.min(w0) <= 0:
-        raise ValidationError("omega0 must be positive")
-    points, failures = _qubit_sweep(as_measure(bath), np.array(w0, dtype=float), config)
-    norm = bath.beta / gamma_c
-    return [None if p is None else _normalised(norm, p) for p in points], failures
-
-
-def _normalised(norm, vals):
-    """kind -> (off-diagonal, diagonal) combinations as the (kind, name) -> value of a point."""
-    out = {}
-    for kind, (off, diag) in vals.items():
-        out[(kind, "offdiag_re")] = float(np.real(off)) * norm
-        out[(kind, "offdiag_im")] = float(np.imag(off)) * norm
-        out[(kind, "diag_diff")] = float(np.real(diag)) * norm
-    return out
+    w0 = np.array(w0, dtype=float)
+    if not (w0.size and w0.min() > 0):
+        raise ValidationError("omega0 must be a non-empty list of positive values")
+    values, failures = _qubit_sweep(as_measure(bath), w0, config)
+    return values * (bath.beta / gamma_c), failures
 
 
 def qubit_sweep_rows(case):
     """(bw0, kind, name) -> value over the default beta*w0 sweep, in one batched pass."""
-    bath = case.bath()
-    points, failures = qubit_sweep_point(bath, np.array(SWEEP_BW0) / case.beta,
+    values, failures = qubit_sweep_point(case.bath(), np.array(SWEEP_BW0) / case.beta,
                                          case.coupling_strength, case.config)
-    for msg in failures:
-        if msg is not None:
-            raise NumericsError(msg)
-    rows = {}
-    for bw0, point in zip(SWEEP_BW0, points):
-        for (kind, name), v in point.items():
-            rows[(bw0, kind, name)] = v
-    return rows
+    _raise_failed({i: m for i, m in enumerate(failures) if m is not None})
+    return {(bw0, kind, name): v for bw0, point in zip(SWEEP_BW0, values.tolist())
+            for kind, row in zip(SWEEP_KINDS, point) for name, v in zip(SWEEP_NAMES, row)}
 
 
 def _max_abs(values):

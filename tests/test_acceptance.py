@@ -28,6 +28,8 @@ from meanforce.validation import (
     check_generator_agreement,
     qubit_sweep_point,
     SWEEP_BW0,
+    SWEEP_KINDS,
+    SWEEP_NAMES,
 )
 
 CASE = ReferenceCase()
@@ -94,13 +96,14 @@ def test_criterion_9_sweep_structure(tmp_path):
 
 
 def test_sweep_structure_fails_on_nan_rows():
-    # a sweep point that raised NumericsError is written as nan rows; every
+    # a sweep point whose integral failed is written as nan rows; every
     # structural check must fail on it, also when it is not the first point
-    bath = CASE.bath()
-    rows = {}
-    for bw0 in SWEEP_BW0[::4]:
-        point = qubit_sweep_point(bath, bw0 / CASE.beta, CASE.coupling_strength, CASE.config)
-        rows.update({(bw0, kind, name): v for (kind, name), v in point.items()})
+    bw0s = SWEEP_BW0[::4]
+    values, failures = qubit_sweep_point(CASE.bath(), [b / CASE.beta for b in bw0s],
+                                         CASE.coupling_strength, CASE.config)
+    assert failures == [None] * len(bw0s)
+    rows = {(bw0, kind, name): v for bw0, point in zip(bw0s, values.tolist())
+            for kind, row in zip(SWEEP_KINDS, point) for name, v in zip(SWEEP_NAMES, row)}
     report(check_sweep_structure(CASE, rows=rows))
     third = SWEEP_BW0[8]
     rows.update({k: math.nan for k in rows if k[0] == third})

@@ -280,6 +280,37 @@ class TestConfigValidation:
         assert err.startswith(f"error: {path}:")
         assert not (tmp_path / "out.csv").exists()
 
+    # both crashed with a traceback (exit 1): np.min of no values, and the qubit sweep's
+    # and the validate checks' division by gamma_c
+    @pytest.mark.parametrize("task, edit, path", [
+        pytest.param("corrections", lambda c: c.update(sweep={"parameter": "omega0", "values": []}),
+                     "sweep.values", id="empty_sweep"),
+        pytest.param("corrections", lambda c: c["baths"]["b1"].update(gamma_c=0), "baths.b1.gamma_c",
+                     id="sweep_gamma_c_0"),
+        pytest.param("validate", lambda c: c["baths"]["b1"].update(gamma_c=0.0), "baths.b1.gamma_c",
+                     id="validate_gamma_c_0"),
+    ])
+    def test_empty_sweep_and_zero_gamma_c_exit_2(self, tmp_path, capsys, task, edit, path):
+        cfg = dict(json.loads(json.dumps(BASE)), task=task, output=str(tmp_path / "out.csv"))
+        edit(cfg)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert main([task, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(dict(BASE, task="steadystate"), id="steadystate"),
+        pytest.param(dict(BASE, task="evolve", evolve={"initial_state": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],
+                                                       "times": [1.0]}), id="evolve"),
+        pytest.param(three_level("corrections", "b"), id="table"),
+    ])
+    def test_zero_gamma_c_accepted_elsewhere(self, cfg):
+        cfg = json.loads(json.dumps(cfg))
+        for b in cfg["baths"].values():
+            b["gamma_c"] = 0
+        assert parse_config(cfg).bath_list()[0].coupling == 0
+
     # a present evolve section is checked on every task, as sweep and validate are
     @pytest.mark.parametrize("task", ["corrections", "steadystate", "validate"])
     @pytest.mark.parametrize("section, path", [

@@ -29,7 +29,7 @@ from meanforce.errors import (
 )
 from meanforce.operators import JumpDecomposition, bohr_decompose, spectral_decompose
 from meanforce.perturbative import second_order_residual
-from meanforce.validation import qubit_sweep_point
+from meanforce.validation import SWEEP_KINDS, SWEEP_NAMES, qubit_sweep_point
 
 
 def kernel_D_mpmath(beta, w, wp, om):
@@ -417,9 +417,10 @@ class TestLongTimePair:
     @pytest.mark.parametrize("bw0", [0.1, 1.3, 4.2])
     def test_sweep_point_equals_per_entry_functions(self, bath, bw0):
         w0 = bw0 / bath.beta
-        point = qubit_sweep_point(bath, w0, 0.7)
-        for key, value in _sweep_per_entry(bath, w0, 0.7).items():
-            assert point[key] == value, key
+        values, failures = qubit_sweep_point(bath, [w0], 0.7)
+        assert failures == [None]
+        for (kind, name), value in _sweep_per_entry(bath, w0, 0.7).items():
+            assert values[0, SWEEP_KINDS.index(kind), SWEEP_NAMES.index(name)] == value, (kind, name)
 
     def test_frequencies_not_closed_under_negation(self, bath):
         # Bohr frequencies (0, 1) without -1: the coherence formula reads K at -1

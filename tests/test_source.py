@@ -1,8 +1,10 @@
-"""Source hygiene: no library module imports a name it never uses, and no public
-function or class is left that no library code or benchmark reaches."""
+"""Source hygiene: no library module imports a name it never uses, no public
+function or class is left that no library code or benchmark reaches, and no
+module grows past the parser's 4096-token step."""
 
 import ast
 import importlib
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -92,3 +94,22 @@ def test_perfbench_imports_resolve():
     missing = [f"{script}: {module}.{name}" for script, module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def parser_tokens(path):
+    """Tokens the parser reads from a module: all but comments, blank-line NLs and the encoding."""
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with path.open("rb") as fh:
+        return sum(tok.type not in skip for tok in tokenize.tokenize(fh.readline))
+
+
+# The parser's token array doubles from 4096 entries and allocates the new tokens at
+# once, so compiling a module past 4096 tokens takes a step in memory: on Python 3.11,
+# corrections.py padded with short assignments compiled with a 1.47 MB tracemalloc
+# peak at 4090 tokens and 1.71 MB at 4106. The benchmark runs each workload in a child
+# that compiles every module (no .pyc), where such a step adds about 0.15 MB of peak
+# RSS, above the 0.1 MB bound on peak_rss_mb in BENCHMARK.json. A module near the edge
+# is split or trimmed, not grown.
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_under_token_step(path):
+    assert parser_tokens(path) < 4096

@@ -23,8 +23,7 @@ Three kinds of integrals recur throughout the package:
   gives the difference quotients near the switch.
 
 A batched integrand takes the (r, 21) node array of r intervals and their
-entry indices and returns an array of the nodes' shape; with scalar limits
-(one entry) it takes the node array alone.
+entry indices and returns an array of the nodes' shape.
 """
 
 import sys
@@ -153,16 +152,7 @@ def adaptive_quad(f, lo, hi, config=DEFAULT_QUAD, cut=None):
     carry on.  Returns (values, errors, failed): the integrals, the summed
     error estimates and {k: message} of the failed entries, whose values are
     nan.  An entry with hi <= lo is 0.
-
-    With scalar `lo` and `hi` this is the one-entry case: f takes the nodes
-    alone, the integral is returned as a float and a failure raises
-    NumericsError.
     """
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        value, _, failed = adaptive_quad(lambda x, k: f(x), np.array([float(lo)]),
-                                         np.array([float(hi)]), config, cut)
-        _raise_failed(failed)
-        return float(value[0])
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     m = lo.size
     cut = np.broadcast_to(np.nan if cut is None else np.asarray(cut, dtype=float), (m,))
@@ -221,15 +211,8 @@ def principal_value(f, pole, lo, hi, scale, config=DEFAULT_QUAD, cusp=None):
     holds it: u = |cusp - pole| in the paired piece.
 
     f(x, k) takes nodes and pole indices; returns (values, errors, failed) as
-    `adaptive_quad` does.  With scalar `pole`, `lo` and `hi` this is the
-    one-pole case: f takes the nodes alone, a float is returned and a failure
-    raises NumericsError.
+    `adaptive_quad` does.
     """
-    if np.ndim(pole) == 0 and np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        value, _, failed = principal_value(lambda x, k: f(x), np.array([float(pole)]),
-                                           lo, hi, scale, config, cusp)
-        _raise_failed(failed)
-        return float(value[0])
     pole, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (pole, lo, hi)))
     if not np.all((lo < pole) & (pole < hi)):
         raise ValidationError("pole must lie strictly inside the integration domain")

@@ -32,7 +32,6 @@ import numpy as np
 from ._quad import (
     _PHI_SWITCH,
     DEFAULT_QUAD,
-    QuadratureConfig,
     _raise_failed,
     adaptive_quad,
     panel_nodes,
@@ -50,7 +49,6 @@ __all__ = [
     "OhmicBath",
     "DiscreteBath",
     "SpectralMeasure",
-    "QuadratureConfig",
     "DEFAULT_QUAD",
     "gamma_spectral",
     "as_measure",
@@ -99,6 +97,14 @@ class DiscreteBath:
         modes = tuple((float(w), float(g)) for w, g in self.modes)
         if any(w <= 0 for w, _ in modes):
             raise ValidationError("all mode frequencies must be positive")
+        for w, g in modes:
+            try:
+                n = bose_occupation(self.beta, w)
+            except OverflowError:  # e^{beta W}
+                n = math.inf
+            if not math.isfinite(2.0 * math.pi * g * g * (n + 1.0)):
+                raise ValidationError(f"mode ({w:g}, {g:g}): e^(beta W) or the atom weight "
+                                      "2 pi g^2 (n + 1) overflows")
         object.__setattr__(self, "modes", modes)
 
 
@@ -406,13 +412,14 @@ def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
 def _long_time_pair(measure, freqs, config):
     """((K, Y_dyn) over the frequency list, {index: message} of the failed S(w)).
 
-    Every S(w) comes from one `_lamb_shifts` call; the rows and columns of a
-    failed frequency are nan.
+    Every gamma(w) comes from one density call and every S(w) from one
+    `_lamb_shifts` call; the rows and columns of a failed frequency are nan.
     """
     for w in freqs:
         _check_atom_pole(measure, w)
-    g = np.array([measure_value(measure, w) for w in freqs])
-    s, failed = _lamb_shifts(measure, [float(w) for w in freqs], config)
+    fa = np.array(freqs, dtype=float)
+    g = np.zeros(fa.size) if measure.density is None else measure.density(fa)
+    s, failed = _lamb_shifts(measure, fa.tolist(), config)
     return (0.5 * (g[:, None] + g[None, :]) + 1j * (s[None, :] - s[:, None]),
             0.5 * (s[:, None] + s[None, :]) + 1j * (0.25 * (g[:, None] - g[None, :]))), failed
 
@@ -437,19 +444,18 @@ def correlation_time_domain(bath, t, config=DEFAULT_QUAD):
         total += wgt * np.exp(-1j * loc * t) / (2.0 * np.pi)
     if measure.density is not None:
         lo, hi = _smooth_domain(measure)
-
-        def dens(w):
-            return float(measure.density(np.asarray(w)))
-
         if t == 0:
-            total += adaptive_quad(measure.density, lo, hi, config) / (2.0 * np.pi)
+            value, _, failed = adaptive_quad(lambda x, k: measure.density(x), np.array([lo]),
+                                             np.array([hi]), config)
+            _raise_failed(failed)
+            total += value[0] / (2.0 * np.pi)
         else:
             from scipy.integrate import quad
 
-            re, re_err = quad(dens, lo, hi, weight="cos", wvar=t,
+            re, re_err = quad(measure.density, lo, hi, weight="cos", wvar=t,
                               epsabs=config.abs_tol, epsrel=config.rel_tol,
                               limit=config.limit)[:2]
-            im, im_err = quad(dens, lo, hi, weight="sin", wvar=t,
+            im, im_err = quad(measure.density, lo, hi, weight="sin", wvar=t,
                               epsabs=config.abs_tol, epsrel=config.rel_tol,
                               limit=config.limit)[:2]
             if max(re_err, im_err) > 1e3 * config.abs_tol * max(1.0, abs(re), abs(im)):
@@ -467,12 +473,12 @@ def _split_time(measure):
 
 
 def _log_tail_integral(delta, t0, t1):
-    """int_{t0}^{t1} e^{i delta s} / s ds."""
-    if delta == 0.0:
-        return complex(np.log(t1 / t0))
+    """int_{t0}^{t1} e^{i delta s} / s ds over an array of delta, in one exp1 call."""
     from scipy.special import exp1
 
-    return complex(exp1(-1j * delta * t0) - exp1(-1j * delta * t1))
+    zero = delta == 0.0
+    safe = np.where(zero, 1.0, delta)
+    return np.where(zero, np.log(t1 / t0), exp1(-1j * safe * t0) - exp1(-1j * safe * t1))
 
 
 def _integrated_direct(measure, freqs, t):
@@ -540,9 +546,11 @@ def _integrated_matrices_cached(measure, freqs, t, config):
     xi, sig = xi0 + k_inf * step, sig0 + s_inf * step
     c = measure.tail_zero_coeff
     if c != 0.0:
-        tail = np.array([[_log_tail_integral(d, t0, t) for d in row] for row in delta])
         zero = (fa == 0.0).astype(float)  # floats: a bool outer sum would be a logical or
-        xi += c * (zero[None, :] + zero[:, None]) * tail
+        weight = zero[None, :] + zero[:, None]
+        tail = np.zeros(delta.shape, dtype=complex)  # nonzero on the w = 0 row and column only
+        tail[weight != 0] = _log_tail_integral(delta[weight != 0], t0, t)
+        xi += c * weight * tail
         sig += c * (zero[None, :] - zero[:, None]) * tail / 2.0j
     return xi, sig
 

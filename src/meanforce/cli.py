@@ -139,8 +139,8 @@ def parse_config(data):
     if not _finite(beta) or beta <= 0:
         raise ValidationError("beta: must be a positive finite number")
     lam = data.get("lambda", 0.05)
-    if not _finite(lam) or lam < 0:
-        raise ValidationError("lambda: must be a nonnegative finite number")
+    if not _finite(lam) or lam < 0 or not _finite(float(lam) * float(lam)):
+        raise ValidationError("lambda: must be a nonnegative number with a finite square")
 
     system = data.get("system")
     omega0 = None
@@ -240,7 +240,7 @@ def parse_config(data):
         if task == "corrections" and not cfg.is_qubit_sweep:
             raise ValidationError("sweep: only a qubit coupled once to an Ohmic bath is swept")
         cfg.sweep_values = [float(v) for v in vals]
-    elif task == "corrections":
+    elif task == "corrections" and cfg.is_qubit_sweep:
         cfg.sweep_values = list(SWEEP_BW0)
     # the qubit sweep and the validate checks divide by the first coupling's gamma_c
     bid = couplings[0][1]

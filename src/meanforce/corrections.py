@@ -366,9 +366,8 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
     th = math.tanh(0.5 * beta * omega0)
     measure = as_measure(bath)
 
-    def integrand(om):
+    def integrand(om, _):
         # 1/(W^2 - w^2) = -1/((w-W)(W+w)); both pieces share the pole at W = w
-        om = np.asarray(om, dtype=float)
         j = gc * om * np.exp(-om / wc)
         x = 0.5 * beta * om
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -380,8 +379,10 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
         g2 = np.where(om == 0.0, omega0 * gc, g2)
         return (g1 + g2) / (omega0 - om)
 
-    value = principal_value(integrand, omega0, 0.0, measure.support + omega0, measure.scale, config)
-    return -4.0 * lam**2 * f1 * f2 / omega0 * value
+    value, _, failed = principal_value(integrand, np.array([omega0]), 0.0, measure.support + omega0,
+                                       measure.scale, config)
+    _raise_failed(failed)
+    return -4.0 * lam**2 * f1 * f2 / omega0 * float(value[0])
 
 
 # --- full coefficient tables ---------------------------------------------------

@@ -122,8 +122,9 @@ def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
     """
     if not t >= 0:
         raise ValidationError("t must be nonnegative")
-    if lam < 0:
-        raise ValidationError("coupling constant must be nonnegative")
+    lam = float(lam)
+    if not (lam >= 0 and np.isfinite(lam * lam)):
+        raise ValidationError("coupling constant must be nonnegative, with a finite square")
     baths = bath_list(baths, len(jumps))
     h = np.zeros((jumps[0].dim,) * 2) if h0 is None else require_hermitian(h0, name="H0")
     gen = commutator_superop(h) if free else np.zeros((h.size, h.size), dtype=complex)
@@ -263,11 +264,17 @@ def steady_state_of_generator(superop, null_tol=1e-10):
     """Unit-trace Hermitian null vector of a trace-preserving generator.
 
     Raises DegenerateSteadyStateError when the null space has dimension > 1
-    (tie-breaking is never silent) and NumericsError when the null vector has
-    no positive unit-trace representative.
+    (tie-breaking is never silent) and NumericsError when the generator is not
+    finite, its SVD fails, or the null vector has no positive unit-trace
+    representative.
     """
     mat = superop.matrix
-    _, s, vh = np.linalg.svd(mat)
+    if not np.isfinite(mat).all():
+        raise NumericsError("generator is not finite")
+    try:
+        _, s, vh = np.linalg.svd(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"generator SVD failed: {exc}") from None
     smax = s[0] if s.size else 0.0
     null_rows = np.where(s <= null_tol * max(smax, 1e-300))[0]
     if null_rows.size == 0:

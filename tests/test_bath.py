@@ -140,14 +140,14 @@ class TestPrincipalValue:
     @pytest.mark.parametrize("pole", [-1.0 + 3e-3, 0.7, 2.0 - 3e-3])
     def test_reciprocal_against_log(self, pole, scale):
         lo, hi = -1.0, 2.0
-        value = principal_value(lambda x: 1.0 / (pole - np.asarray(x)), pole, lo, hi, scale)
+        value, _, failed = principal_value(lambda x, k: 1.0 / (pole - x), np.array([pole]), lo, hi, scale)
         expect = np.log((pole - lo) / (hi - pole))
-        assert abs(value - expect) <= 1e-12 * abs(expect)
+        assert failed == {} and abs(value[0] - expect) <= 1e-12 * abs(expect)
 
     @pytest.mark.parametrize("pole", [-1.0, 2.0, 3.0])
     def test_pole_outside_domain_rejected(self, pole):
         with pytest.raises(ValidationError):
-            principal_value(lambda x: 1.0 / (pole - x), pole, -1.0, 2.0, 1.0)
+            principal_value(lambda x, k: 1.0 / (pole - x), np.array([pole]), -1.0, 2.0, 1.0)
 
 
 class TestLongTimePair:
@@ -312,6 +312,29 @@ class TestIntegratedCoefficients:
             mb._integrated_matrices_cached.cache_clear()
         assert np.abs(split_gamma - direct_gamma).max() <= 2e-3
         assert np.abs(split_S - direct_S).max() <= 2e-3
+
+    @pytest.mark.parametrize("freqs", [(-1.0, 0.0, 0.7, 1.0), (-1.0, 0.7, 1.0)],
+                             ids=["with_zero", "without_zero"])
+    def test_tail_past_split_equals_per_entry_formula(self, bath, freqs):
+        # past t0 the A(0) log tail is evaluated on the w = 0 row and column only, in one
+        # exp1 call; the matrices keep the bits of the per-entry formula on all n^2 entries
+        import meanforce.bath as mb
+        from scipy.special import exp1
+
+        measure = gamma_spectral(bath)
+        t0, t, c = mb._split_time(measure), 200.0, measure.tail_zero_coeff
+        xi0, sig0 = integrated_gamma_matrix(bath, freqs, t0), integrated_S_matrix(bath, freqs, t0)
+        k_inf, s_inf = redfield_pair_matrices(bath, freqs, np.inf)
+        fa = np.array(freqs)
+        delta = fa[:, None] - fa[None, :]
+        step = phi_kernel(delta, t) - phi_kernel(delta, t0)
+        tail = np.array([[complex(exp1(-1j * d * t0) - exp1(-1j * d * t)) if d else complex(np.log(t / t0))
+                          for d in row] for row in delta])
+        zero = (fa == 0.0).astype(float)
+        xi = xi0 + k_inf * step + c * (zero[None, :] + zero[:, None]) * tail
+        sig = sig0 + s_inf * step + c * (zero[None, :] - zero[:, None]) * tail / 2.0j
+        assert np.array_equal(integrated_gamma_matrix(bath, freqs, t), xi)
+        assert np.array_equal(integrated_S_matrix(bath, freqs, t), sig)
 
     def test_long_time_reuses_cached_split(self, bath, monkeypatch):
         # every t > 60 beta builds on the cached t0 matrices: one discretisation in all

@@ -299,6 +299,38 @@ class TestConfigValidation:
         assert capsys.readouterr().err.startswith(f"error: {path}:")
         assert not (tmp_path / "out.csv").exists()
 
+    # each ended in a traceback and exit 1: an OverflowError at lambda**2, in a mode's
+    # Bose factor e^{beta W} or in its atom weight 2 pi g^2 (n + 1), and an SVD that did
+    # not converge on a generator of infinite entries
+    @pytest.mark.parametrize("task, edit, message", [
+        pytest.param(task, edit, message, id=f"{name}-{task}")
+        for name, edit, message, tasks in [
+            ("lambda_square", lambda c: c.update({"lambda": 1e155}), "lambda:", ("steadystate", "evolve")),
+            ("lambda_1e154", lambda c: c.update({"lambda": 1e154}), "generator is not finite",
+             ("steadystate",)),
+            ("pauli_x", lambda c: c["couplings"][0]["pauli"].update(x=1e154), "generator is not finite",
+             ("steadystate",)),
+            ("operator", lambda c: c.update(system=FULL_MATRIX["system"], couplings=[
+                {"operator": [[[0.0, 0], [1e154, 0]], [[1e154, 0], [0.5, 0]]], "bath": "b1"}]),
+             "generator is not finite", ("steadystate",)),
+            ("mode_frequency", lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[1e300, 1.0]]}),
+             "baths.b1.modes:", ("corrections", "steadystate", "evolve")),
+            ("mode_coupling", lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[2.0, 1e300]]}),
+             "baths.b1.modes:", ("corrections", "steadystate", "evolve")),
+        ]
+        for task in tasks
+    ])
+    def test_extreme_finite_input_exits_2(self, tmp_path, capsys, task, edit, message):
+        cfg = dict(json.loads(json.dumps(BASE)), task=task, output=str(tmp_path / "out.csv"))
+        if task == "evolve":
+            cfg["evolve"] = {"initial_state": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "times": [1.0]}
+        edit(cfg)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert main([task, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("cfg", [
         pytest.param(dict(BASE, task="steadystate"), id="steadystate"),
         pytest.param(dict(BASE, task="evolve", evolve={"initial_state": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]],

@@ -59,6 +59,12 @@ class TestRedfieldGenerator:
         with pytest.raises(ValidationError):
             build_redfield_generator(h0, jumps, bath, -0.1)
 
+    @pytest.mark.parametrize("lam", [1e155, float("nan")])
+    def test_coupling_without_finite_square_rejected(self, h0, jumps, bath, lam):
+        # lam**2 overflowed at 1e155; NaN gave a free generator
+        with pytest.raises(ValidationError, match="finite square"):
+            build_redfield_generator(h0, jumps, bath, lam)
+
     def test_steady_coherence_matches_perturbative_gibbs(self, h0, jumps, bath):
         table = build_upsilon_table("steady_state", jumps, bath, equation="redfield")
         hst = assemble_correction(table, jumps)

@@ -22,6 +22,7 @@ from meanforce._quad import (
     DEFAULT_QUAD,
     QuadratureConfig,
     _qk21,
+    _raise_failed,
     adaptive_quad,
     phi_diff_quotient,
     phi_kernel,
@@ -293,9 +294,10 @@ def test_tolerance_honoured(spectral_reference, tol, name):
     assert np.all(np.abs(got - ref) <= np.maximum(tol[0], tol[1] * np.abs(ref)))
 
 
+# a one-entry batch raises its failure the way the package's callers do, through _raise_failed
 def test_subdivision_limit_raises():
     with pytest.raises(NumericsError, match="did not converge"):
-        adaptive_quad(lambda x: np.sin(1.0 / x), 1e-4, 1.0, QuadratureConfig(limit=10))
+        _raise_failed(one_entry(lambda x, k: np.sin(1.0 / x), 0, 1e-4, 1.0, QuadratureConfig(limit=10))[2])
 
 
 @pytest.mark.parametrize("f", [
@@ -305,7 +307,7 @@ def test_subdivision_limit_raises():
 ], ids=["all_nan", "part_nan", "inf"])
 def test_non_finite_integrand_raises(f):
     with pytest.raises(NumericsError, match=r"not finite on \[0, 1\]"):
-        adaptive_quad(f, 0.0, 1.0)
+        _raise_failed(one_entry(lambda x, k: f(x), 0, 0.0, 1.0)[2])
 
 
 def test_sweep_is_vectorised(monkeypatch):

@@ -7,12 +7,12 @@ Three kinds of integrals recur throughout the package:
   Piessens et al. 1983) over a batch of entries, so each bisection round is
   one call of the integrand on the nodes of every interval any entry
   bisects, while every entry keeps its own target, interval set, `limit`
-  and failure; a whole correction table or qubit sweep is one call,
+  and failure; a whole correction table or qubit sweep is one call, and
+  every such integral starts from the edges of one `ladder`,
 * principal-value integrals through a simple pole, done by pairing the
   integrand symmetrically around the pole so the 1/u singularity cancels
   analytically before any quadrature sees it; the three pieces of every
-  pole of a batch are entries of one adaptive call, and a cusp of the
-  integrand becomes an interval edge,
+  pole of a batch are entries of one adaptive call,
 * Fourier-type integrals with a bounded oscillation rate, sampled by
   `bath._discretize` on the panel rule `panel_nodes`: fixed-order
   Gauss-Legendre panels, at most one oscillation period each, with positive
@@ -82,6 +82,8 @@ _G_WEIGHTS = np.zeros(21)
 _G_WEIGHTS[1:10:2] = _WG
 _G_WEIGHTS[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
+_LADDER_RATIO = 4.0  # ratio of consecutive starting edges of `ladder`
+_QK21_BLOCK = 512  # intervals per integrand call
 
 
 @dataclass(frozen=True)
@@ -136,34 +138,47 @@ def _raise_failed(failed):
         raise NumericsError(failed[min(failed)])
 
 
-def adaptive_quad(f, lo, hi, config=DEFAULT_QUAD, cut=None):
+def ladder(scale, reach):
+    """The starting edges of every spectral integral: 0 and +-scale r^j (j >= 0) up to +-max(reach).
+
+    A density varies on its structure scale near W = 0 (thermal factor, cutoff, |W| cusp)
+    and ever more slowly further out, as do its kernels: a geometric ladder of ratio
+    r = _LADDER_RATIO resolves both ends in a few qk21 intervals, whatever the entry."""
+    steps = scale * _LADDER_RATIO ** np.arange(np.log(np.max(reach) / scale) // np.log(_LADDER_RATIO) + 1)
+    return np.concatenate([-steps[::-1], [0.0], steps])
+
+
+def adaptive_quad(f, lo, hi, config=DEFAULT_QUAD, edges=()):
     """Globally adaptive 21-point Gauss-Kronrod integrals of m real integrands at once.
 
-    `lo`, `hi` (and `cut`) hold one entry each; f(x, k) takes the (r, 21)
-    nodes of r intervals and their entry indices k and returns an array of
-    x's shape.  Each round calls f once, on the 21 qk21 nodes of every
-    interval that any entry bisects.  Entry k stops once its summed error
-    estimate is at most max(abs_tol, rel_tol |I_k|); until then every one of
-    its intervals whose error exceeds that target divided by its interval
-    count is bisected, which always includes its worst one.  An entry whose
-    `cut` lies strictly inside (lo_k, hi_k) starts from the two intervals on
-    either side of it.  An entry fails alone when it would need more than
-    `config.limit` intervals or meets a value that is not finite; the others
-    carry on.  Returns (values, errors, failed): the integrals, the summed
-    error estimates and {k: message} of the failed entries, whose values are
-    nan.  An entry with hi <= lo is 0.
-    """
+    `lo` and `hi` hold one entry each; f(x, k) takes the (r, 21) nodes of r intervals
+    and their entry indices k and returns an array of x's shape.  Entry k starts from
+    [lo_k, hi_k] cut at those of `edges` (one ascending list for all entries, or one
+    ascending row per entry) that lie strictly inside it, and `config.limit` counts
+    these first intervals too.  Each round calls f on the 21 qk21 nodes of every
+    interval that any entry bisects, _QK21_BLOCK intervals at a time.  Entry k stops
+    once its summed error estimate is at most max(abs_tol, rel_tol |I_k|); until then
+    every one of its intervals whose error exceeds that target divided by its interval
+    count is bisected, which always includes its worst one.  An entry fails alone when
+    it would need more than `config.limit` intervals or meets a value that is not
+    finite.  Returns (values, errors, failed): the integrals, the summed error
+    estimates and {k: message} of the failed entries, whose values are nan.  An entry
+    with hi <= lo is 0."""
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    m = lo.size
-    cut = np.broadcast_to(np.nan if cut is None else np.asarray(cut, dtype=float), (m,))
-    value, error, failed = np.zeros(m), np.zeros(m), {}
-    dead = np.zeros(m, dtype=bool)
-    two = (lo < cut) & (cut < hi)
-    first, second = np.flatnonzero(hi > lo), np.flatnonzero(two)
-    k = np.concatenate([first, second])
-    a = np.concatenate([lo[first], cut[second]])
-    b = np.concatenate([np.where(two, cut, hi)[first], hi[second]])
-    res, err = _qk21(lambda x: f(x, k), a, b)
+    m, hi = lo.size, np.maximum(lo, hi)  # an entry with hi <= lo has no interval
+    pts = np.concatenate([lo[:, None], np.clip(edges, lo[:, None], hi[:, None]), hi[:, None]], axis=1)
+    gap = pts[:, 1:] > pts[:, :-1]  # ascending rows: the cut points need no sort
+    k, a, b = np.repeat(np.arange(m), gap.sum(1)), pts[:, :-1][gap], pts[:, 1:][gap]
+    value, error, dead, failed = np.zeros(m), np.zeros(m), np.zeros(m, dtype=bool), {}
+
+    def rule(k, a, b):  # qk21, calling f on the nodes of at most _QK21_BLOCK intervals at once
+        res, err = np.empty((2, k.size))
+        for s in range(0, k.size, _QK21_BLOCK):
+            i = slice(s, s + _QK21_BLOCK)
+            res[i], err[i] = _qk21(lambda x: f(x, k[i]), a[i], b[i])
+        return res, err
+
+    res, err = rule(k, a, b)
     while k.size:
         for row in np.flatnonzero(~np.isfinite(res))[::-1]:  # an entry's first bad interval names it
             j = int(k[row])
@@ -182,33 +197,27 @@ def adaptive_quad(f, lo, hi, config=DEFAULT_QUAD, cut=None):
             error[j] = summed[j]
         dead |= over
         stay = ~(done | dead)[k]
-        k, a, b, res, err, split = k[stay], a[stay], b[stay], res[stay], err[stay], split[stay]
-        if not k.size:
+        if not stay.any():
             break
-        mid = 0.5 * (a[split] + b[split])
-        new_k = np.concatenate([k[split], k[split]])
-        new_a, new_b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        new_res, new_err = _qk21(lambda x: f(x, new_k), new_a, new_b)
-        k, a, b = (np.concatenate([k[~split], new_k]), np.concatenate([a[~split], new_a]),
-                   np.concatenate([b[~split], new_b]))
-        res, err = np.concatenate([res[~split], new_res]), np.concatenate([err[~split], new_err])
+        keep, cut = stay & ~split, stay & split  # the live intervals kept whole, and the halved
+        mid = 0.5 * (a[cut] + b[cut])
+        new = np.tile(k[cut], 2), np.concatenate([a[cut], mid]), np.concatenate([mid, b[cut]])
+        k, a, b, res, err = (np.concatenate([x[keep], y])
+                             for x, y in zip((k, a, b, res, err), (*new, *rule(*new))))
     value[dead] = np.nan
     return value, error, failed
 
 
-def principal_value(f, pole, lo, hi, scale, config=DEFAULT_QUAD, cusp=None):
+def principal_value(f, pole, lo, hi, config=DEFAULT_QUAD, edges=()):
     """PV integrals of f over [lo_k, hi_k] through a simple pole at pole_k, for m poles at once.
 
-    The window [pole-W, pole+W] is integrated as
-    int_0^W (f(pole+u) + f(pole-u)) du, which is finite without knowing the
-    residue; the remaining pole-free pieces [lo, pole-W] and [pole+W, hi] are
-    plain integrals.  The half-width W = min(|pole| + 5 scale, 10 scale)
-    follows the integrand's frequency `scale` and stays inside 99% of either
-    side of the domain.  The three pieces of every pole are entries of one
-    `adaptive_quad` call, each with its own target, and a pole fails with the
-    message of its first failed piece.  `cusp`, a point where f is
-    continuous but not smooth, becomes an interval edge of the piece that
-    holds it: u = |cusp - pole| in the paired piece.
+    The widest symmetric window [pole-W, pole+W], W = 0.99 min(pole-lo, hi-pole), is
+    integrated as int_0^W (f(pole+u) + f(pole-u)) du, which is finite without knowing
+    the residue; the pole-free pieces [lo, pole-W] and [pole+W, hi] are plain
+    integrals.  The three pieces of every pole are entries of one `adaptive_quad`
+    call, each with its own target, and a pole fails with the message of its first
+    failed piece.  The plain pieces start from `edges` as `adaptive_quad` does, the
+    paired one from their images |edge - pole|, less any within 1e-12 |pole| of it.
 
     f(x, k) takes nodes and pole indices; returns (values, errors, failed) as
     `adaptive_quad` does.
@@ -216,9 +225,7 @@ def principal_value(f, pole, lo, hi, scale, config=DEFAULT_QUAD, cusp=None):
     pole, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (pole, lo, hi)))
     if not np.all((lo < pole) & (pole < hi)):
         raise ValidationError("pole must lie strictly inside the integration domain")
-    m = pole.size
-    w = np.minimum(np.minimum(0.99 * (pole - lo), 0.99 * (hi - pole)),
-                   np.minimum(np.abs(pole) + 5.0 * scale, 10.0 * scale))
+    m, w = pole.size, 0.99 * np.minimum(pole - lo, hi - pole)
 
     def pieces(x, e):
         # entries [0, m) are the paired window, [m, 2m) the left and [2m, 3m) the right piece
@@ -232,13 +239,14 @@ def principal_value(f, pole, lo, hi, scale, config=DEFAULT_QUAD, cusp=None):
         out[~paired] = v[2 * kp.size:]
         return out
 
-    cuts = None if cusp is None else np.concatenate([np.abs(cusp - pole), np.full(2 * m, float(cusp))])
+    image = np.abs(np.subtract.outer(pole, edges))
+    image[image <= 1e-12 * np.abs(pole)[:, None]] = 0.0  # pole +- u would round to the pole
+    image = np.array([sorted(row) for row in image.tolist()])
     v, err, failed = adaptive_quad(pieces, np.concatenate([np.zeros(m), lo, pole + w]),
-                                   np.concatenate([w, pole - w, hi]), config, cuts)
-    by_pole = {}
-    for j in sorted(failed):  # paired, left, right
-        by_pole.setdefault(j % m, failed[j])
-    return v[:m] + v[m:2 * m] + v[2 * m:], err[:m] + err[m:2 * m] + err[2 * m:], by_pole
+                                   np.concatenate([w, pole - w, hi]), config,
+                                   np.concatenate([image, np.broadcast_to(edges, (2 * m, image.shape[1]))]))
+    by_pole = {j % m: failed[j] for j in sorted(failed, reverse=True)}  # the first of paired, left, right
+    return v.reshape(3, m).sum(0), err.reshape(3, m).sum(0), by_pole
 
 
 def panel_nodes(lo, hi, osc_freq, structure_scale):

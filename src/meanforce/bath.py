@@ -34,6 +34,7 @@ from ._quad import (
     DEFAULT_QUAD,
     _raise_failed,
     adaptive_quad,
+    ladder,
     panel_nodes,
     phi_diff_quotient,
     phi_kernel,
@@ -114,7 +115,7 @@ class SpectralMeasure:
 
     density           vectorised W -> gamma(W), or None if purely atomic
     atoms             tuple of (location, weight)
-    scale             characteristic frequency, used to size PV pairing windows
+    scale             characteristic frequency: the cutoff, or the highest mode
     support           radius beyond which the smooth part is negligible
     tail_zero_coeff   c in Gamma(0,s) ~ Gamma(0,oo) + c/s, the slow tail produced
                       by the |W| cusp of a detailed-balanced density at W = 0
@@ -218,10 +219,11 @@ def measure_value(measure, omega):
     return float(measure.density(np.asarray(float(omega))))
 
 
-def _check_atom_pole(measure, omega):
-    for loc, _ in measure.atoms:
-        if abs(omega - loc) <= 1e-12 * max(1.0, abs(loc)):
-            raise PoleError(f"frequency {omega:g} sits on the atom at {loc:g}")
+def _check_atom_pole(measure, omegas):
+    for omega in omegas:
+        for loc, _ in measure.atoms:
+            if abs(omega - loc) <= 1e-12 * max(1.0, abs(loc)):
+                raise PoleError(f"frequency {omega:g} sits on the atom at {loc:g}")
 
 
 def _smooth_domain(measure, omega=0.0):
@@ -232,6 +234,10 @@ def _smooth_domain(measure, omega=0.0):
 def _structure_scale(measure):
     """Variation scale of the smooth density (thermal factor or cutoff)."""
     return min(measure.scale, 1.0 / measure.beta)
+
+
+def _edges(measure, reach):  # the first interval edges of every integral of the density
+    return ladder(_structure_scale(measure), reach)
 
 
 @lru_cache(maxsize=128)
@@ -245,30 +251,23 @@ def _lamb_shift_cached(measure, config):
 
 
 def _lamb_shifts(measure, omegas, config):
-    """(S(w) over the frequency list, {index: message} of the failed entries).
-
-    The frequencies not yet in the measure's table go through one batched
-    principal-value call; a failed entry is nan and leaves the others alone.
-    The density's |W| cusp at W = 0 (detailed balance puts it there) is an
-    interval edge: qk21's error estimate does not see a cusp inside an
-    interval, and without the edge S(w) erred by up to 1.3e-7 relative at
-    the default tolerances, 13 times rel_tol (poles 0.05 to 5 of either sign).
-    """
+    """(S(w) over the frequency list, {index: message} of the failed entries); a
+    frequency on an atom raises PoleError.  The frequencies not yet in the measure's
+    table go through one batched principal-value call from the `ladder` edges, whose
+    edge at W = 0 is the density's |W| cusp (qk21's error estimate does not see one
+    inside an interval); a failed entry is nan and leaves the others alone."""
+    _check_atom_pole(measure, omegas)
     known = _lamb_shift_cached(measure, config)
     todo = list(dict.fromkeys(w for w in omegas if w not in known))
     if todo:
-        w = np.array(todo)
-        total = np.zeros(w.size)
+        w, total = np.array(todo), np.zeros(len(todo))
         for loc, wgt in measure.atoms:
             total += wgt / (2.0 * np.pi * (w - loc))
         failed = {}
         if measure.density is not None:
             lo, hi = _smooth_domain(measure, w)
-
-            def integrand(x, k):
-                return measure.density(x) / (2.0 * np.pi * (w[k, None] - x))
-
-            pv, _, failed = principal_value(integrand, w, lo, hi, measure.scale, config, cusp=0.0)
+            pv, _, failed = principal_value(lambda x, k: measure.density(x) / (2.0 * np.pi * (w[k, None] - x)),
+                                            w, lo, hi, config, _edges(measure, hi))
             total += pv
         known.update((x, (float(v), failed.get(i))) for i, (x, v) in enumerate(zip(todo, total)))
     entries = [known[w] for w in omegas]
@@ -277,9 +276,7 @@ def _lamb_shifts(measure, omegas, config):
 
 def lamb_shift_S(bath, omega, config=DEFAULT_QUAD):
     """Lamb shift S(w) = PV (1/2pi) int dW gamma(W)/(w - W)."""
-    measure = as_measure(bath)
-    _check_atom_pole(measure, omega)
-    values, failed = _lamb_shifts(measure, (float(omega),), config)
+    values, failed = _lamb_shifts(as_measure(bath), [float(omega)], config)
     _raise_failed(failed)
     return float(values[0])
 
@@ -415,8 +412,6 @@ def _long_time_pair(measure, freqs, config):
     Every gamma(w) comes from one density call and every S(w) from one
     `_lamb_shifts` call; the rows and columns of a failed frequency are nan.
     """
-    for w in freqs:
-        _check_atom_pole(measure, w)
     fa = np.array(freqs, dtype=float)
     g = np.zeros(fa.size) if measure.density is None else measure.density(fa)
     s, failed = _lamb_shifts(measure, fa.tolist(), config)
@@ -445,23 +440,19 @@ def correlation_time_domain(bath, t, config=DEFAULT_QUAD):
     if measure.density is not None:
         lo, hi = _smooth_domain(measure)
         if t == 0:
-            value, _, failed = adaptive_quad(lambda x, k: measure.density(x), np.array([lo]),
-                                             np.array([hi]), config)
+            value, _, failed = adaptive_quad(lambda x, k: measure.density(x), [lo], [hi], config,
+                                             _edges(measure, hi))
             _raise_failed(failed)
             total += value[0] / (2.0 * np.pi)
         else:
             from scipy.integrate import quad
 
-            re, re_err = quad(measure.density, lo, hi, weight="cos", wvar=t,
-                              epsabs=config.abs_tol, epsrel=config.rel_tol,
-                              limit=config.limit)[:2]
-            im, im_err = quad(measure.density, lo, hi, weight="sin", wvar=t,
-                              epsabs=config.abs_tol, epsrel=config.rel_tol,
-                              limit=config.limit)[:2]
+            (re, re_err), (im, im_err) = (
+                quad(measure.density, lo, hi, weight=weight, wvar=t, epsabs=config.abs_tol,
+                     epsrel=config.rel_tol, limit=config.limit)[:2] for weight in ("cos", "sin"))
             if max(re_err, im_err) > 1e3 * config.abs_tol * max(1.0, abs(re), abs(im)):
-                raise NumericsError(
-                    f"oscillatory correlation quadrature stalled at error {max(re_err, im_err):.2e}"
-                )
+                raise NumericsError("oscillatory correlation quadrature stalled at error "
+                                    f"{max(re_err, im_err):.2e}")
             total += (re - 1j * im) / (2.0 * np.pi)
     return total
 

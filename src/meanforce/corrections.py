@@ -52,10 +52,11 @@ from .bath import (
     OhmicBath,
     S_finite_time,
     _check_atom_pole,
+    _edges,
+    _lamb_shifts,
     _long_time_pair,
     as_measure,
     bath_list,
-    lamb_shift_S,
     redfield_pair_matrices,
     stacked_tables,
 )
@@ -119,16 +120,8 @@ def upsilon_mean_force(bath, w, wp, representation="kernel", config=DEFAULT_QUAD
     (any w, w'); "S_form" uses the Lamb-shift combination and requires w != w'.
     """
     measure = as_measure(bath)
-    beta = measure.beta
     if representation == "S_form":
-        if w == wp:
-            raise DomainError("S-form representation is singular at w = w'")
-        ew, ewp = _exp_factor(beta * w), _exp_factor(beta * wp)
-        if abs(ew - ewp) < 1e-12 * max(ew, ewp):
-            raise NearDegenerateError(f"thermal denominator vanishes for ({w:g}, {wp:g})")
-        s = lambda x: lamb_shift_S(measure, x, config)
-        num = ew * s(wp) - ewp * s(w) + _exp_factor(beta * (w + wp)) * (s(-wp) - s(-w))
-        return num / (ew - ewp)
+        return float(_mean_force_s_form(measure, [w], [wp], config)[0])
     if representation != "kernel":
         raise ValidationError(f"unknown representation {representation!r}")
     values, failed = _mean_force_kernel(measure, [w], [wp], config)
@@ -136,12 +129,26 @@ def upsilon_mean_force(bath, w, wp, representation="kernel", config=DEFAULT_QUAD
     return float(values[0])
 
 
+def _mean_force_s_form(measure, w, wp, config):
+    """Y_mf(w_k, w'_k) of the S-form over pairs, from one `_lamb_shifts` call; a failed S(w) raises."""
+    w, wp = np.array([w, wp], dtype=float)
+    if np.any(w == wp):
+        raise DomainError("S-form representation is singular at w = w'")
+    ew, ewp = _exp_factor(measure.beta * w), _exp_factor(measure.beta * wp)
+    near = np.flatnonzero(np.abs(ew - ewp) < 1e-12 * np.maximum(ew, ewp))
+    if near.size:
+        raise NearDegenerateError(f"thermal denominator vanishes for ({w[near[0]]:g}, {wp[near[0]]:g})")
+    s, failed = _lamb_shifts(measure, np.concatenate([wp, w, -wp, -w]).tolist(), config)
+    _raise_failed(failed)
+    s_wp, s_w, s_mwp, s_mw = np.split(s, 4)
+    return (ew * s_wp - ewp * s_w + _exp_factor(measure.beta * (w + wp)) * (s_mwp - s_mw)) / (ew - ewp)
+
+
 def _mean_force_kernel(measure, w, wp, config):
     """(Y_mf(w_k, w'_k) of the kernel representation, {k: message} of the failed entries)
     over the pairs of two equal-length frequency lists, in one batched integral."""
-    beta = measure.beta
-    w, wp = np.array(w, dtype=float), np.array(wp, dtype=float)
-    total = np.zeros(w.size)
+    beta, total = measure.beta, np.zeros(len(w))
+    w, wp = np.array([w, wp], dtype=float)
     for loc, wgt in measure.atoms:
         total += wgt * kernel_D(beta, w, wp, loc) / (2.0 * np.pi)
     failed = {}
@@ -154,7 +161,7 @@ def _mean_force_kernel(measure, w, wp, config):
                 kernel_D(beta, wk, wpk, om) + _kernel_D_folded_negative(beta, wk, wpk, om)
             )
 
-        integral, _, failed = adaptive_quad(folded, np.zeros(w.size), hi, config, cut=np.abs(wp))
+        integral, _, failed = adaptive_quad(folded, 0.0, hi, config, _edges(measure, hi))
         total += integral / (2.0 * np.pi)
     return total, failed
 
@@ -205,7 +212,7 @@ class KossakowskiSpec:
 
     def check_detailed_balance(self, freqs, n_couplings=1, rel_tol=1e-9):
         """Verify K_ab(w,w) = K_ba(-w,-w) e^{beta w} on the given frequencies."""
-        closed = sorted(set(freqs) | {-w for w in freqs})
+        closed = _closed(freqs)
         _check_detailed_balance(self.beta, closed, self.tables(n_couplings, closed)[0], rel_tol)
 
 
@@ -231,6 +238,10 @@ def kossakowski_custom(beta, kmat, dyn):
     return KossakowskiSpec("custom", beta, (kmat, dyn))
 
 
+def _closed(freqs):  # the sorted list of freqs closed under w -> -w
+    return sorted(set(freqs) | {-x for x in freqs})
+
+
 def _check_detailed_balance(beta, freqs, kmat, rel_tol=1e-9):
     """Raise DetailedBalanceError unless K_ab(w,w) = K_ba(-w,-w) e^{beta w} at each w >= 0 of
     a sorted list closed under w -> -w (so -w sits at index -1 - k when w sits at k), in one
@@ -245,13 +256,14 @@ def _check_detailed_balance(beta, freqs, kmat, rel_tol=1e-9):
                                    f"{lhs[a, b, i]:.6e} vs {rhs[a, b, i]:.6e}")
 
 
-def _steady_offdiag(beta, freqs, kmat, dyn, i, j):
-    """Y_st(w_i, w_j) at index pairs (i, j) of a sorted list closed under w -> -w, from K and
-    Y_dyn as (coupling, coupling, w, w') arrays over it; i = j gives the gauge zero.  The
-    other pairs' thermal denominators and K's detailed balance are each one comparison."""
+def _steady_offdiag(beta, freqs, kmat, dyn, w, wp):
+    """Y_st(w_k, w'_k) over two equal-length frequency arrays, from K and Y_dyn as (coupling,
+    coupling, w, w') arrays over a sorted list closed under w -> -w that holds them; w = w'
+    gives the gauge zero, and the thermal denominators and K's detailed balance are each
+    one comparison."""
     f = np.asarray(freqs, dtype=float)
-    off, ew = i != j, _exp_factor(beta * f)
-    ew, ewp = ew[i], ew[j]
+    i, j = np.searchsorted(f, w), np.searchsorted(f, wp)
+    off, (ew, ewp) = i != j, _exp_factor(beta * f)[[i, j]]
     near = np.flatnonzero(off & (np.abs(ew - ewp) < 1e-12 * np.maximum(ew, ewp)))
     if near.size:
         raise NearDegenerateError(f"e^{{beta w}} - e^{{beta w'}} below resolution for "
@@ -268,11 +280,9 @@ def _steady_offdiag(beta, freqs, kmat, dyn, i, j):
 def _spec_steady(spec, w, wp, alpha=0, beta_idx=0):
     """Y_st_ab(w_k, w'_k) of a spec over two equal-length frequency arrays, from one
     tabulation over their frequencies closed under w -> -w."""
-    w, wp = np.asarray(w, dtype=float), np.asarray(wp, dtype=float)
-    freqs = sorted(set(np.concatenate([w, wp, -w, -wp]).tolist()))
+    freqs = _closed(np.concatenate([w, wp]).tolist())
     tables = spec.tables(max(alpha, beta_idx) + 1, freqs)
-    return _steady_offdiag(spec.beta, freqs, *tables, np.searchsorted(freqs, w),
-                           np.searchsorted(freqs, wp))[alpha, beta_idx]
+    return _steady_offdiag(spec.beta, freqs, *tables, w, wp)[alpha, beta_idx]
 
 
 def upsilon_steady_offdiag(spec, bath, w, wp, alpha=0, beta_idx=0, config=DEFAULT_QUAD):
@@ -306,10 +316,8 @@ def _balance_integrals(measure, w, config):
     w = np.array(w, dtype=float)
     if np.any(w == 0.0):
         raise DomainError("T(w) is defined for w != 0")
-    beta = measure.beta
-    for x in w:
-        _check_atom_pole(measure, x)
-    total = np.zeros(w.size)
+    beta, total = measure.beta, np.zeros(w.size)
+    _check_atom_pole(measure, w)
     for loc, wgt in measure.atoms:
         total += wgt * _E(w - loc, beta) / (loc - w) / np.pi
     failed = {}
@@ -322,8 +330,8 @@ def _balance_integrals(measure, w, config):
                 _E(wk - om, beta) / (om - wk) - ek * _E(-(om + wk), beta) / (om + wk)
             ) / np.pi
 
-        pv, _, failed = principal_value(integrand, np.abs(w), 0.0, measure.support + np.abs(w) + 1.0,
-                                        measure.scale, config)
+        hi = measure.support + np.abs(w) + 1.0
+        pv, _, failed = principal_value(integrand, np.abs(w), 0.0, hi, config, _edges(measure, hi))
         total += pv
     return total, failed
 
@@ -354,7 +362,8 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
     Evaluates the closed-form principal-value expression
       -(4 lam^2 f1 f2 / w) PV int_0^oo dW [ w_s(W) w tanh(beta w/2)/(W^2-w^2)
                                             - w^2 w_a(W)/(W (W^2-w^2)) ]
-    with w_a = J and w_s = J coth(beta W / 2).
+    with w_a = J and w_s = J coth(beta W / 2), which are (gamma(W) -+ gamma(-W)) / 2pi
+    for W > 0: gamma(+-W) = 2 pi J(W) (n(W) + 1/2 +- 1/2).
     """
     if not isinstance(bath, OhmicBath):
         raise ValidationError("closed-form <sigma_x> is implemented for Ohmic baths")
@@ -362,36 +371,26 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
         raise ValidationError("omega0 must be positive")
     if f1 == 0.0 or f2 == 0.0:
         return 0.0
-    beta, gc, wc = bath.beta, bath.coupling, bath.cutoff
-    th = math.tanh(0.5 * beta * omega0)
-    measure = as_measure(bath)
+    th, measure = math.tanh(0.5 * bath.beta * omega0), as_measure(bath)
 
     def integrand(om, _):
-        # 1/(W^2 - w^2) = -1/((w-W)(W+w)); both pieces share the pole at W = w
-        j = gc * om * np.exp(-om / wc)
-        x = 0.5 * beta * om
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(np.abs(x) < 1e-8, 1.0 + x * x / 3.0,
-                         x / np.tanh(np.where(np.abs(x) < 1e-8, 1.0, x)))
-        j_coth = gc * np.exp(-om / wc) * (2.0 / beta) * g  # J(W) coth(beta W/2)
-        g1 = -omega0 * th * j_coth / (om + omega0)
-        g2 = omega0**2 * j / (np.where(om == 0.0, 1.0, om) * (om + omega0))
-        g2 = np.where(om == 0.0, omega0 * gc, g2)
-        return (g1 + g2) / (omega0 - om)
+        # 1/(W^2 - w^2) = -1/((w-W)(W+w)), one pole at W = w; no node sits on W = 0
+        up, down = measure.density(om), measure.density(-om)
+        return omega0 * (omega0 * (up - down) / om - th * (up + down)) / ((om + omega0) * (omega0 - om))
 
-    value, _, failed = principal_value(integrand, np.array([omega0]), 0.0, measure.support + omega0,
-                                       measure.scale, config)
+    hi = measure.support + omega0
+    value, _, failed = principal_value(integrand, [omega0], 0.0, hi, config, _edges(measure, hi))
     _raise_failed(failed)
-    return -4.0 * lam**2 * f1 * f2 / omega0 * float(value[0])
+    return -2.0 * lam**2 * f1 * f2 / (np.pi * omega0) * float(value[0])
 
 
 # --- full coefficient tables ---------------------------------------------------
 
 
 def _bath_table(kind, measure, freqs, config):
-    """One bath's n x n table of a correction over its frequency list: the mean force
-    in one batched integral over all n^2 entries, the dynamical and steady-state
-    tables from one long-time Redfield pair (K, Y_dyn); the steady diagonal is zero."""
+    """One bath's n x n table of a correction over its frequency list: the mean force in one
+    batched integral, the dynamical and steady-state tables from one long-time Redfield pair
+    (K, Y_dyn), the latter's over the list closed under w -> -w and with a zero diagonal."""
     if kind == "dynamical":
         return redfield_pair_matrices(measure, freqs, np.inf, config)[1]
     n = len(freqs)
@@ -400,7 +399,9 @@ def _bath_table(kind, measure, freqs, config):
         values, failed = _mean_force_kernel(measure, w, wp, config)
         _raise_failed(failed)
         return values.reshape(n, n)
-    return _spec_steady(kossakowski_redfield(measure, config), w, wp).reshape(n, n)
+    closed = _closed(freqs)
+    pair = np.array(redfield_pair_matrices(measure, closed, np.inf, config))[:, None, None]
+    return _steady_offdiag(measure.beta, closed, *pair, w, wp)[0, 0].reshape(n, n)
 
 
 def _qubit_sweep(measure, w0, config):
@@ -411,12 +412,12 @@ def _qubit_sweep(measure, w0, config):
     Returns (values, failures): a point's row is nan where one of its integrals failed,
     and its failure is that integral's message, else None."""
     n, zero = w0.size, np.zeros(w0.size)
-    freqs = sorted(set(np.concatenate([-w0, zero, w0]).tolist()))
+    freqs = _closed([0.0, *w0.tolist()])
     (kmat, dyn), s_failed = _long_time_pair(measure, freqs, config)
     ip = np.searchsorted(freqs, w0)
     im, i0 = len(freqs) - 1 - ip, len(freqs) // 2  # a closed sorted list mirrors w -> -w
     st = _steady_offdiag(measure.beta, freqs, kmat[None, None], dyn[None, None],
-                         np.r_[[i0] * n, ip], np.r_[im, [i0] * n])[0, 0]
+                         np.r_[zero, w0], np.r_[-w0, zero])[0, 0]
     st_off = st[:n] - st[n:]
     # (0, -w0), (w0, 0), (w0, w0), (-w0, -w0) per point
     mf, mf_failed = _mean_force_kernel(measure, np.stack([zero, w0, w0, -w0], 1).ravel(),
@@ -426,11 +427,9 @@ def _qubit_sweep(measure, w0, config):
     off = np.stack([mf[0::4] - mf[1::4], dyn[i0, im] - dyn[ip, i0], st_off, st_off], 1)
     diag = np.stack([mf[2::4] - mf[3::4], (dyn[ip, ip] - dyn[im, im]).real, zero, cp - cm], 1)
     values = np.stack([off.real, off.imag, diag], 2)
-    failures = []
-    for i in range(n):
-        msgs = [s_failed.get(im[i]), s_failed.get(i0), s_failed.get(ip[i])]
-        msgs += [mf_failed.get(j) for j in range(4 * i, 4 * i + 4)] + [t_failed.get(i), t_failed.get(n + i)]
-        failures.append(next((m for m in msgs if m is not None), None))
+    failures = [next(filter(None, [s_failed.get(im[i]), s_failed.get(i0), s_failed.get(ip[i]),
+                                   *map(mf_failed.get, range(4 * i, 4 * i + 4)), t_failed.get(i),
+                                   t_failed.get(n + i)]), None) for i in range(n)]
     values[[m is not None for m in failures]] = np.nan
     return values, failures
 

@@ -118,7 +118,7 @@ def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
     picture, takes the dimension from the jumps).  The result is -i[H0, .]
     when `free` (else zero) plus, for lam > 0 and t > 0 (the dissipator
     vanishes at either zero), lam^2 times the dissipator of the coefficient
-    arrays `pair` tabulates at t.
+    arrays `pair` tabulates at t; a sum that overflows raises NumericsError.
     """
     if not t >= 0:
         raise ValidationError("t must be nonnegative")
@@ -130,7 +130,10 @@ def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
     gen = commutator_superop(h) if free else np.zeros((h.size, h.size), dtype=complex)
     if lam > 0 and t > 0:
         kmat, smat = stacked_tables(jumps, baths, lambda m, f: pair(m, f, t, config))[0]
-        gen = gen + lam**2 * _assemble(jumps, kmat, smat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gen += lam**2 * _assemble(jumps, kmat, smat)
+        if not np.isfinite(gen).all():
+            raise NumericsError("generator is not finite")
     return Superoperator(h.shape[0], gen)
 
 

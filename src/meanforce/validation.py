@@ -15,6 +15,7 @@ from ._quad import DEFAULT_QUAD, _raise_failed
 from .bath import OhmicBath, as_measure, integrated_gamma_matrix, lamb_shift_S, redfield_pair_matrices
 from .corrections import (
     _mean_force_kernel,
+    _mean_force_s_form,
     _qubit_sweep,
     _spec_steady,
     build_upsilon_table,
@@ -110,10 +111,10 @@ _SKEW = 1.1  # factor on the w > 0 Kossakowski diagonal in the injected fault
 
 def check_dual_form(case):
     """Acceptance 1: pole-free kernel vs Lamb-shift form of the mean force."""
-    bath = case.bath()
-    kernel, failed = _mean_force_kernel(as_measure(bath), *np.array(_PAIR_GRID).T, case.config)
+    measure, grid = as_measure(case.bath()), np.array(_PAIR_GRID).T
+    kernel, failed = _mean_force_kernel(measure, *grid, case.config)
     _raise_failed(failed)
-    s_form = np.array([upsilon_mean_force(bath, w, wp, "S_form", case.config) for w, wp in _PAIR_GRID])
+    s_form = _mean_force_s_form(measure, *grid, case.config)
     worst = float(np.max(np.abs(kernel - s_form) / np.maximum(1e-7, 1e-6 * np.abs(kernel))))
     return CheckResult("mean_force_dual_form", worst <= 1.0, worst, 1.0,
                        "max |kernel - S_form| / max(1e-7, 1e-6 |value|) over 10x10 grid")
@@ -122,19 +123,17 @@ def check_dual_form(case):
 def check_steady_coherence_identities(case):
     """Acceptance 2: steady coherences vs mean force (Redfield K) and dynamical (secular K),
     each spec tabulated once over the grid's frequencies closed under w -> -w."""
-    bath = case.bath()
-    grid = np.array(_PAIR_GRID).T
+    bath, grid = case.bath(), np.array(_PAIR_GRID).T
     st_r = _spec_steady(kossakowski_redfield(bath, case.config), *grid)
-    mf = np.array([upsilon_mean_force(bath, w, wp, "S_form", case.config) for w, wp in _PAIR_GRID])
+    mf = _mean_force_s_form(as_measure(bath), *grid, case.config)
     worst_r = float(np.max(np.abs(st_r - mf)))
     st_s = _spec_steady(kossakowski_secular(bath, case.config), *grid)
     freqs = sorted({x for pair in _PAIR_GRID for x in pair})
     w, wp = np.searchsorted(freqs, _PAIR_GRID).T
     dyn = redfield_pair_matrices(bath, freqs, np.inf, case.config)[1][w, wp]
     worst_s = float(np.max(np.abs(st_s - dyn)))
-    res = CheckResult("steady_coherences_redfield_vs_mean_force", worst_r <= 1e-7, worst_r, 1e-7)
-    res2 = CheckResult("steady_coherences_secular_vs_dynamical", worst_s <= 1e-10, worst_s, 1e-10)
-    return [res, res2]
+    return [CheckResult("steady_coherences_redfield_vs_mean_force", worst_r <= 1e-7, worst_r, 1e-7),
+            CheckResult("steady_coherences_secular_vs_dynamical", worst_s <= 1e-10, worst_s, 1e-10)]
 
 
 def _random_qutrit(seed):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -301,18 +302,19 @@ class TestConfigValidation:
 
     # each ended in a traceback and exit 1: an OverflowError at lambda**2, in a mode's
     # Bose factor e^{beta W} or in its atom weight 2 pi g^2 (n + 1), and an SVD that did
-    # not converge on a generator of infinite entries
+    # not converge on a generator of infinite entries; a generator that overflows now ends
+    # the run in assembly, with no numpy RuntimeWarning on the way
     @pytest.mark.parametrize("task, edit, message", [
         pytest.param(task, edit, message, id=f"{name}-{task}")
         for name, edit, message, tasks in [
             ("lambda_square", lambda c: c.update({"lambda": 1e155}), "lambda:", ("steadystate", "evolve")),
             ("lambda_1e154", lambda c: c.update({"lambda": 1e154}), "generator is not finite",
-             ("steadystate",)),
+             ("steadystate", "evolve")),
             ("pauli_x", lambda c: c["couplings"][0]["pauli"].update(x=1e154), "generator is not finite",
-             ("steadystate",)),
+             ("steadystate", "evolve")),
             ("operator", lambda c: c.update(system=FULL_MATRIX["system"], couplings=[
                 {"operator": [[[0.0, 0], [1e154, 0]], [[1e154, 0], [0.5, 0]]], "bath": "b1"}]),
-             "generator is not finite", ("steadystate",)),
+             "generator is not finite", ("steadystate", "evolve")),
             ("mode_frequency", lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[1e300, 1.0]]}),
              "baths.b1.modes:", ("corrections", "steadystate", "evolve")),
             ("mode_coupling", lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[2.0, 1e300]]}),
@@ -327,9 +329,12 @@ class TestConfigValidation:
         edit(cfg)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(cfg))
-        assert main([task, "--config", str(config)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([task, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "out.csv").exists()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("cfg", [
         pytest.param(dict(BASE, task="steadystate"), id="steadystate"),
@@ -408,19 +413,21 @@ class TestCorrectionsTask:
         assert (tmp_path / "p.csv").read_bytes() == a
 
     def test_quadrature_limit_reaches_workers(self, tmp_path, capsys):
-        # limit 10 cannot resolve T(w0) at beta*w0 = 1 and rel_tol 1e-9 (at the default
-        # 1e-8 every integral of this point converges within 10 intervals)
+        # S(w) at beta*w = 1 starts its paired window from 13 ladder intervals: at abs and
+        # rel 1e-12 it must bisect, past limit 10 (down to rel_tol 1e-11 every integral of
+        # this point converges on its first intervals)
         cfg = write_config(tmp_path, sweep={"parameter": "omega0", "values": [1.0]},
-                           quadrature={"limit": 10, "rel_tol": 1e-9}, output=str(tmp_path / "lim.csv"))
+                           quadrature={"limit": 10, "abs_tol": 1e-12, "rel_tol": 1e-12},
+                           output=str(tmp_path / "lim.csv"))
         assert main(["corrections", "--config", cfg]) == 0
         rows = (tmp_path / "lim.csv").read_text().strip().split("\n")[1:]
         assert rows and all(r.endswith(",nan,nan") for r in rows)
         assert "warning: sweep value 1" in capsys.readouterr().err
 
     def test_failed_point_alone(self, tmp_path, capsys, monkeypatch):
-        # a density that is nan within 1e-6 of W = 1002.5, the centre node of the first
-        # round of Y_mf(+-w0, +-w0) at w0 = 2 (domain [0, support + 2 w0 + 1]), fails
-        # those two integrals only; the batched sweep gives nan rows for that point
+        # a density that is nan within 1e-6 of W = 1514.5, the centre node of the last
+        # first-round interval of Y_mf(+-w0, +-w0) at w0 = 2 (the ladder edge 1024 to
+        # support + 2 w0 + 1), fails those two integrals only; the batched sweep gives nan rows for that point
         # alone, and the other points' rows equal their one-point runs
         real, holed = mb.gamma_spectral, {}
 
@@ -428,7 +435,7 @@ class TestCorrectionsTask:
             if b not in holed:
                 m = real(b)
                 holed[b] = dataclasses.replace(
-                    m, density=lambda w: np.where(np.abs(w - 1002.5) < 1e-6, np.nan, m.density(w)))
+                    m, density=lambda w: np.where(np.abs(w - 1514.5) < 1e-6, np.nan, m.density(w)))
             return holed[b]
 
         monkeypatch.setattr(mb, "gamma_spectral", with_hole)

@@ -30,7 +30,14 @@ from meanforce.errors import (
 )
 from meanforce.operators import JumpDecomposition, assemble_correction, bohr_decompose, spectral_decompose
 from meanforce.perturbative import second_order_residual
-from meanforce.validation import SWEEP_KINDS, SWEEP_NAMES, qubit_sweep_point
+from meanforce.validation import (
+    SWEEP_KINDS,
+    SWEEP_NAMES,
+    ReferenceCase,
+    check_dual_form,
+    check_steady_coherence_identities,
+    qubit_sweep_point,
+)
 
 
 def kernel_D_mpmath(beta, w, wp, om):
@@ -129,6 +136,18 @@ class TestMeanForce:
     def test_real_for_single_coupling(self, bath):
         v = upsilon_mean_force(bath, 0.7, -1.3)
         assert abs(np.imag(v)) <= 1e-9 * abs(v)
+
+    @pytest.mark.parametrize("check", [check_dual_form, check_steady_coherence_identities],
+                             ids=["dual_form", "steady_coherences"])
+    def test_s_form_checks_make_one_principal_value_call(self, monkeypatch, check):
+        # each check reads S(w) over its grid's frequencies, closed under w -> -w, in one
+        # batch; four scalar S(w) calls per pair made 31 one-pole batches in check_dual_form
+        calls = []
+        engine = bath_module.principal_value
+        monkeypatch.setattr(bath_module, "principal_value", lambda *a, **k: calls.append(1) or engine(*a, **k))
+        bath_module._lamb_shift_cached.cache_clear()
+        check(ReferenceCase())
+        assert len(calls) == 1
 
 
 class TestDynamical:
@@ -536,12 +555,12 @@ class TestRandomSystems:
             bad.check_detailed_balance(jumps[0].frequencies)
 
 
-@pytest.mark.xfail(strict=True, reason="defect D9: the mean-force kernel's interval edge at |w'| "
-                                       "stops some entries early (4.2e-7 relative, asymmetry 2.0e-7)")
-def test_mean_force_table_seeded_d8(bath):
-    # the same checks on the seeded d = 8 system, and every entry within 1e-8 of the
-    # kernel at tight tolerances
-    jumps = _seeded_many_level(8)
+@pytest.mark.parametrize("d", [8, 12], ids=lambda d: f"d{d}")
+def test_mean_force_table_seeded(bath, d):
+    # the same checks on the seeded d = 8 and 12 systems, and every entry within 1e-8 of
+    # the kernel at tight tolerances; an interval edge at |w'| alone stopped entries early
+    # there (defect D9: 4.2e-7 and 1.6e-6 relative, asymmetry 2.0e-7 and 7.5e-7)
+    jumps = _seeded_many_level(d)
     tight = build_upsilon_table("mean_force", jumps, bath,
                                 config=QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13, limit=4000)).entries
     y = build_upsilon_table("mean_force", jumps, bath).entries

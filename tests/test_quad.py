@@ -10,7 +10,9 @@ phi_kernel_prime switches to its series at |x t| = 1e-5 and
 phi_diff_quotient to phi_t' at the midpoint at |(x - x0) t| = 1e-6.
 """
 
+import dataclasses
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -147,28 +149,28 @@ TIGHT = QuadratureConfig(abs_tol=1e-12, rel_tol=1e-11)
 OHMIC = OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0)
 
 
-def scipy_entry(g, lo, hi, config, cut):
-    """One entry on QUADPACK (qags, or qagp with the cut as a break point): (value, error)."""
+def scipy_entry(g, lo, hi, config, edges):
+    """One entry on QUADPACK (qags, or qagp with the edges inside (lo, hi) as break points):
+    (value, error)."""
     if hi <= lo:
         return 0.0, 0.0
+    points = [e for e in edges if lo < e < hi]
     value, err, info, *rest = quad(
         g, lo, hi, epsabs=config.abs_tol, epsrel=config.rel_tol, limit=config.limit,
-        full_output=1, points=[cut] if lo < cut < hi else None,
+        full_output=1, points=points or None,
     )
     if rest:
         raise NumericsError(f"scalar quadrature on [{lo:g}, {hi:g}] did not converge ({err:.3e})")
     return value, err
 
 
-def scalar_quad(f, lo, hi, config=DEFAULT_QUAD, cut=None):
+def scalar_quad(f, lo, hi, config=DEFAULT_QUAD, edges=()):
     """The scalar QUADPACK route adaptive_quad replaced: one callback per point, and a
     batch integrated one entry at a time (a failure raises)."""
-    cut = np.nan if cut is None else cut
-    if np.ndim(lo) == 0 and np.ndim(hi) == 0:
-        return scipy_entry(lambda x: f(np.array([[x]]))[0, 0], lo, hi, config, cut)[0]
-    lo, hi, cut = np.broadcast_arrays(lo, hi, cut)
+    lo, hi = np.broadcast_arrays(lo, hi)
+    edges = np.broadcast_to(np.asarray(edges, dtype=float), (lo.size, np.shape(edges)[-1]))
     out = np.array([scipy_entry(lambda x, k=k: f(np.array([[x]]), np.array([k]))[0, 0],
-                                lo[k], hi[k], config, cut[k]) for k in range(lo.size)])
+                                lo[k], hi[k], config, edges[k]) for k in range(lo.size)])
     return out[:, 0], out[:, 1], {}
 
 
@@ -316,12 +318,12 @@ def test_sweep_is_vectorised(monkeypatch):
     # per integral (S, Y_mf, T) over all 20 points makes one per bisection round
     count = {"calls": 0, "nodes": 0}
 
-    def counting(f, lo, hi, config=DEFAULT_QUAD, cut=None):
+    def counting(f, lo, hi, config=DEFAULT_QUAD, edges=()):
         def g(x, *k):
             count["calls"] += 1
             count["nodes"] += np.size(x)
             return f(x, *k)
-        return adaptive_quad(g, lo, hi, config, cut)
+        return adaptive_quad(g, lo, hi, config, edges)
 
     on_route(monkeypatch, counting, lambda: qubit_sweep_rows(ReferenceCase()))
     assert count["calls"] <= 100
@@ -344,6 +346,19 @@ def test_sweep_point_matches_scalar_route(monkeypatch, bw0):
     s = on_route(monkeypatch, adaptive_quad, lambda: lamb_shift_S(OHMIC, bw0, TIGHT))
     scale = max(abs(s), np.max(np.abs(old)))
     assert np.max(np.abs(new - old)) <= 1e-10 * scale
+
+
+def test_sweep_at_wide_cutoff_meets_its_tolerance():
+    # at beta*w_c = 1e8 the first intervals must still resolve the density's thermal
+    # scale: first partitions sized by the cutoff (pairing windows of up to 10 w_c, the
+    # kernel cut at |w'| only) let qk21 stop on intervals far wider than 1/beta, and the
+    # default sweep was 0.72 off in its mf, dyn and st cells, with no warning
+    case = ReferenceCase(cutoff=1e8)
+    tight = dataclasses.replace(case, config=QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, ref = qubit_sweep_rows(case), qubit_sweep_rows(tight)
+    assert all(abs(got[key] - v) <= 1e-7 * abs(v) for key, v in ref.items())
 
 
 def test_mean_force_table_matches_scalar_route(monkeypatch):

@@ -198,6 +198,8 @@ def stacked_tables(jumps, baths, table):
     objects) over the sorted union of its couplings' Bohr frequencies, and
     fills every entry between those couplings; the rest stay zero.
     """
+    if not jumps:
+        raise ValidationError("no couplings to tabulate")
     coupling, stacked, _ = _stacked_jumps(jumps)
     owner = np.array([id(baths[a]) for a in coupling])
     out = None

@@ -322,14 +322,14 @@ def run_corrections(cfg):
                 for bw0, point, msg in zip(cfg.sweep_values, values.tolist(), messages)
                 for kind, row in zip(SWEEP_KINDS, point) for name, v in zip(SWEEP_NAMES, row)]
     else:
-        jumps = cfg.jump_list()
-        baths = cfg.bath_list()
-        for kind, table_kind in (("mf", "mean_force"), ("dyn", "dynamical"),
-                                 ("st_redfield", "steady_state")):
-            table = build_upsilon_table(table_kind, jumps, baths, config=cfg.quad)
-            for (a, b, w, wp), v in sorted(table.entries.items()):
-                name = f"Y[{a};{b};{_fmt(w)};{_fmt(wp)}]"
-                rows.append(["0", name, kind, _fmt(np.real(v)), _fmt(np.imag(v))])
+        jumps, baths = cfg.jump_list(), cfg.bath_list()
+        for kind, table_kind in (("mf", "mean_force"), ("dyn", "dynamical"), ("st_redfield", "steady_state")):
+            t = build_upsilon_table(table_kind, jumps, baths, config=cfg.quad)
+            ij = np.array(np.nonzero(t.held))
+            i, j = ij[:, np.lexsort(np.r_[t.freqs[ij[::-1]], t.coupling[ij[::-1]]])]  # sorted (a, b, w, w')
+            a, w = t.coupling.tolist(), list(map(_fmt, t.freqs.tolist()))
+            rows += [["0", f"Y[{a[p]};{a[q]};{w[p]};{w[q]}]", kind, _fmt(v.real), _fmt(v.imag)]
+                     for p, q, v in zip(i.tolist(), j.tolist(), t.values[i, j].tolist())]
     _write_csv(cfg.output, header, rows)
     for bw0, msg in zip(cfg.sweep_values, messages):
         if msg is not None:
@@ -378,8 +378,7 @@ def run_evolve(cfg):
 
 
 def run_steadystate(cfg):
-    jumps = cfg.jump_list()
-    baths = cfg.bath_list()
+    jumps, baths = cfg.jump_list(), cfg.bath_list()
     states = {}
     states["davies"] = steady_state_of_generator(
         build_davies_generator(cfg.h0, jumps, baths, cfg.lam, cfg.quad))
@@ -413,13 +412,8 @@ def read_corrections_csv(path):
 def run_validate(cfg):
     bath = cfg.bath_list()[0]
     ohmic = isinstance(bath, OhmicBath)
-    case = ReferenceCase(
-        omega0=cfg.omega0 or 1.0,
-        beta=cfg.beta,
-        cutoff=bath.cutoff if ohmic else 50.0,
-        coupling_strength=bath.coupling if ohmic else 1.0,
-        config=cfg.quad,
-    )
+    case = ReferenceCase(omega0=cfg.omega0 or 1.0, beta=cfg.beta, cutoff=bath.cutoff if ohmic else 50.0,
+                         coupling_strength=bath.coupling if ohmic else 1.0, config=cfg.quad)
     if cfg.break_detailed_balance:
         # injected-fault mode: only the detailed-balance precondition is probed,
         # and the run fails whether or not the guard rejects the skewed diagonal
@@ -485,13 +479,8 @@ def main(argv=None):
         cfg.skip_oracle = True
 
     try:
-        if cfg.task == "corrections":
-            return run_corrections(cfg)
-        if cfg.task == "evolve":
-            return run_evolve(cfg)
-        if cfg.task == "steadystate":
-            return run_steadystate(cfg)
-        return run_validate(cfg)
+        return {"corrections": run_corrections, "evolve": run_evolve, "steadystate": run_steadystate,
+                "validate": run_validate}[cfg.task](cfg)
     except (MeanforceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

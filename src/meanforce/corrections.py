@@ -459,7 +459,4 @@ def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_
         np.fill_diagonal(values, np.select([stacked > 0, stacked < 0], [plus, minus]))
     if kind == "steady_state":  # no entry for the cross-coupling w = w' coherences
         keep = keep & ~(np.equal.outer(stacked, stacked) & np.not_equal.outer(coupling, coupling))
-    i, j = np.nonzero(keep)
-    a, w = coupling.tolist(), stacked.tolist()
-    entries = {(a[p], a[q], w[p], w[q]): v for p, q, v in zip(i.tolist(), j.tolist(), values[i, j].tolist())}
-    return UpsilonTable(kind, entries)
+    return UpsilonTable._of_arrays(kind, coupling, stacked, values, keep)

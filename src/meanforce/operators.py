@@ -15,10 +15,12 @@ Conventions (hbar = k_B = 1 throughout):
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, NumericsError, ValidationError
 
 HERMITICITY_TOL = 1e-12
 
@@ -170,35 +172,65 @@ def bohr_decompose(decomp, coupling, index=0):
 VALID_TABLE_KINDS = ("dynamical", "mean_force", "steady_state")
 
 
-@dataclass(frozen=True)
 class UpsilonTable:
-    """Coefficient table (alpha, beta, w, w') -> complex for one correction kind."""
+    """Coefficient table (alpha, beta, w, w') -> complex for one correction kind, as arrays over a
+    stacked index I = (coupling, w): (N,) `coupling` and `freqs`, the (N, N) mask `held` of the entries
+    it holds and their `values`, zero off it.  A dict's index is the sorted union of its keys' (a, w)
+    and (b, w')."""
 
-    kind: str
-    entries: dict = field(compare=False)
+    def __init__(self, kind, entries):
+        if kind not in VALID_TABLE_KINDS:
+            raise ValidationError(f"unknown table kind {kind!r}")
+        keys = np.array(list(entries), dtype=float).reshape(-1, 4)
+        index, at = np.unique(np.r_[keys[:, ::2], keys[:, 1::2]], axis=0, return_inverse=True)
+        at, n = tuple(at.reshape(2, -1)), len(index)
+        self.kind, self.coupling, self.freqs = kind, index[:, 0].astype(int), index[:, 1]
+        self.held, self.values = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=complex)
+        self.held[at], self.values[at] = True, list(entries.values())
 
-    def __post_init__(self):
-        if self.kind not in VALID_TABLE_KINDS:
-            raise ValidationError(f"unknown table kind {self.kind!r}")
+    @classmethod
+    def _of_arrays(cls, kind, coupling, freqs, values, held):
+        table = cls.__new__(cls)  # a checked kind; values are zero off held
+        table.kind, table.coupling, table.freqs, table.values, table.held = kind, coupling, freqs, values, held
+        return table
+
+    @cached_property
+    def entries(self):  # the read-only dict view of the held entries, zeros too, built on first access
+        i, j = np.nonzero(self.held)
+        a, w = self.coupling, self.freqs
+        keys = zip(a[i].tolist(), a[j].tolist(), w[i].tolist(), w[j].tolist())
+        return MappingProxyType(dict(zip(keys, self.values[i, j].tolist())))
+
+    def _first(self, mask):  # '(a,b,w,w')' of the first set entry of an (N, N) mask, row by row
+        for i, j in np.argwhere(mask)[:1]:
+            return f"({self.coupling[i]},{self.coupling[j]},{self.freqs[i]:g},{self.freqs[j]:g})"
 
     def value(self, alpha, beta, w, wp):
-        return self.entries.get((alpha, beta, w, wp), 0.0)
+        i, j = (np.flatnonzero((self.coupling == a) & (self.freqs == f)) for a, f in ((alpha, w), (beta, wp)))
+        return complex(self.values[i[0], j[0]]) if i.size and j.size and self.held[i[0], j[0]] else 0.0
 
     def scaled(self, c):
-        return UpsilonTable(self.kind, {k: c * v for k, v in self.entries.items()})
+        return UpsilonTable._of_arrays(self.kind, self.coupling, self.freqs, c * self.values, self.held)
 
     def validate_pairing(self, rel_tol=1e-9):
-        """Check Y_ab(w,w') = conj(Y_ba(w',w)) and, for mean_force, symmetry in (w,w')."""
-        scale = max((abs(v) for v in self.entries.values()), default=0.0)
-        tol = rel_tol * max(scale, 1e-30)
-        for (a, b, w, wp), v in self.entries.items():
-            mate = self.entries.get((b, a, wp, w))
-            if mate is None or abs(v - np.conj(mate)) > tol:
-                raise ConsistencyError(f"hermiticity pairing violated at ({a},{b},{w:g},{wp:g})")
-            if self.kind == "mean_force":
-                sym = self.entries.get((a, b, wp, w))
-                if sym is None or abs(v - sym) > tol:
-                    raise ConsistencyError(f"mean-force symmetry violated at ({a},{b},{w:g},{wp:g})")
+        """Check that the entries are finite, that Y_ab(w,w') = conj(Y_ba(w',w)) and, for mean_force,
+        that Y_ab(w,w') = Y_ab(w',w); the message names the first failing entry."""
+        v, held = self.values, self.held
+        with np.errstate(invalid="ignore"):  # inf - inf; the non-finite entry is named first
+            tol = rel_tol * max(np.abs(v).max(initial=0.0), 1e-30)
+            ok = {"non-finite coefficient": np.isfinite(v),
+                  "hermiticity pairing violated": held.T & (abs(v - v.T.conj()) <= tol)}
+            if self.kind == "mean_force":  # Y_ab(w', w) sits at row (a, w') and column (b, w)
+                (_, ci), (_, fi) = (np.unique(x, return_inverse=True) for x in (self.coupling, self.freqs))
+                slot = np.full((ci.size,) * 2, -1)
+                slot[ci, fi] = np.arange(ci.size)
+                r, c = slot[ci[:, None], fi], slot[ci, fi[:, None]]
+                ok["mean-force symmetry violated"] = (
+                    (np.minimum(r, c) >= 0) & held[r, c] & (abs(v - v[r, c]) <= tol))
+        for what, mask in ok.items():
+            at = self._first(held & ~mask)
+            if at:
+                raise ConsistencyError(f"{what} at {at}")
 
 
 def _stacked_jumps(jumps):
@@ -214,22 +246,24 @@ def _contract(y, ops):
     return np.einsum("ij,iyx,jyz->xz", y, ops.conj(), ops, optimize=True)
 
 
-def _table_array(entries, jumps):
-    """(y, freqs, ops): a coefficient dict's nonzero entries (a, b, w, w') -> v, a and b positions
-    in `jumps`, on the stacked index; a frequency a coupling lacks raises as `JumpDecomposition.op`."""
+def _table_array(table, jumps):
+    """(y, held, freqs, ops): a table's values and mask mapped in O(N) onto `jumps`' stacked index (the
+    identity for a built table); a non-finite entry, or a nonzero one at a key `jumps` lacks, raises."""
     coupling, freqs, ops = _stacked_jumps(jumps)
-    slot = {key: i for i, key in enumerate(zip(coupling.tolist(), freqs.tolist()))}
-    y = np.zeros((freqs.size,) * 2, dtype=complex)
-    for (a, b, w, wp), v in entries.items():
-        if v == 0.0:
-            continue
-        if not (0 <= a < len(jumps) and 0 <= b < len(jumps)):
-            raise ValidationError(f"table refers to unknown coupling index {a} or {b}")
-        i, j = slot.get((a, w)), slot.get((b, wp))
-        if i is None or j is None:
-            jumps[a].op(w), jumps[b].op(wp)  # raises for the missing one
-        y[i, j] = v
-    return y, freqs, ops
+    at = table._first(~np.isfinite(table.values))
+    if at:
+        raise NumericsError(f"{table.kind} table has a non-finite coefficient at {at}")
+    slot = dict(zip(zip(coupling.tolist(), freqs.tolist()), range(freqs.size)))
+    to = np.array([slot.get(key, -1) for key in zip(table.coupling.tolist(), table.freqs.tolist())], dtype=int)
+    lost = (to < 0) & ((table.values != 0) | (table.values.T != 0)).any(1)  # in a nonzero row or column
+    for a, w in zip(table.coupling[lost].tolist(), table.freqs[lost].tolist()):  # raises at the first
+        if not 0 <= a < len(jumps):
+            raise ValidationError(f"table refers to unknown coupling index {a}")
+        jumps[a].op(w)
+    k = np.flatnonzero(to >= 0)
+    y, held = (np.zeros((freqs.size,) * 2, dtype=x.dtype) for x in (table.values, table.held))
+    y[to[k, None], to[k]], held[to[k, None], to[k]] = table.values[k[:, None], k], table.held[k[:, None], k]
+    return y, held, freqs, ops
 
 
 def assemble_correction(table, jumps):
@@ -238,7 +272,7 @@ def assemble_correction(table, jumps):
     For mean_force and steady_state kinds the result must come out Hermitian
     (to 1e-8 relative); a violation signals an inconsistent table.
     """
-    y, _, ops = _table_array(table.entries, jumps)
+    y, _, _, ops = _table_array(table, jumps)
     h = _contract(y, ops)
     if table.kind in ("mean_force", "steady_state"):
         scale = max(1.0, np.abs(h).max())

@@ -72,13 +72,9 @@ def four_tuples(energies, k):
     if not 0 <= k < len(energies):
         raise ValidationError(f"anchor index {k} out of range")
     ek = energies[k]
-    seen = []
-    for l, m, jj in product(range(len(energies)), repeat=3):
-        t = (energies[l] - ek, energies[m] - energies[l],
-             energies[jj] - energies[m], ek - energies[jj])
-        if t not in seen:
-            seen.append(t)
-    return FourTupleSet(k, tuple(seen))
+    tuples = ((energies[l] - ek, energies[m] - energies[l], energies[jj] - energies[m], ek - energies[jj])
+              for l, m, jj in product(range(len(energies)), repeat=3))
+    return FourTupleSet(k, tuple(dict.fromkeys(tuples)))
 
 
 def g22_coefficient(kmat, dyn, st, w1, w2, w3, w4, beta):
@@ -101,7 +97,7 @@ def g22_coefficient(kmat, dyn, st, w1, w2, w3, w4, beta):
 def _rho2_matrix(h0, jumps, table, beta):
     """rho_2 = -rho_0 sum Y(w,w') a(w'-w) A^dag(w) A(w'), rho_0 = e^{-beta H0}/Z."""
     rho0 = thermal_state(h0, beta)
-    y, freqs, ops = _table_array(table.entries, jumps)
+    y, _, freqs, ops = _table_array(table, jumps)
     i, j = np.nonzero(y)
     y[i, j] *= _E(freqs[i] - freqs[j], beta)  # a(w' - w) = E(w - w')
     return -rho0 @ _contract(y, ops), rho0
@@ -118,10 +114,10 @@ def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):
     kept for API compatibility.
     """
     c, stacked, _ = _stacked_jumps(jumps)
-    a, w = c.tolist(), stacked.tolist()
-    for p, q in zip(*np.nonzero(np.equal.outer(c, c) & np.not_equal.outer(stacked, stacked))):
-        if (a[p], a[p], w[p], w[q]) not in st_table.entries:
-            raise ValidationError(f"steady-state table misses entry ({a[p]},{a[p]},{w[p]:g},{w[q]:g})")
+    miss = np.equal.outer(c, c) & np.not_equal.outer(stacked, stacked) & ~_table_array(st_table, jumps)[1]
+    if miss.any():
+        p, q = np.argwhere(miss)[0]
+        raise ValidationError(f"steady-state table misses entry ({c[p]},{c[p]},{stacked[p]:g},{stacked[q]:g})")
     rho2, rho0 = _rho2_matrix(h0, jumps, st_table, spec.beta)
     l0 = commutator_superop(require_hermitian(h0))
     freqs, i = np.unique(stacked, return_inverse=True)
@@ -155,39 +151,36 @@ def g40_tls(bath, omega0, beta=None, config=DEFAULT_QUAD):
         * measure_value(measure, omega0) * balance
 
 
-def _f_terms():
-    """The 25 terms of f(w1..w4, t, s): (coeff, kind1, pair1, slot1, kind2, pair2, slot2, exp_sel).
-
-    kinds: "S" or "g"; pairs index (w_i, w_j) with the first argument negated;
-    slots pick the time argument; exp_sel lists which of w1..w4 enter e^{-beta sum}.
-    """
-    return [
-        (1.0,   "S", (1, 2), "s", "S", (3, 4), "t", (1, 2)),
-        (-1.0,  "S", (1, 2), "s", "S", (3, 4), "t", (1, 2, 3, 4)),
-        (0.5j,  "S", (1, 2), "s", "g", (3, 4), "t", (1, 2)),
-        (0.5j,  "S", (1, 2), "s", "g", (3, 4), "t", (1, 2, 3, 4)),
-        (-1j,   "S", (1, 2), "s", "g", (4, 3), "t", (1, 2, 3)),
-        (1.0,   "S", (1, 2), "t", "S", (3, 4), "s", (1, 2)),
-        (-1.0,  "S", (1, 2), "t", "S", (3, 4), "s", ()),
-        (0.5j,  "S", (1, 2), "t", "g", (3, 4), "s", (1, 2)),
-        (-0.5j, "S", (1, 2), "t", "g", (3, 4), "s", ()),
-        (-1j,   "S", (2, 3), "t", "g", (4, 1), "s", (1, 2, 3)),
-        (1j,    "S", (2, 3), "t", "g", (4, 1), "s", (1,)),
-        (-0.5j, "S", (3, 4), "s", "g", (1, 2), "t", (1, 2)),
-        (-0.5j, "S", (3, 4), "s", "g", (1, 2), "t", ()),
-        (1j,    "S", (3, 4), "s", "g", (2, 1), "t", (1,)),
-        (-0.5j, "S", (3, 4), "t", "g", (1, 2), "s", (1, 2)),
-        (0.5j,  "S", (3, 4), "t", "g", (1, 2), "s", (1, 2, 3, 4)),
-        (0.25,  "g", (1, 2), "s", "g", (3, 4), "t", (1, 2)),
-        (0.25,  "g", (1, 2), "s", "g", (3, 4), "t", (1, 2, 3, 4)),
-        (-0.5,  "g", (1, 2), "s", "g", (4, 3), "t", (1, 2, 3)),
-        (0.25,  "g", (1, 2), "t", "g", (3, 4), "s", (1, 2)),
-        (0.25,  "g", (1, 2), "t", "g", (3, 4), "s", ()),
-        (-0.5,  "g", (2, 1), "t", "g", (3, 4), "s", (1,)),
-        (-0.5,  "g", (2, 3), "t", "g", (4, 1), "s", (1, 2, 3)),
-        (-0.5,  "g", (2, 3), "t", "g", (4, 1), "s", (1,)),
-        (1.0,   "g", (3, 2), "t", "g", (4, 1), "s", (1, 2)),
-    ]
+# The 25 terms of f(w1..w4, t, s) as (coeff, factor1, factor2, exp_sel).  A factor "Kijx" is the
+# kind K ("S" or "g") of the pair (w_i, w_j), its first argument negated, at the time x ("s" or
+# "t"); exp_sel lists the i whose w_i enter e^{-beta sum}.
+_F_TERMS = (
+    (1.0,   "S12s", "S34t", "12"),
+    (-1.0,  "S12s", "S34t", "1234"),
+    (0.5j,  "S12s", "g34t", "12"),
+    (0.5j,  "S12s", "g34t", "1234"),
+    (-1j,   "S12s", "g43t", "123"),
+    (1.0,   "S12t", "S34s", "12"),
+    (-1.0,  "S12t", "S34s", ""),
+    (0.5j,  "S12t", "g34s", "12"),
+    (-0.5j, "S12t", "g34s", ""),
+    (-1j,   "S23t", "g41s", "123"),
+    (1j,    "S23t", "g41s", "1"),
+    (-0.5j, "S34s", "g12t", "12"),
+    (-0.5j, "S34s", "g12t", ""),
+    (1j,    "S34s", "g21t", "1"),
+    (-0.5j, "S34t", "g12s", "12"),
+    (0.5j,  "S34t", "g12s", "1234"),
+    (0.25,  "g12s", "g34t", "12"),
+    (0.25,  "g12s", "g34t", "1234"),
+    (-0.5,  "g12s", "g43t", "123"),
+    (0.25,  "g12t", "g34s", "12"),
+    (0.25,  "g12t", "g34s", ""),
+    (-0.5,  "g21t", "g34s", "1"),
+    (-0.5,  "g23t", "g41s", "123"),
+    (-0.5,  "g23t", "g41s", "1"),
+    (1.0,   "g32t", "g41s", "12"),
+)
 
 
 class _GridCoefficients:
@@ -203,14 +196,10 @@ class _GridCoefficients:
     def __init__(self, measure, freqs, t_max, n_steps):
         self.grid = np.linspace(0.0, t_max, n_steps + 1)
         nodes, c = _discretize(measure, t_max, 0.0)
-        self.corr = np.empty(len(self.grid), dtype=complex)
-        for start in range(0, len(self.grid), 64):
-            sl = slice(start, start + 64)
-            self.corr[sl] = np.exp(-1j * np.outer(self.grid[sl], nodes)) @ c
-        self.gam = {}
-        for w in freqs:
-            integrand = np.exp(1j * w * self.grid) * self.corr
-            self.gam[w] = self._cumulative_simpson(integrand, self.grid)
+        self.corr = np.concatenate([np.exp(-1j * np.outer(self.grid[start:start + 64], nodes)) @ c
+                                    for start in range(0, len(self.grid), 64)])
+        self.gam = {w: self._cumulative_simpson(np.exp(1j * w * self.grid) * self.corr, self.grid)
+                    for w in freqs}
 
     @staticmethod
     def _cumulative_simpson(y, x):
@@ -251,17 +240,13 @@ def g40_tls_direct(bath, omega0, t_final, n_steps=1200, anchor=0, config=DEFAULT
         w = (None,) + tup  # 1-based access
         fw = np.zeros(len(grid), dtype=complex)
 
-        def value(kind, pair, slot):
-            x, y = -w[pair[0]], w[pair[1]]
-            idx = t_idx if slot == "t" else s_idx
-            return coeffs.tilde(kind, x, y, idx)
+        def value(factor, swap):  # with swap, s and t trade places
+            idx = t_idx if (factor[3] == "t") != swap else s_idx
+            return coeffs.tilde(factor[0], -w[int(factor[1])], w[int(factor[2])], idx)
 
-        for coeff, k1, p1, s1, k2, p2, s2, exps in _f_terms():
-            weight = math.exp(-beta * sum(w[i] for i in exps)) if exps else 1.0
-            term_ts = coeff * weight * value(k1, p1, s1) * value(k2, p2, s2)
-            s1m = "t" if s1 == "s" else "s"
-            s2m = "t" if s2 == "s" else "s"
-            term_st = coeff * weight * value(k1, p1, s1m) * value(k2, p2, s2m)
+        for coeff, f1, f2, exps in _F_TERMS:
+            weight = math.exp(-beta * sum(w[int(i)] for i in exps)) if exps else 1.0
+            term_ts, term_st = (coeff * weight * value(f1, swap) * value(f2, swap) for swap in (False, True))
             fw += term_ts - term_st
         # phase e^{i sum(w) t} = 1 on zero-sum tuples
         total += 0.5 * coeffs._cumulative_simpson(fw, grid)[-1]

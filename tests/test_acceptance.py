@@ -11,6 +11,7 @@ at its stated tolerance.
 import json
 import math
 
+from meanforce import bath, corrections
 from meanforce.cli import main as cli_main
 from meanforce.cli import read_corrections_csv
 from meanforce.validation import (
@@ -49,6 +50,22 @@ def test_criterion_1_dual_form_mean_force():
 
 def test_criterion_2_steady_coherence_identities():
     report(check_steady_coherence_identities(CASE))
+
+
+def test_criterion_2_sees_an_error_in_the_lamb_shift(monkeypatch):
+    # the Redfield coherences read S(w); the kernel mean force they are compared with does not,
+    # so S(w) off by a relative 1e-6 must fail the claim-(ii) check
+    lamb_shifts = bath._lamb_shifts
+
+    def skewed(*args):
+        values, failed = lamb_shifts(*args)
+        return values * (1.0 + 1e-6), failed
+
+    for module in (bath, corrections):
+        monkeypatch.setattr(module, "_lamb_shifts", skewed)
+    redfield = check_steady_coherence_identities(CASE)[0]
+    assert redfield.name == "steady_coherences_redfield_vs_mean_force"
+    assert not redfield.passed, redfield.line()
 
 
 def test_criterion_3_second_order_residual():

@@ -30,7 +30,9 @@ from meanforce.bath import (
     redfield_pair_matrices,
 )
 from meanforce.cli import parse_config
+from meanforce.corrections import build_upsilon_table
 from meanforce.errors import NumericsError, PoleError, ValidationError
+from meanforce.generators import build_davies_generator, build_redfield_generator, cumulant_map
 
 
 def panel_quad(f, lo, hi, osc_freq, structure_scale):
@@ -670,3 +672,17 @@ class TestMixedMeasure:
         freqs = (-1.0, 0.0, 0.7, 1.0)
         total = builder(smooth, freqs, t) + builder(modes, freqs, t)
         assert np.abs(builder(mixed, freqs, t) - total).max() <= 1e-13 * np.abs(total).max()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda h0, bath: build_upsilon_table(kind, [], bath), id=kind)
+    for kind in ("dynamical", "mean_force", "steady_state")
+] + [
+    pytest.param(lambda h0, bath: build_redfield_generator(h0, [], bath, 0.05), id="redfield"),
+    pytest.param(lambda h0, bath: build_davies_generator(h0, [], bath, 0.05), id="davies"),
+    pytest.param(lambda h0, bath: cumulant_map(h0, [], bath, 0.05, 2.0), id="cumulant"),
+])
+def test_empty_jump_list_rejected(h0, bath, build):
+    # stacked_tables tabulates nothing for an empty list; it raises instead of returning None
+    with pytest.raises(ValidationError, match="no couplings to tabulate"):
+        build(h0, bath)

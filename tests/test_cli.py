@@ -13,7 +13,9 @@ from meanforce import bath as mb
 from meanforce._quad import QuadratureConfig
 from meanforce.bath import stacked_tables
 from meanforce.cli import RunConfig, load_config, main, parse_config, read_corrections_csv
+from meanforce.corrections import build_upsilon_table
 from meanforce.errors import ValidationError
+from meanforce.operators import UpsilonTable
 
 BASE = {
     "task": "corrections",
@@ -623,6 +625,34 @@ class TestBathIdentity:
         two = cross(self._run(tmp_path, "corrections", "c"))
         assert max(map(abs, one)) > 0
         assert all(v == 0 for v in two)
+
+
+class TestTableFromArrays:
+    """The table path writes its CSV and H_mf from the table arrays, never from `entries`."""
+
+    @pytest.mark.parametrize("task", ["corrections", "steadystate"])
+    def test_entries_view_never_built(self, tmp_path, monkeypatch, task):
+        def refuse(table):
+            raise AssertionError("entries view built")
+
+        monkeypatch.setattr(UpsilonTable, "entries", property(refuse))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(three_level(task, "b")))
+        assert main([task, "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 0
+
+    @pytest.mark.parametrize("second_bath", ["b", "c"])
+    def test_table_csv_rows_are_sorted_entries(self, tmp_path, second_bath):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(three_level("corrections", second_bath)))
+        assert main(["corrections", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 0
+        cfg = parse_config(three_level("corrections", second_bath))
+        fmt = lambda x: "%.12g" % x
+        expect = ["sweep_value,coefficient_name,correction_kind,value_re,value_im"]
+        for kind, table_kind in (("mf", "mean_force"), ("dyn", "dynamical"), ("st_redfield", "steady_state")):
+            table = build_upsilon_table(table_kind, cfg.jump_list(), cfg.bath_list())
+            expect += [f"0,Y[{a};{b};{fmt(w)};{fmt(wp)}],{kind},{fmt(v.real)},{fmt(v.imag)}"
+                       for (a, b, w, wp), v in sorted(table.entries.items())]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(expect) + "\n"
 
 
 class TestValidateTask:

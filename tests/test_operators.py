@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from meanforce.bath import DiscreteBath, OhmicBath
 from meanforce.corrections import build_upsilon_table
-from meanforce.errors import ConsistencyError, ValidationError
+from meanforce.errors import ConsistencyError, NumericsError, ValidationError
 from meanforce.operators import (
     SIGMA_X,
     SIGMA_Y,
@@ -227,6 +227,57 @@ class TestAssembleCorrection:
         table = UpsilonTable("dynamical", {(-1, 0, 1.0, 1.0): 1.0})  # no wrap-around
         with pytest.raises(ValidationError, match="unknown coupling index"):
             assemble_correction(table, jumps)
+
+
+class TestArrayStorage:
+    """A table is arrays over its stacked index; `entries` is a view built from them."""
+
+    @pytest.mark.parametrize("kind", ["dynamical", "mean_force", "steady_state"])
+    def test_dict_round_trip(self, two_on_one_bath, kind):
+        _, jumps, bath = two_on_one_bath
+        built = build_upsilon_table(kind, jumps, bath)
+        again = UpsilonTable(kind, built.entries)
+        assert again.entries == built.entries
+        assert all(again.value(*key) == v for key, v in built.entries.items())
+        assert np.array_equal(assemble_correction(again, jumps), assemble_correction(built, jumps))
+
+    def test_entries_view_is_read_only(self, jumps, bath):
+        table = build_upsilon_table("mean_force", jumps, bath)
+        with pytest.raises(TypeError):
+            table.entries[(0, 0, 0.0, 0.0)] = 1.0
+        assert table.entries is table.entries
+
+    def test_dict_index_is_sorted_union_of_keys(self):
+        table = UpsilonTable("dynamical", {(1, 0, 2.0, -1.0): 0.5, (0, 1, 0.0, 2.0): 0.0})
+        assert table.coupling.tolist() == [0, 0, 1]
+        assert table.freqs.tolist() == [-1.0, 0.0, 2.0]
+        assert table.entries == {(1, 0, 2.0, -1.0): 0.5, (0, 1, 0.0, 2.0): 0.0}
+        assert table.value(0, 1, 0.0, 2.0) == 0.0 and table.value(0, 0, 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, jumps, bad):
+        table = UpsilonTable("mean_force", {(0, 0, 1.0, 1.0): bad, (0, 0, -1.0, -1.0): 2.0})
+        with pytest.raises(ConsistencyError, match=r"non-finite coefficient at \(0,0,1,1\)"):
+            table.validate_pairing()
+        with pytest.raises(NumericsError, match=r"mean_force table has a non-finite coefficient at \(0,0,1,1\)"):
+            assemble_correction(table, jumps)
+
+    def test_pairing_violations_named(self):
+        herm = UpsilonTable("dynamical", {(0, 0, 0.0, 1.0): 1.0, (0, 0, 1.0, 0.0): 1.5})
+        with pytest.raises(ConsistencyError, match=r"hermiticity pairing violated at \(0,0,0,1\)"):
+            herm.validate_pairing()
+        missing = UpsilonTable("dynamical", {(0, 1, 0.0, 1.0): 1.0})
+        with pytest.raises(ConsistencyError, match=r"hermiticity pairing violated at \(0,1,0,1\)"):
+            missing.validate_pairing()
+        # Hermitian but not symmetric in (w, w'): only the mean-force kind requires it
+        entries = {(0, 1, 0.0, 1.0): 1.0, (1, 0, 1.0, 0.0): 1.0, (0, 1, 1.0, 0.0): 2.0, (1, 0, 0.0, 1.0): 2.0}
+        UpsilonTable("dynamical", entries).validate_pairing()
+        with pytest.raises(ConsistencyError, match=r"mean-force symmetry violated at \(0,1,0,1\)"):
+            UpsilonTable("mean_force", entries).validate_pairing()
+        lone = {(0, 1, 0.0, 1.0): 1.0, (1, 0, 1.0, 0.0): 1.0}  # (0, 1, 1, 0) absent
+        with pytest.raises(ConsistencyError, match="mean-force symmetry"):
+            UpsilonTable("mean_force", lone).validate_pairing()
+        UpsilonTable("mean_force", {}).validate_pairing()
 
 
 @settings(max_examples=25, deadline=None)

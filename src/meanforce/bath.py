@@ -76,12 +76,12 @@ class OhmicBath:
     coupling: float
     cutoff: float
 
-    def __post_init__(self):
-        if self.beta <= 0:
+    def __post_init__(self):  # NaN and infinity fail each guard
+        if not 0 < self.beta < math.inf:
             raise ValidationError("beta must be positive")
-        if self.cutoff <= 0:
+        if not 0 < self.cutoff < math.inf:
             raise ValidationError("cutoff frequency must be positive")
-        if self.coupling < 0:
+        if not 0 <= self.coupling < math.inf:
             raise ValidationError("coupling strength must be nonnegative")
 
 
@@ -93,10 +93,10 @@ class DiscreteBath:
     modes: tuple
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not 0 < self.beta < math.inf:
             raise ValidationError("beta must be positive")
         modes = tuple((float(w), float(g)) for w, g in self.modes)
-        if any(w <= 0 for w, _ in modes):
+        if not all(0 < w < math.inf for w, _ in modes):
             raise ValidationError("all mode frequencies must be positive")
         for w, g in modes:
             try:
@@ -223,6 +223,8 @@ def measure_value(measure, omega):
 
 def _check_atom_pole(measure, omegas):
     for omega in omegas:
+        if not math.isfinite(omega):
+            raise ValidationError(f"frequency {omega:g} is not finite")
         for loc, _ in measure.atoms:
             if abs(omega - loc) <= 1e-12 * max(1.0, abs(loc)):
                 raise PoleError(f"frequency {omega:g} sits on the atom at {loc:g}")
@@ -401,7 +403,7 @@ def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
         pair, failed = _long_time_pair(measure, freqs, config)
         _raise_failed(failed)
         return pair
-    if t < 0:
+    if not t >= 0:
         raise ValidationError("t must be nonnegative")
     big = _pairwise_sum((phi @ c for _, c, _, phi, _ in _phi_blocks(measure, freqs, t)),
                         np.zeros(len(freqs), dtype=complex))  # phi_0 = 0 exactly
@@ -520,7 +522,7 @@ def _integrated_direct(measure, freqs, t):
     return 0.5 * (xi + xi.conj().T), -0.5 * (d + d.conj().T)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=8)  # a time t and its split time t0 for each of up to four baths
 def _integrated_matrices_cached(measure, freqs, t, config):
     """(int_0^t gamma~, int_0^t S~) coefficient matrices over the frequency list.
 
@@ -548,6 +550,12 @@ def _integrated_matrices_cached(measure, freqs, t, config):
     return xi, sig
 
 
+def _integrated(bath, freqs, t, config):
+    if not 0 <= t < math.inf:
+        raise ValidationError("t must be nonnegative and finite")
+    return _integrated_matrices_cached(as_measure(bath), tuple(float(f) for f in freqs), float(t), config)
+
+
 def integrated_gamma_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     """Matrix int_0^t e^{i(w-w')s} gamma(w, w', s) ds over the given frequencies.
 
@@ -556,10 +564,7 @@ def integrated_gamma_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     phi (c phi^*)^T over the node blocks of `_phi_blocks`, made exactly
     Hermitian.
     """
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    measure = as_measure(bath)
-    return _integrated_matrices_cached(measure, tuple(float(f) for f in freqs), float(t), config)[0].copy()
+    return _integrated(bath, freqs, t, config)[0].copy()
 
 
 def integrated_S_matrix(bath, freqs, t, config=DEFAULT_QUAD):
@@ -571,7 +576,4 @@ def integrated_S_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     a node |(w_j - W_k) t| < 1e-6 takes that node from `phi_diff_quotient`
     (phi_t' at the midpoint).
     """
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    measure = as_measure(bath)
-    return _integrated_matrices_cached(measure, tuple(float(f) for f in freqs), float(t), config)[1].copy()
+    return _integrated(bath, freqs, t, config)[1].copy()

@@ -27,13 +27,13 @@ malformed config (the message names the field path) or a library error.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._quad import DEFAULT_QUAD, QuadratureConfig
 from .bath import DiscreteBath, OhmicBath
-from .corrections import build_upsilon_table
+from .corrections import SWEEP_BW0, SWEEP_KINDS, SWEEP_NAMES, build_upsilon_table, qubit_sweep_point
 from .errors import MeanforceError, ValidationError
 from .generators import (
     build_davies_generator,
@@ -52,16 +52,6 @@ from .operators import (
     spectral_decompose,
     tls_hamiltonian,
 )
-from .validation import (
-    SWEEP_BW0,
-    SWEEP_KINDS,
-    SWEEP_NAMES,
-    CheckResult,
-    ReferenceCase,
-    check_detailed_balance_guard,
-    qubit_sweep_point,
-    run_checks,
-)
 
 FMT = "%.12g"
 
@@ -74,6 +64,12 @@ def _finite(x):
     """A finite JSON number; a JSON boolean is not one, though bool subclasses int.  Compared,
     not converted, so a JSON integer beyond the float range is not finite."""
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
+def _positive(x, path):
+    if not _finite(x) or x <= 0:
+        raise ValidationError(f"{path}: must be a positive finite number")
+    return x
 
 
 def _object(obj, path):
@@ -135,9 +131,7 @@ def parse_config(data):
     if task not in ("corrections", "evolve", "steadystate", "validate"):
         raise ValidationError(f"task: expected one of corrections/evolve/steadystate/validate, got {task!r}")
 
-    beta = data.get("beta")
-    if not _finite(beta) or beta <= 0:
-        raise ValidationError("beta: must be a positive finite number")
+    beta = _positive(data.get("beta"), "beta")
     lam = data.get("lambda", 0.05)
     if not _finite(lam) or lam < 0 or not _finite(float(lam) * float(lam)):
         raise ValidationError("lambda: must be a nonnegative number with a finite square")
@@ -147,9 +141,7 @@ def parse_config(data):
     if not isinstance(system, dict):
         raise ValidationError("system: must be an object with 'tls' or 'hamiltonian'")
     if "tls" in system:
-        omega0 = _object(system["tls"], "system.tls").get("omega0")
-        if not _finite(omega0) or omega0 <= 0:
-            raise ValidationError("system.tls.omega0: must be a positive finite number")
+        omega0 = _positive(_object(system["tls"], "system.tls").get("omega0"), "system.tls.omega0")
         h0 = tls_hamiltonian(float(omega0))
     elif "hamiltonian" in system:
         h0 = _parse_hermitian(system["hamiltonian"], "system.hamiltonian")
@@ -164,11 +156,10 @@ def parse_config(data):
         path = f"baths.{bid}"
         kind = _object(b, path).get("type")
         if kind == "ohmic":
-            gc, wc = b.get("gamma_c"), b.get("cutoff")
+            gc = b.get("gamma_c")
             if not _finite(gc) or gc < 0:
                 raise ValidationError(f"{path}.gamma_c: must be a nonnegative finite number")
-            if not _finite(wc) or wc <= 0:
-                raise ValidationError(f"{path}.cutoff: must be a positive finite number")
+            wc = _positive(b.get("cutoff"), f"{path}.cutoff")
             baths[bid] = OhmicBath(beta=float(beta), coupling=float(gc), cutoff=float(wc))
         elif kind == "discrete":
             modes = b.get("modes")
@@ -214,8 +205,7 @@ def parse_config(data):
         q = _object(data["quadrature"], "quadrature")
         fields = {k: q.get(k, getattr(DEFAULT_QUAD, k)) for k in ("abs_tol", "rel_tol", "limit")}
         for k in ("abs_tol", "rel_tol"):
-            if not _finite(fields[k]) or fields[k] <= 0:
-                raise ValidationError(f"quadrature.{k}: must be a positive finite number")
+            _positive(fields[k], f"quadrature.{k}")
         if not isinstance(fields["limit"], int) or fields["limit"] < 10:
             raise ValidationError("quadrature.limit: must be an integer of at least 10")
         quad = QuadratureConfig(**fields)
@@ -247,6 +237,16 @@ def parse_config(data):
     if task == "validate" or (task == "corrections" and cfg.is_qubit_sweep):
         if isinstance(baths[bid], OhmicBath) and baths[bid].coupling == 0:
             raise ValidationError(f"baths.{bid}.gamma_c: must be positive for the {task} task")
+    if task == "validate":  # the checks run on the qubit of omega0 coupled by x sigma_x + z sigma_z
+        pauli = couplings_cfg[0].get("pauli")
+        if omega0 is None:
+            raise ValidationError("system.hamiltonian: the validate task needs a 'tls' system")
+        if pauli is None:
+            raise ValidationError("couplings[0].operator: the validate task needs a 'pauli' coupling")
+        if pauli.get("y", 0):
+            raise ValidationError("couplings[0].pauli.y: must be 0 for the validate task")
+        if not (pauli.get("x", 0) and pauli.get("z", 0)):
+            raise ValidationError("couplings[0].pauli: the validate task needs nonzero x and z")
 
     # a present evolve section is checked on every task, as sweep and validate are
     if task == "evolve" and "evolve" not in data:
@@ -379,21 +379,13 @@ def run_evolve(cfg):
 
 def run_steadystate(cfg):
     jumps, baths = cfg.jump_list(), cfg.bath_list()
-    states = {}
-    states["davies"] = steady_state_of_generator(
-        build_davies_generator(cfg.h0, jumps, baths, cfg.lam, cfg.quad))
-    states["redfield"] = steady_state_of_generator(
-        build_redfield_generator(cfg.h0, jumps, baths, cfg.lam, config=cfg.quad))
-    hmf = assemble_correction(
-        build_upsilon_table("mean_force", jumps, baths, config=cfg.quad), jumps)
-    states["mean_force_gibbs"] = thermal_state(cfg.h0 + cfg.lam**2 * hmf, cfg.beta)
-
-    rows = [[kind] + _rho_cells(states[kind]) for kind in ("davies", "redfield", "mean_force_gibbs")]
+    states = {"davies": build_davies_generator(cfg.h0, jumps, baths, cfg.lam, cfg.quad),
+              "redfield": build_redfield_generator(cfg.h0, jumps, baths, cfg.lam, config=cfg.quad)}
+    hmf = assemble_correction(build_upsilon_table("mean_force", jumps, baths, config=cfg.quad), jumps)
+    rows = [[kind, *_rho_cells(steady_state_of_generator(gen))] for kind, gen in states.items()]
+    rows.append(["mean_force_gibbs", *_rho_cells(thermal_state(cfg.h0 + cfg.lam**2 * hmf, cfg.beta))])
     _write_csv(cfg.output, ["kind"] + _rho_header(cfg.h0.shape[0]), rows)
     return 0
-
-
-# --- validate task ----------------------------------------------------------------
 
 
 def read_corrections_csv(path):
@@ -407,29 +399,6 @@ def read_corrections_csv(path):
             sweep, name, kind, re, _ = line.strip().split(",")
             rows[(float(sweep), kind, name)] = float(re)
     return rows
-
-
-def run_validate(cfg):
-    bath = cfg.bath_list()[0]
-    ohmic = isinstance(bath, OhmicBath)
-    case = ReferenceCase(omega0=cfg.omega0 or 1.0, beta=cfg.beta, cutoff=bath.cutoff if ohmic else 50.0,
-                         coupling_strength=bath.coupling if ohmic else 1.0, config=cfg.quad)
-    if cfg.break_detailed_balance:
-        # injected-fault mode: only the detailed-balance precondition is probed,
-        # and the run fails whether or not the guard rejects the skewed diagonal
-        guard = check_detailed_balance_guard(case)
-        results = [CheckResult("steady_coherence_detailed_balance_precondition", False,
-                               1.0, 0.0, guard.detail)]
-    else:
-        results = run_checks(case, skip_oracle=cfg.skip_oracle)
-    lines = [r.line() for r in results]
-    ok = all(r.passed for r in results)
-    lines.append(f"RESULT: {'PASS' if ok else 'FAIL'} ({sum(r.passed for r in results)}/{len(results)} checks)")
-    report = "\n".join(lines) + "\n"
-    with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report)
-    print(report, end="")
-    return 0 if ok else 1
 
 
 def main(argv=None):
@@ -450,37 +419,25 @@ def main(argv=None):
             p.add_argument("--skip-oracle", action="store_true",
                            help="skip the exact-diagonalisation scaling check")
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
-
     try:
+        if args.threads < 1:
+            raise ValidationError("--threads must be at least 1")
         cfg = load_config(args.config)
-    except (MeanforceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.task != args.task:
-        print(f"error: config task {cfg.task!r} does not match subcommand {args.task!r}",
-              file=sys.stderr)
-        return 2
-    if args.out:
-        cfg.output = args.out
-    if args.tol_abs is not None or args.tol_rel is not None:
-        try:
-            cfg.quad = QuadratureConfig(
-                abs_tol=cfg.quad.abs_tol if args.tol_abs is None else args.tol_abs,
-                rel_tol=cfg.quad.rel_tol if args.tol_rel is None else args.tol_rel,
-                limit=cfg.quad.limit,
-            )
-        except ValidationError as exc:
-            print(f"error: --tol-abs/--tol-rel: {exc}", file=sys.stderr)
-            return 2
-    if getattr(args, "skip_oracle", False):
-        cfg.skip_oracle = True
-
-    try:
-        return {"corrections": run_corrections, "evolve": run_evolve, "steadystate": run_steadystate,
-                "validate": run_validate}[cfg.task](cfg)
+        if cfg.task != args.task:
+            raise ValidationError(f"config task {cfg.task!r} does not match subcommand {args.task!r}")
+        cfg.output = args.out or cfg.output
+        tols = {k: v for k, v in (("abs_tol", args.tol_abs), ("rel_tol", args.tol_rel)) if v is not None}
+        if tols:
+            try:
+                cfg.quad = replace(cfg.quad, **tols)
+            except ValidationError as exc:
+                raise ValidationError(f"--tol-abs/--tol-rel: {exc}") from None
+        cfg.skip_oracle |= getattr(args, "skip_oracle", False)
+        if cfg.task == "validate":  # only this task loads the check suite
+            from .validation import run_validate as run
+        else:
+            run = {"corrections": run_corrections, "evolve": run_evolve, "steadystate": run_steadystate}[cfg.task]
+        return run(cfg)
     except (MeanforceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -404,14 +404,27 @@ def _bath_table(kind, measure, freqs, config):
     return _steady_offdiag(measure.beta, closed, *pair, w, wp)[0, 0].reshape(n, n)
 
 
-def _qubit_sweep(measure, w0, config):
-    """The qubit sweep over an array of w0 > 0 as a (points, 4, 3) float array: for the
-    kinds "mf", "dyn", "st_redfield" and "st_cumulant" (validation.SWEEP_KINDS), the re
-    and im parts of Y(0,-w0) - Y(w0,0) and the real part of Y(w0,w0) - Y(-w0,-w0)
-    (validation.SWEEP_NAMES); st_cumulant's diagonal is T(w0)/2beta - T(-w0)/2beta.
-    Returns (values, failures): a point's row is nan where one of its integrals failed,
-    and its failure is that integral's message, else None."""
-    n, zero = w0.size, np.zeros(w0.size)
+SWEEP_KINDS = ("mf", "dyn", "st_redfield", "st_cumulant")
+SWEEP_NAMES = ("offdiag_re", "offdiag_im", "diag_diff")
+SWEEP_BW0 = tuple(float(v) for v in np.linspace(0.1, 5.0, 20))  # the default beta*w0 grid
+
+
+def qubit_sweep_point(bath, w0, gamma_c, config=DEFAULT_QUAD):
+    """Normalised coefficient combinations of a qubit at each w0 > 0 of a list.
+
+    Returns (values, failures).  values[p, k, n] is the name SWEEP_NAMES[n] of the
+    kind SWEEP_KINDS[k] at point p, with the figure's axis normalisation
+    beta * [Y_k(0,-w0) - Y_k(w0,0)] / gamma_c (re, im) and
+    beta * [Y_k(w0,w0) - Y_k(-w0,-w0)] / gamma_c, where st_cumulant's Y(w,w) is T(w)/2beta.
+    Each integral is one batched call over all points: the S(w) over the union of
+    (-w0, 0, w0), the four mean-force kernels and T(+-w0) of every point.  A failed
+    integral fails only the points that read it (S(0) is read by all): their rows are
+    nan, and their failures hold its message, the others None.
+    """
+    w0 = np.array(w0, dtype=float)
+    if not (w0.size and w0.min() > 0):
+        raise ValidationError("omega0 must be a non-empty list of positive values")
+    measure, n, zero = as_measure(bath), w0.size, np.zeros(w0.size)
     freqs = _closed([0.0, *w0.tolist()])
     (kmat, dyn), s_failed = _long_time_pair(measure, freqs, config)
     ip = np.searchsorted(freqs, w0)
@@ -431,7 +444,7 @@ def _qubit_sweep(measure, w0, config):
                                    *map(mf_failed.get, range(4 * i, 4 * i + 4)), t_failed.get(i),
                                    t_failed.get(n + i)]), None) for i in range(n)]
     values[[m is not None for m in failures]] = np.nan
-    return values, failures
+    return values * (bath.beta / gamma_c), failures
 
 
 def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_QUAD):

@@ -114,14 +114,17 @@ def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
     """The one path of every builder.
 
     The argument rules run before any early return: t >= 0 (NaN rejected),
-    lam >= 0, one bath per coupling, H0 Hermitian (h0 = None, the interaction
-    picture, takes the dimension from the jumps).  The result is -i[H0, .]
-    when `free` (else zero) plus, for lam > 0 and t > 0 (the dissipator
-    vanishes at either zero), lam^2 times the dissipator of the coefficient
-    arrays `pair` tabulates at t; a sum that overflows raises NumericsError.
+    at least one coupling, lam >= 0, one bath per coupling, H0 Hermitian
+    (h0 = None, the interaction picture, takes the dimension from the jumps).
+    The result is -i[H0, .] when `free` (else zero) plus, for lam > 0 and
+    t > 0 (the dissipator vanishes at either zero), lam^2 times the dissipator
+    of the coefficient arrays `pair` tabulates at t; a sum that overflows
+    raises NumericsError.
     """
     if not t >= 0:
         raise ValidationError("t must be nonnegative")
+    if not jumps:
+        raise ValidationError("no couplings to tabulate")
     lam = float(lam)
     if not (lam >= 0 and np.isfinite(lam * lam)):
         raise ValidationError("coupling constant must be nonnegative, with a finite square")

@@ -8,25 +8,29 @@ bath, beta = 1, beta*wc = 50 unless a config overrides it.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._quad import DEFAULT_QUAD, _raise_failed
 from .bath import OhmicBath, as_measure, integrated_gamma_matrix, lamb_shift_S, redfield_pair_matrices
 from .corrections import (
+    SWEEP_BW0,
+    SWEEP_KINDS,
+    SWEEP_NAMES,
     _mean_force_kernel,
     _mean_force_s_form,
-    _qubit_sweep,
     _spec_steady,
     build_upsilon_table,
     kossakowski_custom,
     kossakowski_redfield,
     kossakowski_secular,
+    qubit_sweep_point,
     tls_diagonal_steady,
     upsilon_mean_force,
     upsilon_steady_offdiag,
 )
-from .errors import DetailedBalanceError, ValidationError
+from .errors import DetailedBalanceError
 from .generators import (
     _checked_expm,
     build_cumulant_exponent,
@@ -167,12 +171,10 @@ def check_fourth_order(case):
     table = build_upsilon_table("steady_state", jumps, bath, "redfield", case.config)
     beta, w0 = case.beta, case.omega0
 
-    kmat = lambda w, wp: spec.K(0, 0, w, wp)
-    dyn = lambda w, wp: spec.upsilon_dyn(0, 0, w, wp)
-    st = lambda w, wp: table.value(0, 0, w, wp)
+    coeffs = [partial(f, 0, 0) for f in (spec.K, spec.upsilon_dyn, table.value)]  # (w, w') -> K, Y_dyn, Y_st
     tuples = four_tuples(dec.energies, 0).tuples
     eighth = (w0, -w0, w0, -w0)
-    vals = [g22_coefficient(kmat, dyn, st, *t, beta) for t in tuples if t != eighth]
+    vals = [g22_coefficient(*coeffs, *t, beta) for t in tuples if t != eighth]
     scale = max(abs(v) for v in vals)
     seven = abs(sum(vals)) / scale
     out = [CheckResult("g22_seven_tuple_cancellation", seven <= 1e-10, seven, 1e-10,
@@ -225,9 +227,7 @@ def check_generator_agreement(case):
     h0, _, jumps = case.system()
     t = 2.0 / case.omega0
     h = 2e-4
-    k0 = build_cumulant_exponent(h0, jumps, bath, 1.0, t, case.config).matrix
-    kp = build_cumulant_exponent(h0, jumps, bath, 1.0, t + h, case.config).matrix
-    km = build_cumulant_exponent(h0, jumps, bath, 1.0, t - h, case.config).matrix
+    k0, kp, km = (build_cumulant_exponent(h0, jumps, bath, 1.0, t + d, case.config).matrix for d in (0.0, h, -h))
     li = interaction_redfield_generator(jumps, bath, 1.0, t, case.config).matrix
     lams = (1e-1, 3e-2, 1e-2)
     norms = []
@@ -302,30 +302,6 @@ def check_headline(case):
     coh = abs(davies[0, 1])
     out.append(CheckResult("headline_davies_coherence_zero", coh <= 1e-10, coh, 1e-10))
     return out
-
-
-SWEEP_KINDS = ("mf", "dyn", "st_redfield", "st_cumulant")
-SWEEP_NAMES = ("offdiag_re", "offdiag_im", "diag_diff")
-SWEEP_BW0 = tuple(float(v) for v in np.linspace(0.1, 5.0, 20))  # the default beta*w0 grid
-
-
-def qubit_sweep_point(bath, w0, gamma_c, config=DEFAULT_QUAD):
-    """Normalised coefficient combinations of a qubit at each w0 of a list.
-
-    Returns (values, failures).  values[p, k, n] is the name SWEEP_NAMES[n] of the
-    kind SWEEP_KINDS[k] at point p, with the figure's axis normalisation
-    beta * [Y_k(0,-w0) - Y_k(w0,0)] / gamma_c (re, im) and
-    beta * [Y_k(w0,w0) - Y_k(-w0,-w0)] / gamma_c.  Each integral is one batched
-    call over all points: the S(w) over the union of (-w0, 0, w0), the four
-    mean-force kernels and T(+-w0) of every point.  A failed integral fails only
-    the points that read it (S(0) is read by all): their rows are nan, and their
-    failures hold its message, the others None.
-    """
-    w0 = np.array(w0, dtype=float)
-    if not (w0.size and w0.min() > 0):
-        raise ValidationError("omega0 must be a non-empty list of positive values")
-    values, failures = _qubit_sweep(as_measure(bath), w0, config)
-    return values * (bath.beta / gamma_c), failures
 
 
 def qubit_sweep_rows(case):
@@ -426,3 +402,27 @@ def run_checks(case, skip_oracle=False):
         results.extend(out if isinstance(out, list) else [out])
     results.append(check_integrated_psd(case))
     return results
+
+
+def run_validate(cfg):
+    """The validate task of a `cli.RunConfig`: the checks on its qubit, or with
+    break_detailed_balance only the injected-fault probe, which fails the run whether or
+    not the guard rejects the skewed diagonal.  Writes the report to cfg.output and
+    prints it; returns 0 when every check passed, else 1."""
+    bath, op = cfg.bath_list()[0], cfg.couplings[0][0]  # op = x sigma_x + z sigma_z
+    ohmic = isinstance(bath, OhmicBath)
+    case = ReferenceCase(omega0=cfg.omega0, beta=cfg.beta, cutoff=bath.cutoff if ohmic else 50.0,
+                         coupling_strength=bath.coupling if ohmic else 1.0, x=float(op[0, 1].real),
+                         z=float(op[0, 0].real), config=cfg.quad)
+    if cfg.break_detailed_balance:
+        results = [CheckResult("steady_coherence_detailed_balance_precondition", False,
+                               1.0, 0.0, check_detailed_balance_guard(case).detail)]
+    else:
+        results = run_checks(case, skip_oracle=cfg.skip_oracle)
+    ok = all(r.passed for r in results)
+    report = "".join(r.line() + "\n" for r in results) + (
+        f"RESULT: {'PASS' if ok else 'FAIL'} ({sum(r.passed for r in results)}/{len(results)} checks)\n")
+    with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(report)
+    print(report, end="")
+    return 0 if ok else 1

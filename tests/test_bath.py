@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +33,12 @@ from meanforce.bath import (
 from meanforce.cli import parse_config
 from meanforce.corrections import build_upsilon_table
 from meanforce.errors import NumericsError, PoleError, ValidationError
-from meanforce.generators import build_davies_generator, build_redfield_generator, cumulant_map
+from meanforce.generators import (
+    build_davies_generator,
+    build_redfield_generator,
+    cumulant_map,
+    interaction_redfield_generator,
+)
 
 
 def panel_quad(f, lo, hi, osc_freq, structure_scale):
@@ -681,8 +687,58 @@ class TestMixedMeasure:
     pytest.param(lambda h0, bath: build_redfield_generator(h0, [], bath, 0.05), id="redfield"),
     pytest.param(lambda h0, bath: build_davies_generator(h0, [], bath, 0.05), id="davies"),
     pytest.param(lambda h0, bath: cumulant_map(h0, [], bath, 0.05, 2.0), id="cumulant"),
+    pytest.param(lambda h0, bath: interaction_redfield_generator([], bath, 0.05, 2.0), id="interaction_redfield"),
 ])
 def test_empty_jump_list_rejected(h0, bath, build):
     # stacked_tables tabulates nothing for an empty list; it raises instead of returning None
     with pytest.raises(ValidationError, match="no couplings to tabulate"):
         build(h0, bath)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda b: finite_time_Gamma(b, 1.0, NAN), "t must be nonnegative", id="Gamma_t_nan"),
+    pytest.param(lambda b: gamma_finite_time(b, 1.0, -1.0, NAN), "t must be nonnegative", id="gamma_t_nan"),
+    pytest.param(lambda b: S_finite_time(b, 1.0, -1.0, NAN), "t must be nonnegative", id="S_t_nan"),
+    pytest.param(lambda b: integrated_gamma_matrix(b, (-1.0, 1.0), NAN), "t must be", id="int_gamma_t_nan"),
+    pytest.param(lambda b: integrated_gamma_matrix(b, (-1.0, 1.0), INF), "t must be", id="int_gamma_t_inf"),
+    pytest.param(lambda b: integrated_S_matrix(b, (-1.0, 1.0), NAN), "t must be", id="int_S_t_nan"),
+    pytest.param(lambda b: integrated_S_matrix(b, (-1.0, 1.0), INF), "t must be", id="int_S_t_inf"),
+    pytest.param(lambda b: lamb_shift_S(b, NAN), "not finite", id="S_w_nan"),
+    pytest.param(lambda b: lamb_shift_S(b, -INF), "not finite", id="S_w_inf"),
+    pytest.param(lambda b: OhmicBath(beta=NAN, coupling=1.0, cutoff=1.0), "beta must be positive", id="ohmic_beta"),
+    pytest.param(lambda b: OhmicBath(beta=1.0, coupling=1.0, cutoff=INF), "cutoff", id="ohmic_cutoff"),
+    pytest.param(lambda b: OhmicBath(beta=1.0, coupling=NAN, cutoff=1.0), "coupling", id="ohmic_coupling"),
+    pytest.param(lambda b: DiscreteBath(beta=NAN, modes=((1.0, 0.3),)), "beta must be positive", id="discrete_beta"),
+    pytest.param(lambda b: DiscreteBath(beta=1.0, modes=((INF, 0.3),)), "frequencies", id="discrete_mode"),
+])
+def test_non_finite_argument_rejected(bath, call, message):
+    # each guard is a positive condition, so NaN fails it; no warning, nan result or
+    # untyped error comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            call(bath)
+
+
+def test_integrated_cache_stays_small_over_a_trajectory(bath, monkeypatch):
+    # 20 times up to past the split at 60 beta hold a handful of (xi, Xi) pairs, and
+    # every t > t0 still reads the one cached t0 entry: one discretisation past t0
+    import meanforce.bath as mb
+
+    calls = []
+    discretize = mb._discretize
+    monkeypatch.setattr(mb, "_discretize", lambda *args: calls.append(args) or discretize(*args))
+    mb._integrated_matrices_cached.cache_clear()
+    try:
+        for t in np.linspace(61.0, 80.0, 20):
+            integrated_gamma_matrix(bath, (-1.0, 0.0, 1.0), t)
+            integrated_S_matrix(bath, (-1.0, 0.0, 1.0), t)
+        info = mb._integrated_matrices_cached.cache_info()
+    finally:
+        mb._integrated_matrices_cached.cache_clear()
+    assert len(calls) == 1
+    assert info.currsize <= 8
+    assert (info.misses, info.hits) == (21, 20 + 19)

@@ -775,3 +775,81 @@ def test_benchmark_runs_load_no_numpy_ma_or_polynomial(tmp_path):
                        capture_output=True, text=True, timeout=300)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == [[]] + [[0]] * len(runs)
+
+
+VALIDATION_LOADED = """
+import json, sys
+import meanforce.cli
+
+loaded = ["meanforce.validation" in sys.modules]
+for args in json.loads(sys.argv[1]):
+    code = meanforce.cli.main(args)
+    loaded.append([code, "meanforce.validation" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_benchmark_runs_leave_the_check_suite_unloaded(tmp_path):
+    # only the validate task imports meanforce.validation; the seed-0 sweep, steady
+    # and evolve runs of perfbench/workloads.py never compile it
+    import importlib.util
+    from pathlib import Path
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = []
+    for name in ("qubit_sweep", "steady_d4", "evolve_d4"):
+        cfg = workloads.make_config(name, 0, str(tmp_path / f"{name}.csv"))
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        runs.append([cfg["task"], "--config", str(tmp_path / f"{name}.json")])
+    probe = write_config(tmp_path, "probe.json", task="validate", validate={"break_detailed_balance": True},
+                         output=str(tmp_path / "report.txt"))
+    runs.append(["validate", "--config", probe])
+    r = subprocess.run([sys.executable, "-c", VALIDATION_LOADED, json.dumps(runs)],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    # the validate run prints its report before the last line
+    assert json.loads(r.stdout.splitlines()[-1]) == [False, [0, False], [0, False], [0, False], [1, True]]
+
+
+QUTRIT_PROBE = dict(three_level("validate", "b"), couplings=THREE_LEVEL["couplings"][:1])
+
+
+class TestValidateSystem:
+    """The validate checks run on the config's qubit: omega0 from system.tls, x and z
+    from the first coupling's pauli weights; any other system or coupling exits 2."""
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda c: c.update(QUTRIT_PROBE), "system.hamiltonian"),
+        (lambda c: c["couplings"][0].update(pauli=None, operator=[[[1, 0], [1, 0]], [[1, 0], [-1, 0]]]),
+         "couplings[0].operator"),
+        (lambda c: c["couplings"][0]["pauli"].update(y=0.1), "couplings[0].pauli.y"),
+        (lambda c: c["couplings"][0].update(pauli={"x": 1.0}), "couplings[0].pauli"),
+        (lambda c: c["couplings"][0].update(pauli={"z": 1.0}), "couplings[0].pauli"),
+        (lambda c: c["couplings"][0].update(pauli={"x": 0.0, "z": 1.0}), "couplings[0].pauli"),
+    ], ids=["qutrit", "operator", "y", "x_only", "z_only", "x_zero"])
+    def test_other_system_exits_2(self, tmp_path, capsys, edit, path):
+        cfg = json.loads(json.dumps(BASE))
+        cfg.update(task="validate", output=str(tmp_path / "report.txt"))
+        edit(cfg)
+        if cfg["couplings"][0].get("pauli", 0) is None:
+            del cfg["couplings"][0]["pauli"]
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(tmp_path / "cfg.json"), "--skip-oracle"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_checks_read_the_config_qubit(self, tmp_path, monkeypatch):
+        import meanforce.validation as mv
+
+        cases = []
+        monkeypatch.setattr(mv, "check_detailed_balance_guard",
+                            lambda case: cases.append(case) or mv.CheckResult("guard", True, 1.0, 1.0, "probe"))
+        cfg = write_config(tmp_path, task="validate", system={"tls": {"omega0": 1.5}},
+                           couplings=[{"pauli": {"x": 0.6, "z": -0.8}, "bath": "b1"}],
+                           validate={"break_detailed_balance": True}, output=str(tmp_path / "report.txt"))
+        assert main(["validate", "--config", cfg]) == 1
+        assert [(c.omega0, c.x, c.z) for c in cases] == [(1.5, 0.6, -0.8)]

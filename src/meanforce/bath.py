@@ -41,7 +41,6 @@ from ._quad import (
     principal_value,
 )
 from .errors import NumericsError, PoleError, ValidationError
-from .operators import _stacked_jumps
 
 _SUPPORT_MULT = 40.0  # Ohmic support radius in units of max(cutoff, 1/beta)
 _PHI_BLOCK = 1024  # discretisation nodes per phi block of the finite-time transforms
@@ -62,8 +61,6 @@ __all__ = [
     "correlation_time_domain",
     "integrated_gamma_matrix",
     "integrated_S_matrix",
-    "stacked_tables",
-    "bath_list",
     "redfield_pair_matrices",
 ]
 
@@ -99,6 +96,8 @@ class DiscreteBath:
         if not all(0 < w < math.inf for w, _ in modes):
             raise ValidationError("all mode frequencies must be positive")
         for w, g in modes:
+            if not math.isfinite(g):
+                raise ValidationError(f"mode ({w:g}, {g:g}): the coupling is not finite")
             try:
                 n = bose_occupation(self.beta, w)
             except OverflowError:  # e^{beta W}
@@ -175,42 +174,6 @@ def gamma_spectral(bath):
 
 def as_measure(bath):
     return bath if isinstance(bath, SpectralMeasure) else gamma_spectral(bath)
-
-
-def bath_list(baths, n):
-    """One bath per coupling: a single bath (or one-element list) is shared by all n,
-    a longer list must have length n."""
-    if not isinstance(baths, (list, tuple)):
-        baths = (baths,)
-    if len(baths) == 1:
-        return tuple(baths) * n
-    if len(baths) != n:
-        raise ValidationError(f"need one bath per coupling: {len(baths)} baths for {n} couplings")
-    return tuple(baths)
-
-
-def stacked_tables(jumps, baths, table):
-    """Complex arrays (..., N, N) over the stacked (coupling, Bohr frequency) index,
-    and the boolean mask of the index pairs whose couplings share a bath.
-
-    table(measure, freqs), an (..., n, n) array, runs once per distinct bath
-    object (one per coupling in `baths`; equal parameters do not merge two
-    objects) over the sorted union of its couplings' Bohr frequencies, and
-    fills every entry between those couplings; the rest stay zero.
-    """
-    if not jumps:
-        raise ValidationError("no couplings to tabulate")
-    coupling, stacked, _ = _stacked_jumps(jumps)
-    owner = np.array([id(baths[a]) for a in coupling])
-    out = None
-    for bath in {id(b): b for b in baths}.values():
-        rows = np.flatnonzero(owner == id(bath))
-        freqs, at = np.unique(stacked[rows], return_inverse=True)
-        block = np.asarray(table(as_measure(bath), tuple(freqs.tolist())))
-        if out is None:
-            out = np.zeros(block.shape[:-2] + (stacked.size,) * 2, dtype=complex)
-        out[..., rows[:, None], rows] = block[..., at[:, None], at]
-    return out, np.equal.outer(owner, owner)
 
 
 def measure_value(measure, omega):
@@ -435,6 +398,8 @@ def S_finite_time(bath, w, wp, t, config=DEFAULT_QUAD):
 
 def correlation_time_domain(bath, t, config=DEFAULT_QUAD):
     """Autocorrelation <R(t)R(0)>; satisfies <R(-t)R(0)> = <R(t)R(0)>^*."""
+    if not abs(t) < math.inf:
+        raise ValidationError("t must be finite")
     measure = as_measure(bath)
     if t < 0:
         return np.conj(correlation_time_domain(measure, -t, config))

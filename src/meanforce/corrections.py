@@ -23,12 +23,13 @@ function of the bath:
 
 For several couplings, indices (a, b) refer to couplings; pairs attached to
 the same reservoir share one gamma, pairs on independent reservoirs vanish.
-`bath.stacked_tables` is the one tabulation of the tables and the generators:
-each bath once, over the union of its couplings' Bohr frequencies.  The
-dynamical and steady-state tables read K and Y_dyn off that bath's one
-long-time Redfield pair (`bath.redfield_pair_matrices` at t = oo).
-A Kossakowski spec tabulates (K, Y_dyn) as arrays; `_steady_offdiag` is the one route
-from them to Y_st, for the tables, the qubit sweep and `upsilon_steady_offdiag` alike.
+`operators.stacked_tables` is the one tabulation of the tables, the Kossakowski
+specs and the generators: each bath once, over the union of its couplings' Bohr
+frequencies.  The dynamical table and the Redfield spec read K and Y_dyn off that
+bath's one long-time Redfield pair (`bath.redfield_pair_matrices` at t = oo).
+`_steady_offdiag` is the one route from a spec's (K, Y_dyn) arrays to Y_st, for the
+steady-state tables (through the Redfield spec), the qubit sweep and
+`upsilon_steady_offdiag` alike.
 """
 
 import itertools
@@ -56,12 +57,10 @@ from .bath import (
     _lamb_shifts,
     _long_time_pair,
     as_measure,
-    bath_list,
     redfield_pair_matrices,
-    stacked_tables,
 )
 from .errors import DetailedBalanceError, DomainError, NearDegenerateError, ValidationError
-from .operators import UpsilonTable, _stacked_jumps
+from .operators import UpsilonTable, _stacked_jumps, bath_list, stacked_tables
 
 _EXP_GUARD = 300.0  # |beta*w| beyond which thermal-ratio formulas overflow
 
@@ -178,11 +177,13 @@ def upsilon_dynamical(bath, w, wp, config=DEFAULT_QUAD):
 class KossakowskiSpec:
     """Long-time Kossakowski matrix K and dynamical coefficient Y_dyn of one generator.
 
-    kind is "redfield", "secular" or "custom".  `tables(n, freqs)` gives both as
-    complex (n, n, m, m) arrays over n couplings and m frequencies: a bath kind runs
-    its pair rule (measure, freqs) -> (K, Y_dyn) once per distinct bath of `baths`
-    (zero across distinct baths; "secular" keeps K on w = w' only), "custom" calls
-    its two callables (a, b, w, w') once per entry.  The rest look up a tabulation.
+    kind is "redfield", "secular" or "custom".  `stacked(n, coupling, freqs)` gives both
+    as complex (N, N) arrays over a stacked index of n couplings: a bath kind hands its
+    pair rule (bath, freqs) -> (K, Y_dyn) to `stacked_tables`, once per distinct bath of
+    `baths` (zero across distinct baths; "secular" keeps K on w = w' only), "custom"
+    calls its two callables (a, b, w, w') once per entry.  `tables(n, freqs)` is the
+    stacked index of n couplings x m frequencies as (n, n, m, m) arrays; the rest look
+    up a tabulation.
     """
 
     kind: str
@@ -190,19 +191,21 @@ class KossakowskiSpec:
     rule: object = field(compare=False)
     baths: tuple = field(default=None, compare=False)
 
-    def tables(self, n, freqs):
-        shape = (2, n, n, len(freqs), len(freqs))
+    def stacked(self, n, coupling, freqs):
         if self.baths is None:
-            grid = itertools.product(range(n), range(n), freqs, freqs)
-            return np.array([[f(*key) for f in self.rule] for key in grid], dtype=complex).T.reshape(shape)
-        owner = bath_list(self.baths[:n], n)
-        out = np.zeros(shape, dtype=complex)
-        for bath in {id(b): b for b in owner}.values():
-            on = np.array([b is bath for b in owner])
-            out[:, on[:, None] & on] = np.asarray(self.rule(as_measure(bath), tuple(freqs)))[:, None]
+            keys = list(zip(coupling.tolist(), freqs.tolist()))
+            grid = itertools.product(keys, repeat=2)
+            return np.array([[f(a, b, w, wp) for f in self.rule] for (a, w), (b, wp) in grid],
+                            dtype=complex).T.reshape(2, len(keys), len(keys))
+        out = stacked_tables(coupling, freqs, bath_list(self.baths[:n], n), self.rule)[0]
         if self.kind == "secular":
             out[0] *= np.equal.outer(freqs, freqs)
         return out
+
+    def tables(self, n, freqs):
+        m = len(freqs)
+        out = self.stacked(n, np.repeat(np.arange(n), m), np.tile(np.array(freqs, dtype=float), n))
+        return out.reshape(2, n, m, n, m).swapaxes(2, 3)
 
     def K(self, a, b, w, wp):
         return complex(self.tables(max(a, b) + 1, (w, wp))[0, a, b, 0, 1])
@@ -387,21 +390,19 @@ def guarnieri_sigma_x(bath, omega0, lam, f1, f2, config=DEFAULT_QUAD):
 # --- full coefficient tables ---------------------------------------------------
 
 
-def _bath_table(kind, measure, freqs, config):
+def _bath_table(kind, bath, freqs, config):
     """One bath's n x n table of a correction over its frequency list: the mean force in one
-    batched integral, the dynamical and steady-state tables from one long-time Redfield pair
-    (K, Y_dyn), the latter's over the list closed under w -> -w and with a zero diagonal."""
+    batched integral, the dynamical table from the long-time Redfield pair (K, Y_dyn), the
+    steady-state table from the Redfield spec (`_spec_steady`, with a zero diagonal)."""
     if kind == "dynamical":
-        return redfield_pair_matrices(measure, freqs, np.inf, config)[1]
+        return redfield_pair_matrices(bath, freqs, np.inf, config)[1]
     n = len(freqs)
     w, wp = np.repeat(freqs, n), np.tile(freqs, n)
     if kind == "mean_force":
-        values, failed = _mean_force_kernel(measure, w, wp, config)
+        values, failed = _mean_force_kernel(as_measure(bath), w, wp, config)
         _raise_failed(failed)
         return values.reshape(n, n)
-    closed = _closed(freqs)
-    pair = np.array(redfield_pair_matrices(measure, closed, np.inf, config))[:, None, None]
-    return _steady_offdiag(measure.beta, closed, *pair, w, wp)[0, 0].reshape(n, n)
+    return _spec_steady(kossakowski_redfield(bath, config), w, wp).reshape(n, n)
 
 
 SWEEP_KINDS = ("mf", "dyn", "st_redfield", "st_cumulant")
@@ -454,19 +455,19 @@ def build_upsilon_table(kind, jumps, baths, equation="redfield", config=DEFAULT_
     `equation` selects the generator ("redfield" or "cumulant").  Steady-state
     diagonals follow the gauge Y_st(0,0) = 0; the cumulant diagonal is only
     known for a two-level system with a single coupling.  Arguments are checked
-    before any integral; each bath is tabulated once (`bath.stacked_tables`).
+    before any integral; each bath is tabulated once (`operators.stacked_tables`).
     """
     if kind not in ("dynamical", "mean_force", "steady_state"):
         raise ValidationError(f"unknown table kind {kind!r}")
     if equation not in ("redfield", "cumulant"):
         raise ValidationError(f"unknown equation kind {equation!r}")
+    baths = bath_list(baths, len(jumps))
     cumulant_diag = kind == "steady_state" and equation == "cumulant"
     if cumulant_diag and (jumps[0].dim != 2 or len(jumps) != 1):
         raise NotImplementedError("cumulant steady-state diagonal is only solved for a "
                                   "two-level system with a single coupling")
-    baths = bath_list(baths, len(jumps))
-    values, keep = stacked_tables(jumps, baths, lambda m, f: _bath_table(kind, m, f, config))
     coupling, stacked, _ = _stacked_jumps(jumps)
+    values, keep = stacked_tables(coupling, stacked, baths, lambda b, f: _bath_table(kind, b, f, config))
     if cumulant_diag and stacked.max() > 0:  # a pure-dephasing qubit (w0 = 0) keeps the zero gauge
         plus, minus = tls_diagonal_steady(baths[0], float(stacked.max()), "cumulant", config)
         np.fill_diagonal(values, np.select([stacked > 0, stacked < 0], [plus, minus]))

@@ -16,7 +16,7 @@ rho(t) = e^{-iH0 t} exp(K_t) e^{+iH0 t} with the interaction-picture exponent
 
 where xi and Xi are the time-integrated coefficient matrices from the bath
 module.  Every builder tabulates its coefficients once per bath with
-`bath.stacked_tables`, over the sorted union of the Bohr frequencies of that
+`operators.stacked_tables`, over the sorted union of the Bohr frequencies of that
 bath's couplings, and selects the stacked (coupling, frequency) entries from
 that one table.  So xi is one Gram matrix per bath, positive semi-definite by
 construction for any number of couplings, which makes the map CPTP.
@@ -27,19 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import DEFAULT_QUAD
-from .bath import (
-    bath_list,
-    integrated_S_matrix,
-    integrated_gamma_matrix,
-    redfield_pair_matrices,
-    stacked_tables,
-)
+from .bath import integrated_S_matrix, integrated_gamma_matrix, redfield_pair_matrices
 from .errors import (
     DegenerateSteadyStateError,
     NumericsError,
     ValidationError,
 )
-from .operators import _contract, _stacked_jumps, require_hermitian
+from .operators import _contract, _stacked_jumps, bath_list, require_hermitian, stacked_tables
 
 __all__ = [
     "Superoperator",
@@ -114,7 +108,7 @@ def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
     """The one path of every builder.
 
     The argument rules run before any early return: t >= 0 (NaN rejected),
-    at least one coupling, lam >= 0, one bath per coupling, H0 Hermitian
+    lam >= 0, one bath per coupling and at least one coupling, H0 Hermitian
     (h0 = None, the interaction picture, takes the dimension from the jumps).
     The result is -i[H0, .] when `free` (else zero) plus, for lam > 0 and
     t > 0 (the dissipator vanishes at either zero), lam^2 times the dissipator
@@ -123,8 +117,6 @@ def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
     """
     if not t >= 0:
         raise ValidationError("t must be nonnegative")
-    if not jumps:
-        raise ValidationError("no couplings to tabulate")
     lam = float(lam)
     if not (lam >= 0 and np.isfinite(lam * lam)):
         raise ValidationError("coupling constant must be nonnegative, with a finite square")
@@ -132,7 +124,7 @@ def _generator(h0, jumps, baths, lam, pair, t, config, free=True):
     h = np.zeros((jumps[0].dim,) * 2) if h0 is None else require_hermitian(h0, name="H0")
     gen = commutator_superop(h) if free else np.zeros((h.size, h.size), dtype=complex)
     if lam > 0 and t > 0:
-        kmat, smat = stacked_tables(jumps, baths, lambda m, f: pair(m, f, t, config))[0]
+        kmat, smat = stacked_tables(*_stacked_jumps(jumps)[:2], baths, lambda b, f: pair(b, f, t, config))[0]
         with np.errstate(over="ignore", invalid="ignore"):
             gen += lam**2 * _assemble(jumps, kmat, smat)
         if not np.isfinite(gen).all():

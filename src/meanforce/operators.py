@@ -12,6 +12,8 @@ Conventions (hbar = k_B = 1 throughout):
   each one's Bohr frequencies in order (`_stacked_jumps`).  Every operator
   sum_{a,b,w,w'} Y_ab(w, w') A_a(w)^dag A_b(w'), a correction Hamiltonian or a
   generator's Hamiltonian part, is one contraction sum_IJ y_IJ A_I^dag A_J (`_contract`).
+  `stacked_tables` fills the (N, N) coefficient arrays over that index from one
+  table per bath (`bath_list` gives each coupling its bath).
 """
 
 from dataclasses import dataclass, field
@@ -244,6 +246,41 @@ def _stacked_jumps(jumps):
 def _contract(y, ops):
     """sum_IJ y_IJ A_I^dag A_J for an (N, N) array over the stacked index."""
     return np.einsum("ij,iyx,jyz->xz", y, ops.conj(), ops, optimize=True)
+
+
+def bath_list(baths, n):
+    """One bath per coupling: a single bath (or one-element list) is shared by all n,
+    a longer list must have length n; no coupling at all is an error."""
+    if not n:
+        raise ValidationError("no couplings to tabulate")
+    if not isinstance(baths, (list, tuple)):
+        baths = (baths,)
+    if len(baths) == 1:
+        return tuple(baths) * n
+    if len(baths) != n:
+        raise ValidationError(f"need one bath per coupling: {len(baths)} baths for {n} couplings")
+    return tuple(baths)
+
+
+def stacked_tables(coupling, freqs, baths, table):
+    """Complex arrays (..., N, N) over a stacked (coupling, frequency) index given as
+    two (N,) arrays, and the boolean mask of the index pairs whose couplings share a bath.
+
+    table(bath, freqs), an (..., n, n) array, runs once per distinct bath object
+    (baths[a] is coupling a's; equal parameters do not merge two objects) over the
+    sorted union of its couplings' frequencies, and fills every entry between
+    those couplings; the rest stay zero.
+    """
+    owner = np.array([id(baths[a]) for a in coupling])
+    out = None
+    for bath in {id(b): b for b in baths}.values():
+        rows = np.flatnonzero(owner == id(bath))
+        union, at = np.unique(freqs[rows], return_inverse=True)
+        block = np.asarray(table(bath, tuple(union.tolist())))
+        if out is None:
+            out = np.zeros(block.shape[:-2] + (freqs.size,) * 2, dtype=complex)
+        out[..., rows[:, None], rows] = block[..., at[:, None], at]
+    return out, np.equal.outer(owner, owner)
 
 
 def _table_array(table, jumps):

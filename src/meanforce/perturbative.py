@@ -109,9 +109,8 @@ def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):
     With `relative` the norm is divided by ||L2[rho_0]||; a correct table
     drives the ratio to rounding level, an all-zero table leaves the full
     coherence source uncancelled.  L2 is assembled from the spec's K and Y_dyn
-    arrays, tabulated once over the union of the couplings' Bohr frequencies and
-    read at the stacked (coupling, frequency) index; `baths` is not read and is
-    kept for API compatibility.
+    arrays on the jumps' stacked (coupling, frequency) index (`spec.stacked`);
+    `baths` is not read and is kept for API compatibility.
     """
     c, stacked, _ = _stacked_jumps(jumps)
     miss = np.equal.outer(c, c) & np.not_equal.outer(stacked, stacked) & ~_table_array(st_table, jumps)[1]
@@ -120,8 +119,7 @@ def second_order_residual(h0, jumps, baths, spec, st_table, relative=True):
         raise ValidationError(f"steady-state table misses entry ({c[p]},{c[p]},{stacked[p]:g},{stacked[q]:g})")
     rho2, rho0 = _rho2_matrix(h0, jumps, st_table, spec.beta)
     l0 = commutator_superop(require_hermitian(h0))
-    freqs, i = np.unique(stacked, return_inverse=True)
-    l2 = _assemble(jumps, *(x[c[:, None], c, i[:, None], i] for x in spec.tables(len(jumps), freqs.tolist())))
+    l2 = _assemble(jumps, *spec.stacked(len(jumps), c, stacked))
     resid = unvectorize(l0 @ vectorize(rho2) + l2 @ vectorize(rho0))
     norm = np.linalg.norm(resid)
     if not relative:
@@ -224,7 +222,11 @@ class _GridCoefficients:
 
 def g40_tls_direct(bath, omega0, t_final, n_steps=1200, anchor=0, config=DEFAULT_QUAD):
     """Tuple-summed g40 via the explicit double time integral of the commutator
-    expansion f(w1..w4, t, s); coarse-grid oracle for the closed form."""
+    expansion f(w1..w4, t, s); coarse-grid oracle for the closed form.
+
+    `config` is not read and is kept for API compatibility: the grid route takes
+    the panel discretisation of the spectral measure, which no QuadratureConfig sets
+    (defect D1 in ROADMAP.md)."""
     measure = as_measure(bath)
     beta = measure.beta
     w0 = omega0 if anchor == 0 else -omega0

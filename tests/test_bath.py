@@ -684,13 +684,15 @@ class TestMixedMeasure:
     pytest.param(lambda h0, bath: build_upsilon_table(kind, [], bath), id=kind)
     for kind in ("dynamical", "mean_force", "steady_state")
 ] + [
+    pytest.param(lambda h0, bath: build_upsilon_table("steady_state", [], bath, "cumulant"),
+                 id="steady_state_cumulant"),
     pytest.param(lambda h0, bath: build_redfield_generator(h0, [], bath, 0.05), id="redfield"),
     pytest.param(lambda h0, bath: build_davies_generator(h0, [], bath, 0.05), id="davies"),
     pytest.param(lambda h0, bath: cumulant_map(h0, [], bath, 0.05, 2.0), id="cumulant"),
     pytest.param(lambda h0, bath: interaction_redfield_generator([], bath, 0.05, 2.0), id="interaction_redfield"),
 ])
 def test_empty_jump_list_rejected(h0, bath, build):
-    # stacked_tables tabulates nothing for an empty list; it raises instead of returning None
+    # bath_list rejects zero couplings, before any table or generator reads jumps[0]
     with pytest.raises(ValidationError, match="no couplings to tabulate"):
         build(h0, bath)
 
@@ -713,6 +715,9 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(lambda b: OhmicBath(beta=1.0, coupling=NAN, cutoff=1.0), "coupling", id="ohmic_coupling"),
     pytest.param(lambda b: DiscreteBath(beta=NAN, modes=((1.0, 0.3),)), "beta must be positive", id="discrete_beta"),
     pytest.param(lambda b: DiscreteBath(beta=1.0, modes=((INF, 0.3),)), "frequencies", id="discrete_mode"),
+    pytest.param(lambda b: DiscreteBath(beta=1.0, modes=((1.0, NAN),)), "coupling", id="discrete_coupling"),
+    pytest.param(lambda b: correlation_time_domain(b, NAN), "t must be finite", id="corr_t_nan"),
+    pytest.param(lambda b: correlation_time_domain(b, INF), "t must be finite", id="corr_t_inf"),
 ])
 def test_non_finite_argument_rejected(bath, call, message):
     # each guard is a positive condition, so NaN fails it; no warning, nan result or

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from meanforce import bath as mb
 from meanforce._quad import QuadratureConfig
-from meanforce.bath import stacked_tables
 from meanforce.cli import RunConfig, load_config, main, parse_config, read_corrections_csv
 from meanforce.corrections import build_upsilon_table
 from meanforce.errors import ValidationError
-from meanforce.operators import UpsilonTable
+from meanforce.operators import UpsilonTable, _stacked_jumps, stacked_tables
 
 BASE = {
     "task": "corrections",
@@ -602,8 +601,9 @@ class TestBathIdentity:
 
         def cross_shared(second_bath):
             cfg = parse_config(three_level("evolve", second_bath))
-            zero = lambda measure, freqs: np.zeros((len(freqs), len(freqs)))
-            return stacked_tables(cfg.jump_list(), cfg.bath_list(), zero)[1][0, -1]
+            zero = lambda bath, freqs: np.zeros((len(freqs), len(freqs)))
+            coupling, freqs, _ = _stacked_jumps(cfg.jump_list())
+            return stacked_tables(coupling, freqs, cfg.bath_list(), zero)[1][0, -1]
 
         assert not cross_shared("c")
         assert cross_shared("b")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from meanforce import _quad, corrections
 from meanforce import bath as bath_module
 from meanforce._quad import QuadratureConfig
-from meanforce.bath import DiscreteBath, OhmicBath, bose_occupation, gamma_spectral, lamb_shift_S
+from meanforce.bath import DiscreteBath, OhmicBath, as_measure, bose_occupation, gamma_spectral, lamb_shift_S
 from meanforce.corrections import (
     build_upsilon_table,
     guarnieri_sigma_x,
@@ -320,6 +321,23 @@ def _two_baths(bath, second):
     return [bath, bath if second == "same" else OhmicBath(beta=1.0, coupling=1.0, cutoff=50.0)]
 
 
+def _per_bath_loop_tables(spec, n, freqs):
+    """The reference `KossakowskiSpec.tables`: its own per-bath loop in the (a, b, w, w') layout,
+    one rule call per distinct bath over the given list, or one custom call per entry."""
+    shape = (2, n, n, len(freqs), len(freqs))
+    if spec.baths is None:
+        grid = itertools.product(range(n), range(n), freqs, freqs)
+        return np.array([[f(*key) for f in spec.rule] for key in grid], dtype=complex).T.reshape(shape)
+    owner = spec.baths * n if len(spec.baths) == 1 else spec.baths[:n]
+    out = np.zeros(shape, dtype=complex)
+    for bath in {id(b): b for b in owner}.values():
+        on = np.array([b is bath for b in owner])
+        out[:, on[:, None] & on] = np.asarray(spec.rule(as_measure(bath), tuple(freqs)))[:, None]
+    if spec.kind == "secular":
+        out[0] *= np.equal.outer(freqs, freqs)
+    return out
+
+
 class TestStackedTables:
     """Two couplings with different frequency sets on a d=3 system: each bath is
     tabulated once over the union of its couplings' Bohr frequencies."""
@@ -342,6 +360,25 @@ class TestStackedTables:
         for kind, value in per_entry.items():
             for key, v in build_upsilon_table(kind, jumps, [bath, bath]).entries.items():
                 assert v == value(*key), (kind, key)
+
+    @pytest.mark.parametrize("second", ["same", "other"])
+    @pytest.mark.parametrize("kind", ["redfield", "secular", "custom"])
+    def test_spec_tables_equal_per_bath_loop(self, two_on_one_bath, kind, second):
+        # the stacked tabulation gives the bits of the per-bath loop, also for an unsorted
+        # list with a repeated frequency; a custom spec calls each callable once per entry
+        _, jumps, bath = two_on_one_bath
+        baths = _two_baths(bath, second)
+        spec = (kossakowski_secular if kind == "secular" else kossakowski_redfield)(baths)
+        calls = []
+        if kind == "custom":
+            spec = kossakowski_custom(bath.beta, *(
+                lambda a, b, w, wp, f=f: calls.append(f) or complex(a + 2 * b + w, f * wp) for f in (1.0, -1.0)))
+        union = sorted({w for j in jumps for w in j.frequencies})
+        for freqs in (union, union[::-1] + union[1:2]):
+            calls.clear()
+            tables = spec.tables(2, freqs)
+            assert len(calls) == (2 * (2 * len(freqs)) ** 2 if kind == "custom" else 0)
+            assert np.array_equal(tables, _per_bath_loop_tables(spec, 2, freqs))
 
     @pytest.mark.parametrize("second, n_calls", [("same", 25), ("other", 18)])
     def test_mean_force_integrals_per_union_entry(self, two_on_one_bath, monkeypatch, second, n_calls):

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from meanforce._quad import DEFAULT_QUAD
-from meanforce.bath import DiscreteBath, OhmicBath, stacked_tables
+from meanforce.bath import DiscreteBath, OhmicBath
 from meanforce.corrections import build_upsilon_table
 from meanforce.errors import DegenerateSteadyStateError, NumericsError, ValidationError
 from meanforce.generators import (
@@ -22,7 +22,14 @@ from meanforce.generators import (
     unvectorize,
     vectorize,
 )
-from meanforce.operators import assemble_correction, bohr_decompose, pauli_coupling, spectral_decompose
+from meanforce.operators import (
+    _stacked_jumps,
+    assemble_correction,
+    bohr_decompose,
+    pauli_coupling,
+    spectral_decompose,
+    stacked_tables,
+)
 from meanforce.oracle import scaling_exponent
 
 LAM = 0.05
@@ -386,7 +393,8 @@ def _counting(pair):
 
 def _tabulate(jumps, baths, pair, t):
     """The stacked arrays `pair` gives at t, tabulated as the generator builders do."""
-    return stacked_tables(jumps, baths, lambda measure, freqs: pair(measure, freqs, t, DEFAULT_QUAD))[0]
+    coupling, freqs, _ = _stacked_jumps(jumps)
+    return stacked_tables(coupling, freqs, baths, lambda bath, f: pair(bath, f, t, DEFAULT_QUAD))[0]
 
 
 class TestBathTabulation:

@@ -113,3 +113,16 @@ def parser_tokens(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_under_token_step(path):
     assert parser_tokens(path) < 4096
+
+
+def package_imports(path):
+    """Modules of the package a module imports from, as `from .name import ...`."""
+    return {node.module for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_bath_and_operators_import_nothing_from_each_other():
+    # the reservoir functions and the stacked jump index are two independent layers;
+    # the per-bath tabulation sits beside the index and hands each bath to its table rule
+    assert "operators" not in package_imports(SRC / "bath.py")
+    assert "bath" not in package_imports(SRC / "operators.py")

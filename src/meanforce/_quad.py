@@ -14,9 +14,10 @@ Three kinds of integrals recur throughout the package:
   analytically before any quadrature sees it; the three pieces of every
   pole of a batch are entries of one adaptive call,
 * Fourier-type integrals with a bounded oscillation rate, sampled by
-  `bath._discretize` on the panel rule `panel_nodes`: fixed-order
+  `bath._discretize` on the panel rule of `panel_chunks`: fixed-order
   Gauss-Legendre panels, at most one oscillation period each, with positive
-  weights so Gram-structured integrands stay positive semi-definite.
+  weights so Gram-structured integrands stay positive semi-definite, handed
+  out a fixed number of panels at a time.
   `bath._phi_blocks` walks those nodes in blocks and forms phi_t from a
   factorised rotation; `phi_kernel` is the reference it is tested against
   and the kernel it keeps for small arguments, and `phi_diff_quotient`
@@ -49,6 +50,7 @@ _GL_WEIGHTS = np.concatenate([_WGL[::-1], _WGL])
 _GL_ORDER = _GL_NODES.size
 _MIN_PANELS = 8
 _MAX_PANEL_NODES = 4_000_000
+_PANEL_CHUNK = 512  # panels per chunk of `panel_chunks`
 _PHI_SWITCH = 1e-6  # |(x - x0) t| below which phi_diff_quotient takes the midpoint phi_t'
 
 # QUADPACK dqk21: the 21-point Kronrod abscissae on [0, 1) (odd entries are
@@ -116,20 +118,19 @@ def _qk21(f, a, b):
     Each row is summed on its own, so an interval's bits do not depend on the
     other rows of the call.
     """
-    centre = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fv = np.asarray(f(centre[:, None] + half[:, None] * _KR_NODES), dtype=float)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):  # a value that is not finite fails its interval below
+        centre = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        fv = np.asarray(f(centre[:, None] + half[:, None] * _KR_NODES), dtype=float)
         resk = (fv * _KR_WEIGHTS).sum(axis=1)
         resg = (fv * _G_WEIGHTS).sum(axis=1)
         resabs = (np.abs(fv) * _KR_WEIGHTS).sum(axis=1) * half
         resasc = (np.abs(fv - 0.5 * resk[:, None]) * _KR_WEIGHTS).sum(axis=1) * half
         err = np.abs(resk - resg) * half
-    with np.errstate(divide="ignore", invalid="ignore"):
         err = np.where((resasc != 0) & (err != 0),
                        resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
-    res = np.where(np.isfinite(fv).all(axis=1), resk * half, np.nan)
-    return res, np.maximum(50.0 * _EPS * resabs, err)
+        res = np.where(np.isfinite(fv).all(axis=1), resk * half, np.nan)
+        return res, np.maximum(50.0 * _EPS * resabs, err)
 
 
 def _raise_failed(failed):
@@ -249,28 +250,39 @@ def principal_value(f, pole, lo, hi, config=DEFAULT_QUAD, edges=()):
     return v.reshape(3, m).sum(0), err.reshape(3, m).sum(0), by_pole
 
 
-def panel_nodes(lo, hi, osc_freq, structure_scale):
-    """Gauss-Legendre nodes/weights resolving oscillation rate `osc_freq` on [lo, hi].
+def panel_chunks(lo, hi, osc_freq, structure_scale):
+    """The Gauss-Legendre panel rule resolving oscillation rate `osc_freq` on [lo, hi].
 
     One full period e^{i*osc_freq*x} per panel keeps the per-panel GL error at
     machine level; a positive `structure_scale` additionally bounds the panel
-    width by the intrinsic variation scale of the non-oscillatory factor.
-    Weights are strictly positive.
+    width by the intrinsic variation scale of the non-oscillatory factor.  The
+    panel count, and with it the node cap, is fixed on the call; the returned
+    iterator yields the `panel_nodes` of _PANEL_CHUNK panels at a time, in
+    order, so no caller need hold the whole rule.  Weights are strictly positive.
     """
     if hi <= lo:
         raise ValidationError("empty panel interval")
     span = hi - lo
-    n_panels = _MIN_PANELS
-    if osc_freq > 0:
-        n_panels = max(_MIN_PANELS, int(np.ceil(span * osc_freq / (2.0 * np.pi))))
-    if structure_scale > 0:
-        n_panels = max(n_panels, int(np.ceil(span / structure_scale)))
+    # the panel counts each bound asks for, as floats: one that overflows still compares
+    by_rate = np.ceil(span * osc_freq / (2.0 * np.pi)) if osc_freq > 0 else 0.0
+    by_scale = np.ceil(span / structure_scale) if structure_scale > 0 else 0.0
+    n_panels = max(_MIN_PANELS, by_rate, by_scale)
     if n_panels * _GL_ORDER > _MAX_PANEL_NODES:
-        raise NumericsError(
-            f"oscillatory grid needs {n_panels * _GL_ORDER} nodes "
-            f"(> {_MAX_PANEL_NODES}); reduce t or the integration window"
-        )
+        cause = ("the oscillation rate t" if by_rate >= by_scale
+                 else "the structure scale min(cutoff, 1/beta)")
+        raise NumericsError(f"oscillatory grid needs {n_panels * _GL_ORDER:.3g} nodes "
+                            f"(> {_MAX_PANEL_NODES}) on a window {span:.3g} wide, set by {cause}")
+    n_panels = int(n_panels)
     edges = np.linspace(lo, hi, n_panels + 1)
+    return (panel_nodes(edges[s:s + _PANEL_CHUNK + 1]) for s in range(0, n_panels, _PANEL_CHUNK))
+
+
+def panel_nodes(edges):
+    """16-point Gauss-Legendre nodes and weights on the panels between consecutive `edges`.
+
+    Every node and weight is elementwise in its own panel's edges, so a chunk
+    of panels gets the bits it has in the whole rule.
+    """
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()

@@ -35,7 +35,7 @@ from ._quad import (
     _raise_failed,
     adaptive_quad,
     ladder,
-    panel_nodes,
+    panel_chunks,
     phi_diff_quotient,
     phi_kernel,
     principal_value,
@@ -80,6 +80,8 @@ class OhmicBath:
             raise ValidationError("cutoff frequency must be positive")
         if not 0 <= self.coupling < math.inf:
             raise ValidationError("coupling strength must be nonnegative")
+        if not _SUPPORT_MULT * max(self.cutoff, 1.0 / self.beta) < math.inf:
+            raise ValidationError(f"the support radius {_SUPPORT_MULT:g} max(cutoff, 1/beta) overflows")
 
 
 @dataclass(frozen=True)
@@ -258,23 +260,30 @@ def _discretize(measure, rate, reach):
     even.  Of those N panel nodes only the ones with |c_k| > eps max|c| / N
     are kept, so the dropped weight totals at most eps max|c|: on the W < 0
     side the Bose factor e^{-beta|W|} puts about half the nodes below that
-    floor.  The kept nodes keep their order and their bits.  A weight that is
-    not finite raises NumericsError naming its node.
+    floor.  The rule is weighted chunk by chunk, and each chunk is filtered
+    once the last has set max|c|, so no density temporary spans all N nodes;
+    the kept nodes keep their order and their bits.  A weight that is not
+    finite raises NumericsError naming its first such node.
     """
     atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
     nodes, c = [atoms[:, 0]], [atoms[:, 1] / (2.0 * np.pi)]
     if measure.density is not None:
-        lo, hi = _smooth_domain(measure, reach)
-        panel, weights = panel_nodes(lo, hi, rate, structure_scale=_structure_scale(measure))
-        cw = weights * measure.density(panel) / (2.0 * np.pi)
-        bad = ~np.isfinite(cw)
-        if bad.any():
-            k = np.argmax(bad)
-            raise NumericsError(f"spectral density weight is not finite at W = {panel[k]:.17g}")
-        size = np.abs(cw)
-        keep = size > np.finfo(float).eps * size.max() / cw.size
-        nodes.append(panel[keep])
-        c.append(cw[keep])
+        chunks, n, top = [], 0, 0.0
+        for panel, weights in panel_chunks(*_smooth_domain(measure, reach), rate, _structure_scale(measure)):
+            with np.errstate(all="ignore"):  # a weight that is not finite raises below
+                cw = weights * measure.density(panel) / (2.0 * np.pi)
+            bad = ~np.isfinite(cw)
+            if bad.any():
+                raise NumericsError(f"spectral density weight is not finite at W = {panel[np.argmax(bad)]:.17g}")
+            chunks.append((panel, cw))
+            n, top = n + cw.size, max(top, np.abs(cw).max())
+        floor = np.finfo(float).eps * top / n
+        chunks.reverse()
+        while chunks:  # each chunk is freed as its kept nodes are copied out
+            panel, cw = chunks.pop()
+            keep = np.abs(cw) > floor
+            nodes.append(panel[keep])
+            c.append(cw[keep])
     return np.concatenate(nodes), np.concatenate(c)
 
 
@@ -290,19 +299,23 @@ def _phi_blocks(measure, freqs, t):
     per entry.  Its phase carries the rounding of both half-phases, so an
     entry may differ from `phi_kernel` by about eps t max(|w_i|, |W_k|) |phi|.
     Entries with |h| < 1/2 take `phi_kernel` itself, bit for bit, and
-    `small` is their mask, or None when the block has none.
+    `small` is their mask, or None when the block has none.  Every block's
+    phi is written into one buffer and is valid until the next block: a
+    fresh n x (block) array per block, once above malloc's mmap threshold,
+    would be mapped and faulted in page by page every time.
     """
     fa = np.asarray(freqs, dtype=float)
     nodes, c = _discretize(measure, t, np.abs(fa).max())
     half = 0.5 * t
     rot = np.exp(1j * (half * fa))[:, None]
+    buffer = np.empty(fa.size * min(_PHI_BLOCK, nodes.size), dtype=complex)
     start, n_atoms = 0, len(measure.atoms)
     while start < nodes.size:
         stop = min(start + _PHI_BLOCK, n_atoms if start < n_atoms else nodes.size)
         w = nodes[start:stop]
         x = fa[:, None] - w
         h = x * half
-        phi = rot * np.exp(-1j * (half * w))
+        phi = np.multiply(rot, np.exp(-1j * (half * w)), out=buffer[:x.size].reshape(x.shape))
         re, im = phi.real, phi.imag
         with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 is a small entry
             q = im / h
@@ -465,9 +478,12 @@ def _integrated_direct(measure, freqs, t):
     pair = phi_kernel(fa[:, None] - fa[None, :], t)
 
     def blocks():
+        spare = np.empty(0, dtype=complex)  # c phi^* of each block in turn, reused as phi's buffer is
         for _, c, x, phi, small in _phi_blocks(measure, freqs, t):
+            if spare.size < phi.size:
+                spare = np.empty(phi.size, dtype=complex)
             out = np.empty_like(zero)
-            weighted = phi.conj()
+            weighted = np.conjugate(phi, out=spare[:phi.size].reshape(phi.shape))
             weighted *= c
             np.matmul(phi, weighted.T, out=out[0])
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -160,7 +160,10 @@ def parse_config(data):
             if not _finite(gc) or gc < 0:
                 raise ValidationError(f"{path}.gamma_c: must be a nonnegative finite number")
             wc = _positive(b.get("cutoff"), f"{path}.cutoff")
-            baths[bid] = OhmicBath(beta=float(beta), coupling=float(gc), cutoff=float(wc))
+            try:
+                baths[bid] = OhmicBath(beta=float(beta), coupling=float(gc), cutoff=float(wc))
+            except ValidationError as exc:  # the support radius, set by the cutoff or by 1/beta
+                raise ValidationError(f"{path}.cutoff: {exc}" if wc * beta >= 1 else f"beta: {exc}") from None
         elif kind == "discrete":
             modes = b.get("modes")
             if not isinstance(modes, list) or not modes or not all(

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from meanforce._quad import ladder, panel_nodes, phi_diff_quotient, phi_kernel, principal_value
+import meanforce._quad as mq
+from meanforce._quad import ladder, panel_chunks, panel_nodes, phi_diff_quotient, phi_kernel, principal_value
 from meanforce.bath import (
     DiscreteBath,
     OhmicBath,
@@ -41,9 +42,14 @@ from meanforce.generators import (
 )
 
 
+def panel_rule(lo, hi, osc_freq, structure_scale):
+    """The whole panel rule: the nodes and weights of every chunk, joined."""
+    return tuple(map(np.concatenate, zip(*panel_chunks(lo, hi, osc_freq, structure_scale))))
+
+
 def panel_quad(f, lo, hi, osc_freq, structure_scale):
     """Reference integral of a vectorised (possibly complex) f on the panel grid."""
-    nodes, weights = panel_nodes(lo, hi, osc_freq, structure_scale)
+    nodes, weights = panel_rule(lo, hi, osc_freq, structure_scale)
     return np.sum(weights * f(nodes))
 
 
@@ -561,7 +567,7 @@ class TestWeightFloor:
     def full_panel(measure, t, reach):
         """The panel rule's nodes and quadrature weights, before the floor."""
         lo, hi = _smooth_domain(measure, reach)
-        return panel_nodes(lo, hi, t, structure_scale=_structure_scale(measure))
+        return panel_rule(lo, hi, t, structure_scale=_structure_scale(measure))
 
     @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
     def test_kept_nodes_are_panel_nodes_bit_for_bit(self, bath, t):
@@ -634,6 +640,82 @@ class TestWeightFloor:
         nodes, _ = _discretize(gamma_spectral(bath), t, reach)
         assert self.full_panel(gamma_spectral(bath), t, reach)[0].size == before
         assert nodes.size <= most
+
+
+class TestStreamedRule:
+    """`_discretize` weighs the panel rule a chunk at a time and keeps the bits of the whole rule."""
+
+    @staticmethod
+    def one_shot(measure, t, reach):
+        """(nodes, c, panel count) from the whole panel rule in one array, weighted and floored at once."""
+        lo, hi = _smooth_domain(measure, reach)
+        rule = panel_rule(lo, hi, t, _structure_scale(measure))
+        n_panels = rule[0].size // 16
+        panel, weights = panel_nodes(np.linspace(lo, hi, n_panels + 1))
+        assert all(map(np.array_equal, rule, (panel, weights)))
+        cw = weights * measure.density(panel) / (2.0 * np.pi)
+        keep = np.abs(cw) > np.finfo(float).eps * np.abs(cw).max() / cw.size
+        atoms = np.array(measure.atoms, dtype=float).reshape(-1, 2)
+        return (np.concatenate([atoms[:, 0], panel[keep]]),
+                np.concatenate([atoms[:, 1] / (2.0 * np.pi), cw[keep]]), n_panels)
+
+    @pytest.mark.parametrize("chunk", [37, mq._PANEL_CHUNK])
+    @pytest.mark.parametrize("t", [2.0, 10.0])
+    @pytest.mark.parametrize("kind", ["ohmic", "negated", "mixed"])
+    def test_kept_nodes_equal_the_one_shot_rule(self, bath, monkeypatch, chunk, t, kind):
+        smooth = gamma_spectral(bath)
+        measure = {"ohmic": smooth,
+                   "negated": replace(smooth, density=lambda w: -smooth.density(w)),
+                   "mixed": replace(smooth, atoms=((1.3, 0.4), (-1.3, 0.1), (2.1, 0.0)))}[kind]
+        monkeypatch.setattr(mq, "_PANEL_CHUNK", chunk)
+        nodes, c, n_panels = self.one_shot(measure, t, 1.0)
+        assert n_panels > chunk and n_panels % chunk  # several chunks, the last one short
+        got = _discretize(measure, t, 1.0)
+        assert np.array_equal(got[0], nodes) and np.array_equal(got[1], c)
+
+    def test_first_bad_node_of_a_later_chunk_is_named(self, bath):
+        smooth = gamma_spectral(bath)
+
+        def density(w):
+            w = np.asarray(w, dtype=float)
+            return np.where(w > 5.0, np.nan, smooth.density(w))
+
+        measure = replace(smooth, density=density)
+        lo, hi = _smooth_domain(measure, 1.0)
+        panel, weights = panel_rule(lo, hi, 2.0, _structure_scale(measure))
+        first = np.argmax(~np.isfinite(weights * density(panel)))
+        assert first >= 16 * mq._PANEL_CHUNK
+        with pytest.raises(NumericsError) as err:
+            _discretize(measure, 2.0, 1.0)
+        assert str(err.value) == f"spectral density weight is not finite at W = {panel[first]:.17g}"
+
+    def test_discretize_peak_below_five_node_arrays(self, bath):
+        # the whole rule with the density's temporaries over it peaked at 8.0 x 8N bytes
+        import tracemalloc
+
+        measure, reach = gamma_spectral(bath), np.abs(evolve_d4_frequencies(0)).max()
+        n = panel_rule(*_smooth_domain(measure, reach), 10.0, _structure_scale(measure))[0].size
+        _discretize(measure, 10.0, reach)
+        tracemalloc.start()
+        try:
+            _discretize(measure, 10.0, reach)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 102_096
+        assert peak <= 5 * 8 * n
+
+    @pytest.mark.parametrize("beta, t, count, cause", [
+        pytest.param(1e300, 1.0, "6.41e+304", "the structure scale min(cutoff, 1/beta)", id="structure"),
+        pytest.param(1.0, 1e6, "1.02e+10", "the oscillation rate t", id="rate"),
+    ])
+    def test_panel_cap_message(self, beta, t, count, cause):
+        # the count once printed as a 300-digit integer, and always blamed t
+        measure = gamma_spectral(OhmicBath(beta=beta, coupling=1.0, cutoff=50.0))
+        with pytest.raises(NumericsError) as err:
+            _discretize(measure, t, 1.0)
+        assert str(err.value).startswith(f"oscillatory grid needs {count} nodes (> 4000000)")
+        assert str(err.value).endswith(f"set by {cause}")
 
 
 def test_integrated_gamma_memory_bounded(bath):
@@ -713,6 +795,11 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(lambda b: OhmicBath(beta=NAN, coupling=1.0, cutoff=1.0), "beta must be positive", id="ohmic_beta"),
     pytest.param(lambda b: OhmicBath(beta=1.0, coupling=1.0, cutoff=INF), "cutoff", id="ohmic_cutoff"),
     pytest.param(lambda b: OhmicBath(beta=1.0, coupling=NAN, cutoff=1.0), "coupling", id="ohmic_coupling"),
+    # a support radius 40 max(cutoff, 1/beta) of inf ended every integral in np.arange
+    pytest.param(lambda b: lamb_shift_S(OhmicBath(beta=1.0, coupling=1.0, cutoff=1e307), 1.0), "support radius",
+                 id="ohmic_support_cutoff"),
+    pytest.param(lambda b: lamb_shift_S(OhmicBath(beta=1e-307, coupling=1.0, cutoff=1.0), 1.0), "support radius",
+                 id="ohmic_support_beta"),
     pytest.param(lambda b: DiscreteBath(beta=NAN, modes=((1.0, 0.3),)), "beta must be positive", id="discrete_beta"),
     pytest.param(lambda b: DiscreteBath(beta=1.0, modes=((INF, 0.3),)), "frequencies", id="discrete_mode"),
     pytest.param(lambda b: DiscreteBath(beta=1.0, modes=((1.0, NAN),)), "coupling", id="discrete_coupling"),

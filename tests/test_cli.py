@@ -302,9 +302,11 @@ class TestConfigValidation:
         assert not (tmp_path / "out.csv").exists()
 
     # each ended in a traceback and exit 1: an OverflowError at lambda**2, in a mode's
-    # Bose factor e^{beta W} or in its atom weight 2 pi g^2 (n + 1), and an SVD that did
-    # not converge on a generator of infinite entries; a generator that overflows now ends
-    # the run in assembly, with no numpy RuntimeWarning on the way
+    # Bose factor e^{beta W} or in its atom weight 2 pi g^2 (n + 1), an SVD that did
+    # not converge on a generator of infinite entries, and an Ohmic support radius
+    # 40 max(cutoff, 1/beta) of inf in np.arange; a generator that overflows now ends
+    # the run in assembly, and a density that overflows ends it in quadrature, with no
+    # numpy RuntimeWarning on the way
     @pytest.mark.parametrize("task, edit, message", [
         pytest.param(task, edit, message, id=f"{name}-{task}")
         for name, edit, message, tasks in [
@@ -320,6 +322,11 @@ class TestConfigValidation:
              "baths.b1.modes:", ("corrections", "steadystate", "evolve")),
             ("mode_coupling", lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[2.0, 1e300]]}),
              "baths.b1.modes:", ("corrections", "steadystate", "evolve")),
+            ("cutoff_1e307", lambda c: c["baths"]["b1"].update(cutoff=1e307), "baths.b1.cutoff:",
+             ("corrections", "steadystate", "evolve")),
+            ("beta_1e-307", lambda c: c.update(beta=1e-307), "beta:", ("corrections", "steadystate", "evolve")),
+            ("cutoff_1e306", lambda c: c["baths"]["b1"].update(cutoff=1e306), "integrand is not finite",
+             ("steadystate", "evolve")),
         ]
         for task in tasks
     ])

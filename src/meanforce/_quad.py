@@ -18,10 +18,14 @@ Three kinds of integrals recur throughout the package:
   Gauss-Legendre panels, at most one oscillation period each, with positive
   weights so Gram-structured integrands stay positive semi-definite, handed
   out a fixed number of panels at a time.
-  `bath._phi_blocks` walks those nodes in blocks and forms phi_t from a
-  factorised rotation; `phi_kernel` is the reference it is tested against
-  and the kernel it keeps for small arguments, and `phi_diff_quotient`
-  gives the difference quotients near the switch.
+  `_phi_walk` walks those nodes in blocks, once per frequency list and
+  time.  Near a frequency (|w - W| t < 1) a block gets phi_t from a
+  factorised rotation, with `phi_kernel`'s own bits for small arguments
+  and `phi_diff_quotient` for the difference quotients near the switch;
+  every other block gets only u = 1/(w - W) and cos, sin of t W / 2, since
+  phi_t(w_i - W_k) = e^{ia_i} 2 sin(a_i - b_k) u_ik e^{-ib_k} turns its sums
+  into real Gram products, read off once per walk by `_far_sum`.
+  `_pairwise_sums` adds the block sums of each kind pairwise.
 
 A batched integrand takes the (r, 21) node array of r intervals and their
 entry indices and returns an array of the nodes' shape.
@@ -369,3 +373,104 @@ def phi_diff_quotient(x, phi_x, x0, t):
     x = np.asarray(x, dtype=float)
     return _diff_quotient(phi_x - phi_kernel(x0, t), x - x0, t, _PHI_SWITCH,
                           lambda small: phi_kernel_prime(0.5 * (x + x0)[small], t))
+
+
+def _phi_walk(fa, nodes, c, n_atoms, t, block):
+    """Walk a discretisation in blocks: yield (W_k, c_k, near, far) per block.
+
+    fa holds the n frequencies w_i; the nodes W_k and weights c_k are n_atoms
+    atoms, then panel nodes in ascending order, as `bath._discretize` gives
+    them.  A panel node is near when |h| = |w_i - W_k| t / 2 < 1/2 for some
+    w_i; the near nodes are the union of the slices `searchsorted` finds
+    around each w_i (with a rounding margin that can only add near nodes),
+    and the far nodes the slices between them.  Atoms are near.  Each slice
+    is walked in blocks of at most `block` nodes, in node order.
+
+    A near block gives near = (x, phi, small) and far = None.  x_ik = w_i - W_k
+    and phi_ik = phi_t(x_ik) are n x (block) arrays, contiguous along the
+    nodes.  phi comes from the factorised rotation e^{ih} = e^{itw_i/2}
+    e^{-itW_k/2} as t (Im e^{ih} / h) e^{ih}, so an entry may differ from
+    `phi_kernel` by about eps t max(|w_i|, |W_k|) |phi|; entries with
+    |h| < 1/2 take `phi_kernel` itself, bit for bit, and `small` is their
+    mask, or None when the block has none.
+
+    A far block gives near = None and far = (u, cos b, sin b) with
+    u_ik = 1/(w_i - W_k), |u| <= t there, and b_k = t W_k / 2.  With
+    a_i = t w_i / 2, phi_ik = e^{ia_i} s_ik e^{-ib_k} and the real
+    s_ik = 2 sin(a_i - b_k) u_ik = 2 (sin a_i cos b_k - cos a_i sin b_k) u_ik,
+    so a consumer sums real products of u and needs no phi table.  Near
+    nodes stay off this route: there 1/x is large and the expanded sine
+    would cancel.
+
+    phi and u are each written into one buffer, valid until the next block:
+    a fresh n x (block) array per block, once above malloc's mmap threshold,
+    would be mapped and faulted in page by page every time.
+    """
+    half = 0.5 * t
+    rot = np.exp(1j * (half * fa))[:, None]
+    pad = 1e-12 * np.abs(fa) + ((1.0 + 1e-12) / t if t else np.inf)
+    starts = np.searchsorted(nodes[n_atoms:], np.sort(fa - pad)) + n_atoms
+    stops = np.searchsorted(nodes[n_atoms:], np.sort(fa + pad), "right") + n_atoms
+    cut = np.flatnonzero(starts[1:] > stops[:-1])  # sorted starts and stops: the union's gaps
+    bounds = [0, n_atoms, *np.stack([starts[np.r_[0, cut + 1]], stops[np.r_[cut, -1]]], 1).ravel().tolist(),
+              nodes.size]  # near spans at even positions: the atoms, then the near slices
+    spans = np.diff(bounds).clip(max=block) * fa.size
+    buffer, inverse = np.empty(spans[::2].max(), dtype=complex), np.empty(spans[1::2].max())
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            w = nodes[start:stop]
+            if k % 2:
+                u = np.subtract(fa[:, None], w, out=inverse[:fa.size * w.size].reshape(fa.size, w.size))
+                yield w, c[start:stop], None, (np.divide(1.0, u, out=u), np.cos(half * w), np.sin(half * w))
+                continue
+            x = fa[:, None] - w
+            h = x * half
+            phi = np.multiply(rot, np.exp(-1j * (half * w)), out=buffer[:x.size].reshape(x.shape))
+            re, im = phi.real, phi.imag
+            with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 is a small entry
+                q = im / h
+            q *= t
+            re *= q
+            im *= q
+            small = np.abs(h, out=h) < 0.5
+            if small.any():
+                phi[small] = phi_kernel(x[small], t)
+            else:
+                small = None
+            yield w, c[start:stop], (x, phi, small), None
+
+
+def _pairwise_sums(items, zeros):
+    """Sums of an iterable of (slot, array): one sum per slot of `zeros`, each
+    slot's arrays added pairwise, and a slot that gets none sums to its zero.
+
+    A binary counter of partial sums merges two partials of equal block count,
+    so the rounding of a sum grows with the log of its block count, as
+    numpy's own pairwise sums do, not with the count.
+    """
+    partials = [[] for _ in zeros]  # per slot (block count, partial sum), counts strictly decreasing
+    for slot, total in items:
+        stack, count = partials[slot], 1
+        while stack and stack[-1][0] == count:
+            total = stack.pop()[1] + total
+            count *= 2
+        stack.append((count, total))
+    sums = []
+    for stack, total in zip(partials, zeros):
+        while stack:
+            total = stack.pop()[1] + total
+        sums.append(total)
+    return sums
+
+
+def _far_sum(rows, rot):
+    """Z with sum_k c_k phi_ik y_jk = e^{ia_i} Z_ij over far nodes, from the real sums
+    rows = sum_k c_k [u_k cos b_k; u_k sin b_k] [y_k cos b_k, y_k sin b_k]^T (2n x 2m), rot = e^{ia}.
+
+    Z = P - iQ with [P | Q] = 2 (sin a_i rows_i - cos a_i rows_{n+i}); y_k is a
+    column u_jk, or 1 for Gamma itself.
+    """
+    n, m = rot.size, rows.shape[1] // 2
+    k = 2.0 * (rot.imag[:, None] * rows[:n] - rot.real[:, None] * rows[n:])
+    return k[:, :m] - 1j * k[:, m:]

@@ -32,6 +32,9 @@ import numpy as np
 from ._quad import (
     _PHI_SWITCH,
     DEFAULT_QUAD,
+    _far_sum,
+    _pairwise_sums,
+    _phi_walk,
     _raise_failed,
     adaptive_quad,
     ladder,
@@ -43,7 +46,7 @@ from ._quad import (
 from .errors import NumericsError, PoleError, ValidationError
 
 _SUPPORT_MULT = 40.0  # Ohmic support radius in units of max(cutoff, 1/beta)
-_PHI_BLOCK = 1024  # discretisation nodes per phi block of the finite-time transforms
+_PHI_BLOCK = 1024  # discretisation nodes per block of the finite-time transforms
 
 __all__ = [
     "OhmicBath",
@@ -288,69 +291,9 @@ def _discretize(measure, rate, reach):
 
 
 def _phi_blocks(measure, freqs, t):
-    """Walk one discretisation in blocks: yield (W_k, c_k, x, phi, small) per block.
-
-    The nodes are those of `_discretize`: the atoms form their own blocks, then
-    the panel nodes, at most _PHI_BLOCK of each per block.  x_ik = w_i - W_k
-    and phi_ik = phi_t(x_ik) are n x (block) arrays, contiguous along the
-    nodes.  phi comes from the factorised rotation e^{ih} = e^{itw_i/2}
-    e^{-itW_k/2}, h = x t / 2, as t (Im e^{ih} / h) e^{ih}: N + n complex
-    exponentials for the whole discretisation instead of a sin and a cos
-    per entry.  Its phase carries the rounding of both half-phases, so an
-    entry may differ from `phi_kernel` by about eps t max(|w_i|, |W_k|) |phi|.
-    Entries with |h| < 1/2 take `phi_kernel` itself, bit for bit, and
-    `small` is their mask, or None when the block has none.  Every block's
-    phi is written into one buffer and is valid until the next block: a
-    fresh n x (block) array per block, once above malloc's mmap threshold,
-    would be mapped and faulted in page by page every time.
-    """
-    fa = np.asarray(freqs, dtype=float)
-    nodes, c = _discretize(measure, t, np.abs(fa).max())
-    half = 0.5 * t
-    rot = np.exp(1j * (half * fa))[:, None]
-    buffer = np.empty(fa.size * min(_PHI_BLOCK, nodes.size), dtype=complex)
-    start, n_atoms = 0, len(measure.atoms)
-    while start < nodes.size:
-        stop = min(start + _PHI_BLOCK, n_atoms if start < n_atoms else nodes.size)
-        w = nodes[start:stop]
-        x = fa[:, None] - w
-        h = x * half
-        phi = np.multiply(rot, np.exp(-1j * (half * w)), out=buffer[:x.size].reshape(x.shape))
-        re, im = phi.real, phi.imag
-        with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 is a small entry
-            q = im / h
-        q *= t
-        re *= q
-        im *= q
-        small = np.abs(h, out=h) < 0.5
-        if small.any():
-            phi[small] = phi_kernel(x[small], t)
-        else:
-            small = None
-        yield w, c[start:stop], x, phi, small
-        start = stop
-
-
-def _pairwise_sum(blocks, zero):
-    """Sum of an iterable of equal-shape arrays (`zero` if it is empty), added pairwise.
-
-    A binary counter of partial sums merges two partials of equal block count,
-    so the rounding of the sum grows with the log of the block count, as
-    numpy's own pairwise sums do, not with the count.
-    """
-    partials = []  # (block count, partial sum), counts strictly decreasing
-    for total in blocks:
-        count = 1
-        while partials and partials[-1][0] == count:
-            total = partials.pop()[1] + total
-            count *= 2
-        partials.append((count, total))
-    if not partials:
-        return zero
-    total = partials.pop()[1]
-    while partials:
-        total = partials.pop()[1] + total
-    return total
+    """The blocks of `_quad._phi_walk` over the nodes `_discretize` gives the frequency list at time t."""
+    nodes, c = _discretize(measure, t, np.abs(freqs).max())
+    return _phi_walk(np.asarray(freqs, dtype=float), nodes, c, len(measure.atoms), t, _PHI_BLOCK)
 
 
 def finite_time_Gamma(bath, omega, t, config=DEFAULT_QUAD):
@@ -367,8 +310,10 @@ def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
     """(gamma(w,w',t), S(w,w',t)) as n x n arrays over the frequency list.
 
     Finite t: gamma = Gamma(w',t) + Gamma(w,t)^*, S = (Gamma(w',t) - Gamma(w,t)^*)/2i
-    with Gamma(w_i,t) = sum_k c_k phi_t(w_i - W_k) summed block by block over
-    `_phi_blocks`, the nodes and phi the cumulant's xi and Xi read.  t = inf:
+    with Gamma(w_i,t) = sum_k c_k phi_t(w_i - W_k) over one walk of `_phi_blocks`,
+    the nodes the cumulant's xi and Xi read: a near block adds phi c, and the
+    far blocks the real sums u (c cos^2 b, c cos b sin b, c sin^2 b), turned
+    into e^{ia_i} (P_i - iQ_i) by `_far_sum` once the walk is done.  t = inf:
     the long-time pair
     K = (gamma(w)+gamma(w'))/2 + i (S(w')-S(w)),  Y_dyn = (S(w)+S(w'))/2 + i (gamma(w)-gamma(w'))/4,
     formed from the gamma and S vectors directly (not through Gamma(w,oo)),
@@ -381,8 +326,19 @@ def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
         return pair
     if not t >= 0:
         raise ValidationError("t must be nonnegative")
-    big = _pairwise_sum((phi @ c for _, c, _, phi, _ in _phi_blocks(measure, freqs, t)),
-                        np.zeros(len(freqs), dtype=complex))  # phi_0 = 0 exactly
+    fa = np.asarray(freqs, dtype=float)
+
+    def blocks():
+        for _, c, near, far in _phi_blocks(measure, freqs, t):
+            if far is None:
+                yield 0, near[1] @ c
+            else:
+                u, cos_b, sin_b = far
+                yield 1, u @ np.stack([c * cos_b * cos_b, c * cos_b * sin_b, c * sin_b * sin_b], 1)
+
+    near, g = _pairwise_sums(blocks(), (np.zeros(fa.size, dtype=complex), np.zeros((fa.size, 3))))
+    rot = np.exp(1j * (0.5 * t * fa))
+    big = near + rot * _far_sum(np.concatenate([g[:, :2], g[:, 1:]]), rot)[:, 0]  # phi_0 = 0: at t = 0 all are near
     return big[None, :] + big.conj()[:, None], (big[None, :] - big.conj()[:, None]) / 2.0j
 
 
@@ -455,31 +411,51 @@ def _log_tail_integral(delta, t0, t1):
 
 
 def _integrated_direct(measure, freqs, t):
-    """(xi, Xi) summed over the phi blocks of `_phi_blocks`, phi_ik = phi_t(w_i - W_k).
+    """(xi, Xi) summed over one walk of `_phi_blocks`, phi_ik = phi_t(w_i - W_k).
 
-    Each block gives its Gram matrix phi (c phi^*)^T, so xi is a sum of PSD
-    blocks, made exactly Hermitian at the end; the block matrices of xi and D
-    are added by `_pairwise_sum`.  As phi_t(-x) = phi_t(x)^*,
+    xi_ij = sum_k c_k phi_ik phi_jk^*.  As phi_t(-x) = phi_t(x)^*,
     Xi = -(D + D^dag)/2 with the difference quotients
     D_ij = sum_k c_k (phi_ik - phi_t(w_i - w_j)) / (w_j - W_k)
-         = (phi R^T)_ij - phi_t(w_i - w_j) sum_k R_jk,    R_jk = c_k / (w_j - W_k),
-    and each block gives its own D, cancelled within the block, so an atom's
-    terms cancel before they meet the rest of the sum.  R is n x (block),
-    contiguous along the nodes, so its row sums are pairwise.  Node/column
-    pairs with |(w_j - W_k) t| < _PHI_SWITCH are left out of R; each column
-    that has any in a block takes them from `phi_diff_quotient` (phi_t' at
-    the midpoint).  At t = 0 every node would be inside the switch, and
-    phi_0 = phi_0' = 0 makes both matrices exactly zero.
+         = (phi R^T)_ij - phi_t(w_i - w_j) sum_k R_jk,    R_jk = c_k / (w_j - W_k).
+
+    A near block gives its Gram matrix phi (c phi^*)^T and its own D,
+    cancelled within the block, so an atom's terms cancel before they meet
+    the rest of the sum.  R is n x (block), contiguous along the nodes, so
+    its row sums are pairwise.  Node/column pairs with |(w_j - W_k) t| <
+    _PHI_SWITCH are left out of R; each column that has any in a block takes
+    them from `phi_diff_quotient` (phi_t' at the midpoint).
+
+    A far block gives the real Gram H = V diag(c) V^T of V = [u cos b; u sin b]
+    (2n x block) and the row sums r = u c.  From their sums over all far
+    blocks, with Z of `_far_sum`:
+    xi += 4 e^{ia} (L H L^T) e^{-ia} = 2 e^{ia_i} Im(Z_ij e^{ia_j}) e^{-ia_j},
+    L = [diag sin a, -diag cos a], and D += e^{ia_i} Z_ij - phi_t(w_i - w_j) r_j.
+    xi is thus a sum of PSD parts, made exactly Hermitian at the end.  Every
+    block sum is added by `_pairwise_sums`, one sum per kind.  At t = 0 every
+    node would be inside the switch, and phi_0 = phi_0' = 0 makes both
+    matrices exactly zero.
     """
     fa = np.array(freqs, dtype=float)
-    zero = np.zeros((2, fa.size, fa.size), dtype=complex)
+    n = fa.size
+    zero = np.zeros((2, n, n), dtype=complex)
     if t == 0:
         return zero[0], zero[1]
     pair = phi_kernel(fa[:, None] - fa[None, :], t)
 
     def blocks():
-        spare = np.empty(0, dtype=complex)  # c phi^* of each block in turn, reused as phi's buffer is
-        for _, c, x, phi, small in _phi_blocks(measure, freqs, t):
+        spare, grams = np.empty(0, dtype=complex), np.empty(0)  # reused from block to block
+        for _, c, near, far in _phi_blocks(measure, freqs, t):
+            if far is not None:
+                u, cos_b, sin_b = far
+                if grams.size < 4 * u.size:
+                    grams = np.empty(4 * u.size)
+                v, cv = grams[:4 * u.size].reshape(2, 2 * n, -1)
+                np.multiply(u, cos_b, out=v[:n])
+                np.multiply(u, sin_b, out=v[n:])
+                yield 1, np.multiply(v, c, out=cv) @ v.T
+                yield 2, u @ c
+                continue
+            x, phi, small = near
             if spare.size < phi.size:
                 spare = np.empty(phi.size, dtype=complex)
             out = np.empty_like(zero)
@@ -497,9 +473,13 @@ def _integrated_direct(measure, freqs, t):
             for j in columns:
                 k = inside[j]
                 out[1][:, j] += phi_diff_quotient(x[:, k], phi[:, k], (fa - fa[j])[:, None], t) @ c[k]
-            yield out
+            yield 0, out
 
-    xi, d = _pairwise_sum(blocks(), zero)
+    (xi, d), h, r = _pairwise_sums(blocks(), (zero, np.zeros((2 * n, 2 * n)), np.zeros(n)))
+    rot = np.exp(1j * (0.5 * t * fa))
+    z = _far_sum(h, rot)
+    xi = xi + 2.0 * rot[:, None] * (z * rot).imag * rot.conj()
+    d = d + rot[:, None] * z - pair * r
     return 0.5 * (xi + xi.conj().T), -0.5 * (d + d.conj().T)
 
 
@@ -541,9 +521,10 @@ def integrated_gamma_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     """Matrix int_0^t e^{i(w-w')s} gamma(w, w', s) ds over the given frequencies.
 
     Computed as the Gram matrix (1/2pi) int gamma(W) phi_t(w-W) phi_t(w'-W)^* dW,
-    so it is positive semi-definite by construction: a sum of Gram blocks
-    phi (c phi^*)^T over the node blocks of `_phi_blocks`, made exactly
-    Hermitian.
+    so it is positive semi-definite by construction: over one walk of
+    `_phi_blocks`, the near blocks' complex Gram blocks phi (c phi^*)^T plus
+    4 e^{ia} (L H L^T) e^{-ia}, a congruence of the far blocks' summed real
+    Gram H = V diag(c) V^T, V = [u cos b; u sin b]; made exactly Hermitian.
     """
     return _integrated(bath, freqs, t, config)[0].copy()
 
@@ -552,9 +533,11 @@ def integrated_S_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     """Matrix int_0^t e^{i(w-w')s} S(w, w', s) ds over the given frequencies.
 
     Xi = -(D + D^dag)/2 with D = phi R^T - phi_t(w_i - w_j) sum_k R_jk,
-    R_jk = c_k / (w_j - W_k), summed over the same node blocks as
-    `integrated_gamma_matrix`, each block cancelled on its own.  A column with
-    a node |(w_j - W_k) t| < 1e-6 takes that node from `phi_diff_quotient`
-    (phi_t' at the midpoint).
+    R_jk = c_k / (w_j - W_k), summed over the same walk as
+    `integrated_gamma_matrix`.  Each near block is cancelled on its own, and a
+    column with a node |(w_j - W_k) t| < 1e-6 takes that node from
+    `phi_diff_quotient` (phi_t' at the midpoint).  The far blocks give
+    e^{ia} (P - iQ) - phi_t(w_i - w_j) r_j from the same Gram H and the row
+    sums r = u c, with no node near enough to cancel.
     """
     return _integrated(bath, freqs, t, config)[1].copy()

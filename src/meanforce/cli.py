@@ -244,6 +244,8 @@ def parse_config(data):
         pauli = couplings_cfg[0].get("pauli")
         if omega0 is None:
             raise ValidationError("system.hamiltonian: the validate task needs a 'tls' system")
+        if not isinstance(baths[bid], OhmicBath):
+            raise ValidationError(f"baths.{bid}.type: the validate task needs an 'ohmic' bath")
         if pauli is None:
             raise ValidationError("couplings[0].operator: the validate task needs a 'pauli' coupling")
         if pauli.get("y", 0):

@@ -152,6 +152,7 @@ def _mean_force_kernel(measure, w, wp, config):
         total += wgt * kernel_D(beta, w, wp, loc) / (2.0 * np.pi)
     failed = {}
     if measure.density is not None:
+        _exp_factor(beta * w)  # the integrand's guard, before its kernel can overflow (beta = 1e300)
         hi = measure.support + np.abs(w) + np.abs(wp) + 1.0
 
         def folded(om, k):

@@ -409,11 +409,9 @@ def run_validate(cfg):
     break_detailed_balance only the injected-fault probe, which fails the run whether or
     not the guard rejects the skewed diagonal.  Writes the report to cfg.output and
     prints it; returns 0 when every check passed, else 1."""
-    bath, op = cfg.bath_list()[0], cfg.couplings[0][0]  # op = x sigma_x + z sigma_z
-    ohmic = isinstance(bath, OhmicBath)
-    case = ReferenceCase(omega0=cfg.omega0, beta=cfg.beta, cutoff=bath.cutoff if ohmic else 50.0,
-                         coupling_strength=bath.coupling if ohmic else 1.0, x=float(op[0, 1].real),
-                         z=float(op[0, 0].real), config=cfg.quad)
+    bath, op = cfg.bath_list()[0], cfg.couplings[0][0]  # an Ohmic bath; op = x sigma_x + z sigma_z
+    case = ReferenceCase(omega0=cfg.omega0, beta=cfg.beta, cutoff=bath.cutoff, coupling_strength=bath.coupling,
+                         x=float(op[0, 1].real), z=float(op[0, 0].real), config=cfg.quad)
     if cfg.break_detailed_balance:
         results = [CheckResult("steady_coherence_detailed_balance_precondition", False,
                                1.0, 0.0, check_detailed_balance_guard(case).detail)]

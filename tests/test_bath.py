@@ -448,10 +448,9 @@ class TestIntegratedCoefficients:
                 allowance[:, j] += 10.0 * weight / (2.0 * np.pi) * np.abs(q) * d7
         return 0.5 * (allowance + allowance.T)
 
-    def check_exactly_summed(self, measures, name, t):
+    def check_exactly_summed(self, measures, name, t, freqs=(-1.0, 0.0, 0.7, 1.0)):
         # near_switch: atoms exactly on the Bohr frequencies +-1 (midpoint branch)
         # and at 0.7 + 2e-6/t, just above the switch of the column w_j = 0.7
-        freqs = (-1.0, 0.0, 0.7, 1.0)
         if name == "near_switch":
             modes = DiscreteBath(beta=measures["ohmic"].beta, modes=((1.0, 0.4), (0.7 + 2e-6 / t, 0.3)))
             measure = replace(measures["ohmic"], atoms=gamma_spectral(modes).atoms)
@@ -483,13 +482,72 @@ class TestIntegratedCoefficients:
         finally:
             mb._integrated_matrices_cached.cache_clear()
 
+    def test_panel_node_on_the_near_edge(self, measures):
+        # a panel node exactly on |h| = |w - W_k| t / 2 = 1/2, the edge of the near
+        # slices: a fifth frequency w = W_k + 1/2 at t = 2 (inside the reach 1, so the
+        # panel rule is the same)
+        t, measure = 2.0, measures["ohmic"]
+        nodes, _ = _discretize(measure, t, 1.0)
+        edge = next(w for w in nodes if 0.1 < w < 0.4 and (w + 0.5) - w == 0.5)
+        freqs = (-1.0, 0.0, 0.7, 1.0, edge + 0.5)
+        assert np.array_equal(_discretize(measure, t, 1.0)[0], nodes)
+        assert 0.5 in np.abs(0.5 * t * (freqs[-1] - nodes))
+        self.check_exactly_summed(measures, "ohmic", t, freqs)
+
+    @staticmethod
+    def phi_table_sums(measure, freqs, t):
+        """(xi, Xi, Gamma, phase) summed directly from phi_kernel on every node, a chunk of
+        4096 nodes at a time: xi = sum_k c_k phi_ki phi_kj^*, Gamma_i = sum_k c_k phi_ki and
+        D = phi R^T - phi_t(w_i - w_j) sum_k R_jk, each chunk's D cancelled on its own.
+        phase_i = sum_k |c_k| 2 eps (1 + t max(|w_i|, |W_k|)) min(t, 2/|x_ik|) sums the
+        rotation's bound on |phi - phi_kernel| into Gamma_i."""
+        fa, eps = np.array(freqs), np.finfo(float).eps
+        nodes, c = _discretize(measure, t, np.abs(fa).max())
+        pair = phi_kernel(fa[:, None] - fa[None, :], t)
+        xi, d, gamma, phase = 0.0, 0.0, 0.0, 0.0
+        for s in range(0, nodes.size, 4096):
+            x, ck = fa[:, None] - nodes[None, s:s + 4096], c[s:s + 4096]
+            assert np.abs(x * t).min() >= 1e-6  # no node inside the quotient's switch
+            phi, r = phi_kernel(x, t), ck / x
+            xi = xi + phi @ (ck * phi.conj()).T
+            d = d + (phi @ r.T - pair * r.sum(axis=1))
+            gamma = gamma + phi @ ck
+            reach = np.maximum(np.abs(fa)[:, None], np.abs(nodes[None, s:s + 4096]))
+            phase = phase + (2.0 * eps * (1.0 + t * reach) * np.minimum(t, 2.0 / np.abs(x))) @ np.abs(ck)
+        return xi, -0.5 * (d + d.conj().T), gamma, phase
+
+    @pytest.mark.parametrize("t", [2.0, 10.0])
+    def test_seeded_d8_against_phi_table(self, bath, t):
+        # the seeded d = 8 system of ROADMAP.md, 57 Bohr frequencies: xi and Xi within
+        # 1e-14 of the direct phi-table sums.  The finite-time Redfield pair sums
+        # Gamma_i = sum_k c_k phi_ik, whose terms keep the rounding of the half-phase
+        # t W_k / 2 on either route (2.0e-14 of max|K| at t = 10 with the rotation
+        # alone), so each cell may also carry the phase bound of Gamma_i and Gamma_j
+        from test_corrections import _seeded_many_level
+
+        freqs = _seeded_many_level(8)[0].frequencies
+        assert len(freqs) == 57
+        measure = gamma_spectral(bath)
+        xi_ref, sig_ref, gamma, phase = self.phi_table_sums(measure, freqs, t)
+        xi, sig = integrated_gamma_matrix(measure, freqs, t), integrated_S_matrix(measure, freqs, t)
+        assert np.abs(xi - xi_ref).max() <= 1e-14 * np.abs(xi_ref).max()
+        assert np.abs(sig - sig_ref).max() <= 1e-14 * np.abs(sig_ref).max()
+        allowance = phase[None, :] + phase[:, None]
+        k, s = redfield_pair_matrices(measure, freqs, t)
+        for got, ref in zip((k, s), (gamma[None, :] + gamma.conj()[:, None],
+                                     (gamma[None, :] - gamma.conj()[:, None]) / 2.0j)):
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref).max() + allowance)
+
     @pytest.mark.parametrize("t", [0.5, 10.0, 100.0])
     @pytest.mark.parametrize("freqs", [(-1.0, 0.0, 0.7, 1.0), "evolve_d4"])
     def test_rotation_phi_against_phi_kernel(self, measures, freqs, t):
-        # the factorised rotation carries the rounding of both half-phases t w_i / 2 and
-        # t W_k / 2: |phi - phi_kernel| <= 2 eps (1 + t max(|w_i|, |W_k|)) min(t, 2/|x|),
-        # where min(t, 2/|x|) bounds |phi_t(x)|; entries with |x t / 2| < 1/2 are
-        # phi_kernel's own bits (atoms at +-1 sit on two Bohr frequencies)
+        # both routes carry the rounding of the half-phases a_i = t w_i / 2 and
+        # b_k = t W_k / 2: |phi - phi_kernel| <= 2 eps (1 + t max(|w_i|, |W_k|)) min(t, 2/|x|),
+        # where min(t, 2/|x|) bounds |phi_t(x)|.  A near block's phi is the factorised
+        # rotation, with phi_kernel's own bits where |x t / 2| < 1/2; a far block's is
+        # the phi e^{ia_i} s_ik e^{-ib_k} its (u, cos b, sin b) imply, and no far entry
+        # has |x t / 2| < 1/2.  The walk visits every node once, in order (atoms at +-1
+        # sit on two Bohr frequencies)
         import meanforce.bath as mb
 
         if freqs == "evolve_d4":
@@ -497,24 +555,37 @@ class TestIntegratedCoefficients:
         measure = replace(measures["ohmic"], atoms=gamma_spectral(
             DiscreteBath(beta=measures["ohmic"].beta, modes=((1.0, 0.4),))).atoms)
         fa, eps = np.array(freqs), np.finfo(float).eps
-        seen, small_entries = 0, 0
-        for nodes, c, x, phi, small in mb._phi_blocks(measure, freqs, t):
-            assert np.array_equal(x, fa[:, None] - nodes[None, :])
+        a = 0.5 * t * fa[:, None]
+        walked, small_entries, far_nodes = [], 0, 0
+        for nodes, c, near, far in mb._phi_blocks(measure, freqs, t):
+            x = fa[:, None] - nodes[None, :]
             ref = phi_kernel(x, t)
             below = np.abs(0.5 * t * x) < 0.5
-            if small is None:
-                assert not below.any()
+            if far is None:
+                x_walk, phi, small = near
+                assert np.array_equal(x_walk, x)
+                if small is None:
+                    assert not below.any()
+                else:
+                    assert np.array_equal(small, below)
+                    assert np.array_equal(phi[small], ref[small])
+                    small_entries += int(below.sum())
             else:
-                assert np.array_equal(small, below)
-                assert np.array_equal(phi[small], ref[small])
-                small_entries += int(below.sum())
+                u, cos_b, sin_b = far
+                assert near is None and not below.any()
+                assert np.array_equal(u, 1.0 / x)
+                s = 2.0 * (np.sin(a) * cos_b - np.cos(a) * sin_b) * u
+                phi = np.exp(1j * a) * s * (cos_b - 1j * sin_b)
+                far_nodes += nodes.size
             reach = np.maximum(np.abs(fa)[:, None], np.abs(nodes)[None, :])
             with np.errstate(divide="ignore"):
                 size = np.minimum(t, 2.0 / np.abs(x))
             assert np.all(np.abs(phi - ref) <= 2.0 * eps * (1.0 + t * reach) * size)
-            seen += nodes.size
-        assert seen == mb._discretize(measure, t, np.abs(fa).max())[0].size
-        assert small_entries >= 2
+            walked.append((nodes, c))
+        nodes, c = map(np.concatenate, zip(*walked))
+        expect = mb._discretize(measure, t, np.abs(fa).max())
+        assert np.array_equal(nodes, expect[0]) and np.array_equal(c, expect[1])
+        assert small_entries >= 2 and far_nodes > nodes.size // 2
 
     @staticmethod
     def midpoint_nodes(measure, freqs, t, monkeypatch):

@@ -306,7 +306,8 @@ class TestConfigValidation:
     # not converge on a generator of infinite entries, and an Ohmic support radius
     # 40 max(cutoff, 1/beta) of inf in np.arange; a generator that overflows now ends
     # the run in assembly, and a density that overflows ends it in quadrature, with no
-    # numpy RuntimeWarning on the way
+    # numpy RuntimeWarning on the way; beta = 1e300 ended in an OverflowError at beta**2
+    # inside the mean-force kernel, and now meets the thermal-exponent guard first
     @pytest.mark.parametrize("task, edit, message", [
         pytest.param(task, edit, message, id=f"{name}-{task}")
         for name, edit, message, tasks in [
@@ -327,6 +328,7 @@ class TestConfigValidation:
             ("beta_1e-307", lambda c: c.update(beta=1e-307), "beta:", ("corrections", "steadystate", "evolve")),
             ("cutoff_1e306", lambda c: c["baths"]["b1"].update(cutoff=1e306), "integrand is not finite",
              ("steadystate", "evolve")),
+            ("beta_1e300", lambda c: c.update(beta=1e300), "thermal exponent beta*w = ", ("steadystate",)),
         ]
         for task in tasks
     ])
@@ -836,7 +838,8 @@ class TestValidateSystem:
         (lambda c: c["couplings"][0].update(pauli={"x": 1.0}), "couplings[0].pauli"),
         (lambda c: c["couplings"][0].update(pauli={"z": 1.0}), "couplings[0].pauli"),
         (lambda c: c["couplings"][0].update(pauli={"x": 0.0, "z": 1.0}), "couplings[0].pauli"),
-    ], ids=["qutrit", "operator", "y", "x_only", "z_only", "x_zero"])
+        (lambda c: c["baths"].update(b1={"type": "discrete", "modes": [[1.0, 0.1]]}), "baths.b1.type"),
+    ], ids=["qutrit", "operator", "y", "x_only", "z_only", "x_zero", "discrete_bath"])
     def test_other_system_exits_2(self, tmp_path, capsys, edit, path):
         cfg = json.loads(json.dumps(BASE))
         cfg.update(task="validate", output=str(tmp_path / "report.txt"))

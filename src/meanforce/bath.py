@@ -32,10 +32,9 @@ import numpy as np
 from ._quad import (
     _PHI_SWITCH,
     DEFAULT_QUAD,
-    _far_sum,
-    _pairwise_sums,
-    _phi_walk,
+    _pairwise_sum,
     _raise_failed,
+    _rotations,
     adaptive_quad,
     ladder,
     panel_chunks,
@@ -189,10 +188,14 @@ def measure_value(measure, omega):
     return float(measure.density(np.asarray(float(omega))))
 
 
+def _finite(omega):
+    if not math.isfinite(omega):
+        raise ValidationError(f"frequency {omega:g} is not finite")
+    return omega
+
+
 def _check_atom_pole(measure, omegas):
-    for omega in omegas:
-        if not math.isfinite(omega):
-            raise ValidationError(f"frequency {omega:g} is not finite")
+    for omega in map(_finite, omegas):
         for loc, _ in measure.atoms:
             if abs(omega - loc) <= 1e-12 * max(1.0, abs(loc)):
                 raise PoleError(f"frequency {omega:g} sits on the atom at {loc:g}")
@@ -290,12 +293,6 @@ def _discretize(measure, rate, reach):
     return np.concatenate(nodes), np.concatenate(c)
 
 
-def _phi_blocks(measure, freqs, t):
-    """The blocks of `_quad._phi_walk` over the nodes `_discretize` gives the frequency list at time t."""
-    nodes, c = _discretize(measure, t, np.abs(freqs).max())
-    return _phi_walk(np.asarray(freqs, dtype=float), nodes, c, len(measure.atoms), t, _PHI_BLOCK)
-
-
 def finite_time_Gamma(bath, omega, t, config=DEFAULT_QUAD):
     """Gamma(w, t) = int_0^t ds e^{iws} <R(s)R(0)>, with t = inf accepted.
 
@@ -310,35 +307,19 @@ def redfield_pair_matrices(bath, freqs, t, config=DEFAULT_QUAD):
     """(gamma(w,w',t), S(w,w',t)) as n x n arrays over the frequency list.
 
     Finite t: gamma = Gamma(w',t) + Gamma(w,t)^*, S = (Gamma(w',t) - Gamma(w,t)^*)/2i
-    with Gamma(w_i,t) = sum_k c_k phi_t(w_i - W_k) over one walk of `_phi_blocks`,
-    the nodes the cumulant's xi and Xi read: a near block adds phi c, and the
-    far blocks the real sums u (c cos^2 b, c cos b sin b, c sin^2 b), turned
-    into e^{ia_i} (P_i - iQ_i) by `_far_sum` once the walk is done.  t = inf:
-    the long-time pair
+    with the Gamma(w_i, t) of the one cached result per (measure, freqs, t)
+    that also holds the cumulant's xi and Xi: sum_k c_k phi_t(w_i - W_k) over
+    their walk (`_walk`) up to the split time, and past it the split's
+    Gamma(w, oo) + [w = 0] c/t.  t = inf: the long-time pair
     K = (gamma(w)+gamma(w'))/2 + i (S(w')-S(w)),  Y_dyn = (S(w)+S(w'))/2 + i (gamma(w)-gamma(w'))/4,
     formed from the gamma and S vectors directly (not through Gamma(w,oo)),
     which keeps the bits of cells where the sums cancel.
     """
-    measure = as_measure(bath)
     if t == np.inf:
-        pair, failed = _long_time_pair(measure, freqs, config)
+        pair, failed = _long_time_pair(as_measure(bath), freqs, config)
         _raise_failed(failed)
         return pair
-    if not t >= 0:
-        raise ValidationError("t must be nonnegative")
-    fa = np.asarray(freqs, dtype=float)
-
-    def blocks():
-        for _, c, near, far in _phi_blocks(measure, freqs, t):
-            if far is None:
-                yield 0, near[1] @ c
-            else:
-                u, cos_b, sin_b = far
-                yield 1, u @ np.stack([c * cos_b * cos_b, c * cos_b * sin_b, c * sin_b * sin_b], 1)
-
-    near, g = _pairwise_sums(blocks(), (np.zeros(fa.size, dtype=complex), np.zeros((fa.size, 3))))
-    rot = np.exp(1j * (0.5 * t * fa))
-    big = near + rot * _far_sum(np.concatenate([g[:, :2], g[:, 1:]]), rot)[:, 0]  # phi_0 = 0: at t = 0 all are near
+    big = _integrated(bath, freqs, t, config)[2]
     return big[None, :] + big.conj()[:, None], (big[None, :] - big.conj()[:, None]) / 2.0j
 
 
@@ -410,96 +391,89 @@ def _log_tail_integral(delta, t0, t1):
     return np.where(zero, np.log(t1 / t0), exp1(-1j * safe * t0) - exp1(-1j * safe * t1))
 
 
-def _integrated_direct(measure, freqs, t):
-    """(xi, Xi) summed over one walk of `_phi_blocks`, phi_ik = phi_t(w_i - W_k).
+def _walk(measure, freqs, t):
+    """(xi, Xi, Gamma) summed over the nodes `_discretize` gives the frequency list at time t.
 
-    xi_ij = sum_k c_k phi_ik phi_jk^*.  As phi_t(-x) = phi_t(x)^*,
-    Xi = -(D + D^dag)/2 with the difference quotients
-    D_ij = sum_k c_k (phi_ik - phi_t(w_i - w_j)) / (w_j - W_k)
-         = (phi R^T)_ij - phi_t(w_i - w_j) sum_k R_jk,    R_jk = c_k / (w_j - W_k).
+    With phi_ik = phi_t(w_i - W_k) = e^{ia_i} s_ik e^{-ib_k} of `_quad._rotations`:
+    xi_ij = sum_k c_k phi_ik phi_jk^* = e^{ia_i} (s c s^T)_ij e^{-ia_j},
+    Gamma_i = sum_k c_k phi_ik, and, as phi_t(-x) = phi_t(x)^*, Xi = -(D + D^dag)/2
+    with the difference quotients
+    D_ij = sum_k c_k (phi_ik - phi_t(w_i - w_j)) u_jk,    u_jk = 1/(w_j - W_k).
 
-    A near block gives its Gram matrix phi (c phi^*)^T and its own D,
-    cancelled within the block, so an atom's terms cancel before they meet
-    the rest of the sum.  R is n x (block), contiguous along the nodes, so
-    its row sums are pairwise.  Node/column pairs with |(w_j - W_k) t| <
-    _PHI_SWITCH are left out of R; each column that has any in a block takes
-    them from `phi_diff_quotient` (phi_t' at the midpoint).
-
-    A far block gives the real Gram H = V diag(c) V^T of V = [u cos b; u sin b]
-    (2n x block) and the row sums r = u c.  From their sums over all far
-    blocks, with Z of `_far_sum`:
-    xi += 4 e^{ia} (L H L^T) e^{-ia} = 2 e^{ia_i} Im(Z_ij e^{ia_j}) e^{-ia_j},
-    L = [diag sin a, -diag cos a], and D += e^{ia_i} Z_ij - phi_t(w_i - w_j) r_j.
-    xi is thus a sum of PSD parts, made exactly Hermitian at the end.  Every
-    block sum is added by `_pairwise_sums`, one sum per kind.  At t = 0 every
-    node would be inside the switch, and phi_0 = phi_0' = 0 makes both
-    matrices exactly zero.
+    Each block of _PHI_BLOCK nodes gives one real product
+    s [s c; u c cos b; c cos b; u c sin b; c sin b]^T, read off as s c s^T,
+    e^{ia_i} (P - iQ)_ij = sum_k phi_ik c_k u_jk and Gamma; the block's D
+    is cancelled against phi_t(w_i - w_j) sum_k c_k u_jk within the block, in
+    the real frame of P and Q, so an atom's terms cancel before they meet the
+    rest of the sum.  The entries |h| < 1/2 add phi_kernel(x) - e^{ia} s e^{-ib}
+    to D and Gamma, over the nodes that hold one.  Node/column pairs with
+    |(w_j - W_k) t| < _PHI_SWITCH are left out of u; each column that has any
+    in a block takes them from `phi_diff_quotient` (phi_t' at the midpoint).
+    The block sums are added pairwise and xi is made exactly Hermitian.  At
+    t = 0 every node would be inside the switch, and phi_0 = phi_0' = 0 makes
+    all three exactly zero; no frequency gives empty arrays.
     """
     fa = np.array(freqs, dtype=float)
     n = fa.size
-    zero = np.zeros((2, n, n), dtype=complex)
-    if t == 0:
-        return zero[0], zero[1]
-    pair = phi_kernel(fa[:, None] - fa[None, :], t)
-
-    def blocks():
-        spare, grams = np.empty(0, dtype=complex), np.empty(0)  # reused from block to block
-        for _, c, near, far in _phi_blocks(measure, freqs, t):
-            if far is not None:
-                u, cos_b, sin_b = far
-                if grams.size < 4 * u.size:
-                    grams = np.empty(4 * u.size)
-                v, cv = grams[:4 * u.size].reshape(2, 2 * n, -1)
-                np.multiply(u, cos_b, out=v[:n])
-                np.multiply(u, sin_b, out=v[n:])
-                yield 1, np.multiply(v, c, out=cv) @ v.T
-                yield 2, u @ c
-                continue
-            x, phi, small = near
-            if spare.size < phi.size:
-                spare = np.empty(phi.size, dtype=complex)
-            out = np.empty_like(zero)
-            weighted = np.conjugate(phi, out=spare[:phi.size].reshape(phi.shape))
-            weighted *= c
-            np.matmul(phi, weighted.T, out=out[0])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = c / x
-            columns = ()
-            if small is not None:
-                inside = small & (np.abs(x * t) < _PHI_SWITCH)
-                r[inside] = 0.0
-                columns = np.flatnonzero(inside.any(axis=1))
-            out[1] = phi @ r.T - pair * r.sum(axis=1)
-            for j in columns:
-                k = inside[j]
-                out[1][:, j] += phi_diff_quotient(x[:, k], phi[:, k], (fa - fa[j])[:, None], t) @ c[k]
-            yield 0, out
-
-    (xi, d), h, r = _pairwise_sums(blocks(), (zero, np.zeros((2 * n, 2 * n)), np.zeros(n)))
+    if t == 0 or n == 0:
+        return np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex), np.zeros(n, dtype=complex)
+    nodes, c = _discretize(measure, t, np.abs(fa).max())
     rot = np.exp(1j * (0.5 * t * fa))
-    z = _far_sum(h, rot)
-    xi = xi + 2.0 * rot[:, None] * (z * rot).imag * rot.conj()
-    d = d + rot[:, None] * z - pair * r
-    return 0.5 * (xi + xi.conj().T), -0.5 * (d + d.conj().T)
+    back = rot.conj()[:, None] * phi_kernel(fa[:, None] - fa[None, :], t)  # e^{-ia_i} phi_t(w_i - w_j)
+    back_re, back_im = back.real.copy(), back.imag.copy()
+    buffer = np.empty((3 * n + 2) * min(_PHI_BLOCK, nodes.size))  # reused from block to block
+
+    def blocks():  # each block's [G | P | gc | Q | gs] with D = e^{ia} (P - iQ), Gamma = e^{ia} (gc - i gs)
+        for _, ck, s, u, (cos_b, sin_b), near in _rotations(fa, nodes, c, len(measure.atoms), t, _PHI_BLOCK):
+            if near:
+                cols, x, small, phi = near
+                inside = np.abs(x * t) < _PHI_SWITCH
+                u[:, cols] = np.where(inside, 0.0, u[:, cols])
+            m = buffer[:(3 * n + 2) * ck.size].reshape(-1, ck.size)
+            np.multiply(s, ck, out=m[:n])
+            cc, cs = np.multiply(ck, cos_b, out=m[2 * n]), np.multiply(ck, sin_b, out=m[3 * n + 1])
+            np.multiply(u, cc, out=m[n:2 * n])
+            np.multiply(u, cs, out=m[2 * n + 1:3 * n + 1])
+            out = s @ m.T
+            r = u @ ck
+            out[:, n:2 * n] -= back_re * r
+            out[:, 2 * n + 1:3 * n + 1] += back_im * r
+            if near:  # the phi_kernel entries and the quotients, as e^{-ia} times their [D | Gamma] terms
+                fix = np.where(small, rot.conj()[:, None] * phi - s[:, cols] * (cos_b[cols] - 1j * sin_b[cols]), 0.0)
+                fix = fix @ np.column_stack([(ck[cols] * u[:, cols]).T, ck[cols]])
+                for j in np.flatnonzero(inside.any(axis=1)):
+                    k = inside[j]
+                    fix[:, j] += rot.conj() * (phi_diff_quotient(x[:, k], phi[:, k], (fa - fa[j])[:, None], t)
+                                               @ ck[cols[k]])
+                out[:, n:2 * n + 1] += fix.real
+                out[:, 2 * n + 1:] -= fix.imag
+            yield out
+
+    total = _pairwise_sum(blocks(), np.zeros((n, 3 * n + 2)))
+    xi = rot[:, None] * total[:, :n] * rot.conj()
+    d = rot[:, None] * (total[:, n:2 * n] - 1j * total[:, 2 * n + 1:3 * n + 1])
+    return 0.5 * (xi + xi.conj().T), -0.5 * (d + d.conj().T), rot * (total[:, 2 * n] - 1j * total[:, 3 * n + 1])
 
 
 @lru_cache(maxsize=8)  # a time t and its split time t0 for each of up to four baths
 def _integrated_matrices_cached(measure, freqs, t, config):
-    """(int_0^t gamma~, int_0^t S~) coefficient matrices over the frequency list.
+    """(int_0^t gamma~, int_0^t S~, Gamma(w, t)) over the frequency list.
 
-    For large t the integral is split at T0: the correlation function has
-    decayed there, so gamma(w,w',s) = gamma(w,w',oo) + [w or w' = 0 tail c/s],
-    and the remainder integrates in closed form on top of the cached T0 matrices.
+    Up to the split time T0 all three come from one `_walk`.  Past it the
+    correlation function has decayed, so gamma(w,w',s) = gamma(w,w',oo) +
+    [w or w' = 0 tail c/s]: the remainder integrates in closed form on top of
+    the cached T0 matrices, and Gamma(w, t) = Gamma(w, oo) + [w = 0] c/t.
     """
     t0 = _split_time(measure)
     if measure.density is None or t <= t0:
-        return _integrated_direct(measure, freqs, t)
-    xi0, sig0 = _integrated_matrices_cached(measure, freqs, t0, config)
+        return _walk(measure, freqs, t)
+    xi0, sig0, _ = _integrated_matrices_cached(measure, freqs, t0, config)
     k_inf, s_inf = redfield_pair_matrices(measure, freqs, np.inf, config)
     fa = np.array(freqs)
     delta = fa[:, None] - fa[None, :]
     step = phi_kernel(delta, t) - phi_kernel(delta, t0)
     xi, sig = xi0 + k_inf * step, sig0 + s_inf * step
+    gamma = 0.5 * k_inf.diagonal() + 1j * s_inf.diagonal()
     c = measure.tail_zero_coeff
     if c != 0.0:
         zero = (fa == 0.0).astype(float)  # floats: a bool outer sum would be a logical or
@@ -508,23 +482,24 @@ def _integrated_matrices_cached(measure, freqs, t, config):
         tail[weight != 0] = _log_tail_integral(delta[weight != 0], t0, t)
         xi += c * weight * tail
         sig += c * (zero[None, :] - zero[:, None]) * tail / 2.0j
-    return xi, sig
+        gamma += c * zero / t
+    return xi, sig, gamma
 
 
 def _integrated(bath, freqs, t, config):
     if not 0 <= t < math.inf:
         raise ValidationError("t must be nonnegative and finite")
-    return _integrated_matrices_cached(as_measure(bath), tuple(float(f) for f in freqs), float(t), config)
+    freqs = tuple(_finite(float(f)) for f in freqs)
+    return _integrated_matrices_cached(as_measure(bath), freqs, float(t), config)
 
 
 def integrated_gamma_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     """Matrix int_0^t e^{i(w-w')s} gamma(w, w', s) ds over the given frequencies.
 
     Computed as the Gram matrix (1/2pi) int gamma(W) phi_t(w-W) phi_t(w'-W)^* dW,
-    so it is positive semi-definite by construction: over one walk of
-    `_phi_blocks`, the near blocks' complex Gram blocks phi (c phi^*)^T plus
-    4 e^{ia} (L H L^T) e^{-ia}, a congruence of the far blocks' summed real
-    Gram H = V diag(c) V^T, V = [u cos b; u sin b]; made exactly Hermitian.
+    so it is positive semi-definite by construction: over the one walk of
+    `_walk`, e^{ia} (s c s^T) e^{-ia}, a congruence of the summed real Gram
+    blocks of phi_ik = e^{ia_i} s_ik e^{-ib_k}; made exactly Hermitian.
     """
     return _integrated(bath, freqs, t, config)[0].copy()
 
@@ -532,12 +507,11 @@ def integrated_gamma_matrix(bath, freqs, t, config=DEFAULT_QUAD):
 def integrated_S_matrix(bath, freqs, t, config=DEFAULT_QUAD):
     """Matrix int_0^t e^{i(w-w')s} S(w, w', s) ds over the given frequencies.
 
-    Xi = -(D + D^dag)/2 with D = phi R^T - phi_t(w_i - w_j) sum_k R_jk,
-    R_jk = c_k / (w_j - W_k), summed over the same walk as
-    `integrated_gamma_matrix`.  Each near block is cancelled on its own, and a
-    column with a node |(w_j - W_k) t| < 1e-6 takes that node from
-    `phi_diff_quotient` (phi_t' at the midpoint).  The far blocks give
-    e^{ia} (P - iQ) - phi_t(w_i - w_j) r_j from the same Gram H and the row
-    sums r = u c, with no node near enough to cancel.
+    Xi = -(D + D^dag)/2 with D_ij = sum_k c_k (phi_t(w_i - W_k) - phi_t(w_i - w_j)) / (w_j - W_k),
+    summed over the same walk as `integrated_gamma_matrix`: each block's
+    real product gives sum_k phi_ik c_k / (w_j - W_k), cancelled within the
+    block against phi_t(w_i - w_j) sum_k c_k / (w_j - W_k).  A column with a
+    node |(w_j - W_k) t| < 1e-6 takes that node from `phi_diff_quotient`
+    (phi_t' at the midpoint).
     """
     return _integrated(bath, freqs, t, config)[1].copy()

@@ -352,6 +352,20 @@ class TestIntegratedCoefficients:
         assert np.array_equal(integrated_gamma_matrix(bath, freqs, t), xi)
         assert np.array_equal(integrated_S_matrix(bath, freqs, t), sig)
 
+    @pytest.mark.parametrize("freqs", [(-1.0, 0.0, 0.7, 1.0), (-1.0, 0.7, 1.0)],
+                             ids=["with_zero", "without_zero"])
+    def test_pair_past_split_is_rate_of_split_matrices(self, bath, freqs):
+        # past t0 the matrices add the long-time pair times phi_t - phi_t0 and the w = 0
+        # tail c/s, whose rate is (pair(oo) + tail / t) e^{i(w-w')t}: the finite-time pair
+        # there is that rate, so the Redfield pair and the cumulant stay one route
+        measure = gamma_spectral(bath)
+        t, c = 80.0, measure.tail_zero_coeff
+        zero = (np.array(freqs) == 0.0).astype(float)
+        k_inf, s_inf = redfield_pair_matrices(bath, freqs, np.inf)
+        k, s = redfield_pair_matrices(bath, freqs, t)
+        assert np.abs(k - k_inf - c * (zero[None, :] + zero[:, None]) / t).max() <= 1e-14 * np.abs(k_inf).max()
+        assert np.abs(s - s_inf - c * (zero[None, :] - zero[:, None]) / (2j * t)).max() <= 1e-14 * np.abs(s_inf).max()
+
     def test_long_time_reuses_cached_split(self, bath, monkeypatch):
         # every t > 60 beta builds on the cached t0 matrices: one discretisation in all
         import meanforce.bath as mb
@@ -364,26 +378,28 @@ class TestIntegratedCoefficients:
             integrated_S_matrix(bath, (-1.0, 0.0, 1.0), t)
         assert len(calls) == 1
 
-    def test_one_phi_table_and_quotients_only_in_switch_columns(self, bath, monkeypatch):
-        # xi and Xi are sums over one walk of the phi blocks; only a column j with a
-        # node |(w_j - W_k) t| < 1e-6 calls the difference quotient, once
+    def test_one_walk_and_quotients_only_in_switch_columns(self, bath, monkeypatch):
+        # xi, Xi and the finite-time Redfield pair are sums over one walk of the nodes per
+        # (freqs, t); only a column j with a node |(w_j - W_k) t| < 1e-6 calls the
+        # difference quotient, once
         import meanforce.bath as mb
 
-        tables, quotients = [], []
-        table, quotient = mb._phi_blocks, mb.phi_diff_quotient
-        monkeypatch.setattr(mb, "_phi_blocks", lambda *args: tables.append(args[1:]) or table(*args))
+        walks, quotients = [], []
+        walk, quotient = mb._rotations, mb.phi_diff_quotient
+        monkeypatch.setattr(mb, "_rotations", lambda *args: walks.append((tuple(args[0]), args[4])) or walk(*args))
         monkeypatch.setattr(mb, "phi_diff_quotient", lambda *args: quotients.append(1) or quotient(*args))
         freqs = (-1.0, 0.0, 0.7, 1.0)
         modes = gamma_spectral(DiscreteBath(beta=bath.beta, modes=((1.0, 0.4),)))
         on_bohr = replace(gamma_spectral(bath), atoms=modes.atoms)
         for measure, switch_columns in ((gamma_spectral(bath), 0), (on_bohr, 2)):
             mb._integrated_matrices_cached.cache_clear()
-            tables.clear()
+            walks.clear()
             quotients.clear()
             for t in (2.0, 5.0):
                 integrated_gamma_matrix(measure, freqs, t)
                 integrated_S_matrix(measure, freqs, t)
-            assert tables == [(freqs, 2.0), (freqs, 5.0)]
+                redfield_pair_matrices(measure, freqs, t)
+            assert walks == [(freqs, 2.0), (freqs, 5.0)]
             assert len(quotients) == 2 * switch_columns
 
     @pytest.fixture(scope="class")
@@ -540,14 +556,13 @@ class TestIntegratedCoefficients:
 
     @pytest.mark.parametrize("t", [0.5, 10.0, 100.0])
     @pytest.mark.parametrize("freqs", [(-1.0, 0.0, 0.7, 1.0), "evolve_d4"])
-    def test_rotation_phi_against_phi_kernel(self, measures, freqs, t):
+    def test_rotation_phi_against_phi_kernel(self, measures, freqs, t, monkeypatch):
         # both routes carry the rounding of the half-phases a_i = t w_i / 2 and
         # b_k = t W_k / 2: |phi - phi_kernel| <= 2 eps (1 + t max(|w_i|, |W_k|)) min(t, 2/|x|),
-        # where min(t, 2/|x|) bounds |phi_t(x)|.  A near block's phi is the factorised
-        # rotation, with phi_kernel's own bits where |x t / 2| < 1/2; a far block's is
-        # the phi e^{ia_i} s_ik e^{-ib_k} its (u, cos b, sin b) imply, and no far entry
-        # has |x t / 2| < 1/2.  The walk visits every node once, in order (atoms at +-1
-        # sit on two Bohr frequencies)
+        # where min(t, 2/|x|) bounds |phi_t(x)|.  The walk's phi is e^{ia_i} s_ik e^{-ib_k},
+        # and phi_kernel's own bits on every entry |x t / 2| < 1/2, all of which sit in the
+        # near columns of their block; u is 1/x.  The walk visits every node once, in
+        # order (atoms at +-1 sit on two Bohr frequencies)
         import meanforce.bath as mb
 
         if freqs == "evolve_d4":
@@ -555,41 +570,57 @@ class TestIntegratedCoefficients:
         measure = replace(measures["ohmic"], atoms=gamma_spectral(
             DiscreteBath(beta=measures["ohmic"].beta, modes=((1.0, 0.4),))).atoms)
         fa, eps = np.array(freqs), np.finfo(float).eps
-        a = 0.5 * t * fa[:, None]
+        rot = np.exp(1j * (0.5 * t * fa))[:, None]
         walked, small_entries, far_nodes = [], 0, 0
-        for nodes, c, near, far in mb._phi_blocks(measure, freqs, t):
-            x = fa[:, None] - nodes[None, :]
-            ref = phi_kernel(x, t)
-            below = np.abs(0.5 * t * x) < 0.5
-            if far is None:
-                x_walk, phi, small = near
-                assert np.array_equal(x_walk, x)
-                if small is None:
+
+        def checked(*args):
+            nonlocal small_entries, far_nodes
+            for nodes, c, s, u, (cos_b, sin_b), near in walk(*args):
+                x = fa[:, None] - nodes[None, :]
+                ref = phi_kernel(x, t)
+                below = np.abs(0.5 * t * x) < 0.5
+                with np.errstate(divide="ignore"):
+                    assert np.array_equal(u, 1.0 / x)
+                    size = np.minimum(t, 2.0 / np.abs(x))
+                phi = rot * s * (cos_b - 1j * sin_b)
+                if near is None:
                     assert not below.any()
+                    far_nodes += nodes.size
                 else:
-                    assert np.array_equal(small, below)
-                    assert np.array_equal(phi[small], ref[small])
-                    small_entries += int(below.sum())
-            else:
-                u, cos_b, sin_b = far
-                assert near is None and not below.any()
-                assert np.array_equal(u, 1.0 / x)
-                s = 2.0 * (np.sin(a) * cos_b - np.cos(a) * sin_b) * u
-                phi = np.exp(1j * a) * s * (cos_b - 1j * sin_b)
-                far_nodes += nodes.size
-            reach = np.maximum(np.abs(fa)[:, None], np.abs(nodes)[None, :])
-            with np.errstate(divide="ignore"):
-                size = np.minimum(t, 2.0 / np.abs(x))
-            assert np.all(np.abs(phi - ref) <= 2.0 * eps * (1.0 + t * reach) * size)
-            walked.append((nodes, c))
+                    cols, x_near, small, phi_near = near
+                    assert not np.delete(below, cols, axis=1).any()
+                    assert np.array_equal(x_near, x[:, cols]) and np.array_equal(small, below[:, cols])
+                    assert np.array_equal(phi_near, ref[:, cols])
+                    phi[:, cols] = np.where(small, phi_near, phi[:, cols])
+                    small_entries += int(small.sum())
+                reach = np.maximum(np.abs(fa)[:, None], np.abs(nodes)[None, :])
+                assert np.all(np.abs(phi - ref) <= 2.0 * eps * (1.0 + t * reach) * size)
+                walked.append((nodes, c))
+                yield nodes, c, s, u, (cos_b, sin_b), near
+
+        walk = mb._rotations
+        monkeypatch.setattr(mb, "_rotations", checked)
+        mb._walk(measure, freqs, t)
         nodes, c = map(np.concatenate, zip(*walked))
         expect = mb._discretize(measure, t, np.abs(fa).max())
         assert np.array_equal(nodes, expect[0]) and np.array_equal(c, expect[1])
         assert small_entries >= 2 and far_nodes > nodes.size // 2
 
+    @pytest.mark.parametrize("mode, t", [(30.004, 50.0), (3.01, 50.0)])
+    def test_near_atom_gamma_keeps_phi_kernel(self, mode, t):
+        # an atom within 1/t of a frequency (|h| < 1/2) at a large half-phase t w / 2: the
+        # rotation alone would carry its rounding, about eps t |w| |phi|, into Gamma (5e-15
+        # to 1e-14 of max|Gamma| here), so the walk adds phi_kernel's own value there
+        measure = gamma_spectral(DiscreteBath(beta=1.0, modes=((mode, 0.3),)))
+        nodes, c = _discretize(measure, t, 30.0)
+        freqs = (-30.0, -3.0, 3.0, 30.0)
+        expect = np.array([np.sum(c * phi_kernel(w - nodes, t)) for w in freqs])
+        gamma = np.array([finite_time_Gamma(measure, w, t) for w in freqs])
+        assert np.abs(gamma - expect).max() <= 1e-15 * np.abs(expect).max()
+
     @staticmethod
     def midpoint_nodes(measure, freqs, t, monkeypatch):
-        """(Xi, nodes passed to phi_kernel_prime, small-mask entries of _integrated_direct)."""
+        """(Xi, nodes passed to phi_kernel_prime, switch entries of the walk)."""
         import meanforce._quad as mq
         import meanforce.bath as mb
 
@@ -696,6 +727,14 @@ class TestWeightFloor:
                   *redfield_pair_matrices(bath, freqs, t)):
             assert m.shape == (3, 3) and not m.any()
         assert finite_time_Gamma(bath, 0.5, t) == 0.0
+
+    @pytest.mark.parametrize("t", [2.0, 80.0, np.inf])
+    def test_empty_frequency_list_gives_empty_arrays(self, bath, t):
+        # no frequency, no walk: every finite time returns (0, 0) arrays, as t = inf does
+        pair = redfield_pair_matrices(bath, (), t)
+        if t < np.inf:
+            pair += (integrated_gamma_matrix(bath, (), t), integrated_S_matrix(bath, (), t))
+        assert all(m.shape == (0, 0) for m in pair)
 
     def test_atoms_of_weight_zero_are_kept(self, bath):
         silent = gamma_spectral(DiscreteBath(beta=bath.beta, modes=((1.3, 0.0), (2.1, 0.25))))
@@ -861,6 +900,13 @@ NAN, INF = float("nan"), float("inf")
     pytest.param(lambda b: integrated_gamma_matrix(b, (-1.0, 1.0), INF), "t must be", id="int_gamma_t_inf"),
     pytest.param(lambda b: integrated_S_matrix(b, (-1.0, 1.0), NAN), "t must be", id="int_S_t_nan"),
     pytest.param(lambda b: integrated_S_matrix(b, (-1.0, 1.0), INF), "t must be", id="int_S_t_inf"),
+    # a frequency that is not finite is named before the panel rule is sized for it
+    pytest.param(lambda b: integrated_gamma_matrix(b, (-1.0, NAN), 2.0), "frequency nan is not finite",
+                 id="int_gamma_w_nan"),
+    pytest.param(lambda b: integrated_S_matrix(b, (INF, 1.0), 2.0), "frequency inf is not finite", id="int_S_w_inf"),
+    pytest.param(lambda b: redfield_pair_matrices(b, (1.0, -INF), 2.0), "frequency -inf is not finite",
+                 id="pair_w_inf"),
+    pytest.param(lambda b: finite_time_Gamma(b, NAN, 2.0), "frequency nan is not finite", id="Gamma_w_nan"),
     pytest.param(lambda b: lamb_shift_S(b, NAN), "not finite", id="S_w_nan"),
     pytest.param(lambda b: lamb_shift_S(b, -INF), "not finite", id="S_w_inf"),
     pytest.param(lambda b: OhmicBath(beta=NAN, coupling=1.0, cutoff=1.0), "beta must be positive", id="ohmic_beta"),

@@ -132,6 +132,19 @@ class TestCumulant:
         li = interaction_redfield_generator(jumps, bath, lam, t).matrix
         assert np.linalg.norm((kp - km) / (2 * h) - li) <= 1e-6
 
+    def test_exponent_and_interaction_redfield_share_one_walk(self, h0, jumps, bath, monkeypatch):
+        # the cumulant's xi and Xi and the finite-time Redfield pair at one t read one
+        # discretisation of the bath
+        import meanforce.bath as mb
+
+        calls = []
+        discretize = mb._discretize
+        monkeypatch.setattr(mb, "_discretize", lambda *args: calls.append(args[1:]) or discretize(*args))
+        mb._integrated_matrices_cached.cache_clear()
+        build_cumulant_exponent(h0, jumps, bath, LAM, 2.0)
+        interaction_redfield_generator(jumps, bath, LAM, 2.0)
+        assert calls == [(2.0, 1.0)]
+
     def test_propagation_cptp(self, h0, jumps, bath, rho0):
         out = propagate(cumulant_map(h0, jumps, bath, LAM, 10.0), rho0)
         assert abs(np.trace(out) - 1.0) <= 1e-12

@@ -20,6 +20,12 @@ with a(w) = int_0^beta dt e^{-t w}.  The thermal weight e^{-b(w1+w2)} on the
 first term is required for the reconstruction of L2[rho2] from the tuple
 expansion (and for the seven-tuple cancellation); it is validated against the
 direct operator computation in the tests.
+
+g40 has two routes on the sigma_x qubit: the closed long-time form `g40_tls`,
+and the direct oracle `g40_tls_direct`, the anchor's matrix element of
+(1/2)[K_T, L_T] e^{-beta(H0 - E_k)} with the interaction-picture Redfield
+generator L_s and K_T = int_0^T L_s ds, both assembled by
+`generators._assemble` from C(s) on the oracle's own time grid.
 """
 
 import math
@@ -33,7 +39,16 @@ from .bath import _discretize, as_measure, measure_value
 from .corrections import tls_time_integrated_balance
 from .errors import DomainError, ValidationError
 from .generators import _assemble, commutator_superop, thermal_state, unvectorize, vectorize
-from .operators import _contract, _stacked_jumps, _table_array, require_hermitian
+from .operators import (
+    _contract,
+    _stacked_jumps,
+    _table_array,
+    bohr_decompose,
+    pauli_coupling,
+    require_hermitian,
+    spectral_decompose,
+    tls_hamiltonian,
+)
 
 __all__ = [
     "alpha_weight",
@@ -149,43 +164,11 @@ def g40_tls(bath, omega0, beta=None, config=DEFAULT_QUAD):
         * measure_value(measure, omega0) * balance
 
 
-# The 25 terms of f(w1..w4, t, s) as (coeff, factor1, factor2, exp_sel).  A factor "Kijx" is the
-# kind K ("S" or "g") of the pair (w_i, w_j), its first argument negated, at the time x ("s" or
-# "t"); exp_sel lists the i whose w_i enter e^{-beta sum}.
-_F_TERMS = (
-    (1.0,   "S12s", "S34t", "12"),
-    (-1.0,  "S12s", "S34t", "1234"),
-    (0.5j,  "S12s", "g34t", "12"),
-    (0.5j,  "S12s", "g34t", "1234"),
-    (-1j,   "S12s", "g43t", "123"),
-    (1.0,   "S12t", "S34s", "12"),
-    (-1.0,  "S12t", "S34s", ""),
-    (0.5j,  "S12t", "g34s", "12"),
-    (-0.5j, "S12t", "g34s", ""),
-    (-1j,   "S23t", "g41s", "123"),
-    (1j,    "S23t", "g41s", "1"),
-    (-0.5j, "S34s", "g12t", "12"),
-    (-0.5j, "S34s", "g12t", ""),
-    (1j,    "S34s", "g21t", "1"),
-    (-0.5j, "S34t", "g12s", "12"),
-    (0.5j,  "S34t", "g12s", "1234"),
-    (0.25,  "g12s", "g34t", "12"),
-    (0.25,  "g12s", "g34t", "1234"),
-    (-0.5,  "g12s", "g43t", "123"),
-    (0.25,  "g12t", "g34s", "12"),
-    (0.25,  "g12t", "g34s", ""),
-    (-0.5,  "g21t", "g34s", "1"),
-    (-0.5,  "g23t", "g41s", "123"),
-    (-0.5,  "g23t", "g41s", "1"),
-    (1.0,   "g32t", "g41s", "12"),
-)
-
-
 class _GridCoefficients:
-    """Finite-time gamma~ and S~ on a shared time grid, from one quadrature pass.
+    """C(s) and Gamma(w, s) on a uniform time grid, from one pass over the bath's nodes.
 
-    Gamma(w, tau) = int_0^tau e^{iws} C(s) ds is accumulated by Simpson on a
-    uniform grid, with C(s) = sum_k c_k e^{-i W_k s} summed over the same
+    gam[:, i] is Gamma(w_i, s) = int_0^s e^{i w_i u} C(u) du, accumulated by
+    Simpson, with C(s) = sum_k c_k e^{-i W_k s} summed over the same
     discretisation of the spectral measure as the frequency-domain route;
     this keeps the direct g40 route independent of the principal-value
     machinery.
@@ -196,63 +179,55 @@ class _GridCoefficients:
         nodes, c = _discretize(measure, t_max, 0.0)
         self.corr = np.concatenate([np.exp(-1j * np.outer(self.grid[start:start + 64], nodes)) @ c
                                     for start in range(0, len(self.grid), 64)])
-        self.gam = {w: self._cumulative_simpson(np.exp(1j * w * self.grid) * self.corr, self.grid)
-                    for w in freqs}
+        wave = self.corr[:, None] * np.exp(1j * np.outer(self.grid, freqs))
+        self.gam = self._cumulative_simpson(wave, self.grid)
 
     @staticmethod
     def _cumulative_simpson(y, x):
         h = x[1] - x[0]
         out = np.zeros_like(y)
-        # composite Simpson on even prefixes, trapezoid closure on odd ones
-        out[2::2] = np.cumsum((h / 3.0) * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]))
+        # composite Simpson along axis 0 on even prefixes, trapezoid closure on odd ones
+        out[2::2] = np.cumsum((h / 3.0) * (y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]), axis=0)
         out[1::2] = out[:-1:2] + 0.5 * h * (y[:-1:2] + y[1::2])
         return out
 
-    def gamma_pair(self, x, y, idx):
-        return self.gam[y][idx] + np.conj(self.gam[x][idx])
-
-    def s_pair(self, x, y, idx):
-        return (self.gam[y][idx] - np.conj(self.gam[x][idx])) / 2.0j
-
-    def tilde(self, kind, x, y, idx):
-        phase = np.exp(1j * (x - y) * self.grid[idx])
-        base = self.gamma_pair(x, y, idx) if kind == "g" else self.s_pair(x, y, idx)
-        return phase * base
-
 
 def g40_tls_direct(bath, omega0, t_final, n_steps=1200, anchor=0, config=DEFAULT_QUAD):
-    """Tuple-summed g40 via the explicit double time integral of the commutator
-    expansion f(w1..w4, t, s); coarse-grid oracle for the closed form.
+    """<k| (1/2)[K_T, L_T] e^{-beta(H0 - E_k)} |k> on the sigma_x qubit: the direct
+    oracle for the closed form, with T = t_final and k = anchor in H0 = -(omega0/2) sigma_z.
+
+    L_s is the interaction-picture Redfield generator of the grid's Gamma(w, s),
+    with K = Gamma(w', s) + Gamma(w, s)^* and S = (Gamma(w', s) - Gamma(w, s)^*)/2i,
+    both times e^{i(w - w')s}; K_T = int_0^T L_s ds is the same assembly of the
+    pair's Simpson integrals, since `_assemble` is linear in them.
 
     `config` is not read and is kept for API compatibility: the grid route takes
     the panel discretisation of the spectral measure, which no QuadratureConfig sets
     (defect D1 in ROADMAP.md)."""
+    if not math.isfinite(omega0):
+        raise ValidationError("omega0 must be finite")
+    if omega0 == 0:
+        raise DomainError("qubit frequency must be nonzero")
+    if not 0 <= t_final < math.inf:
+        raise ValidationError("t_final must be finite and nonnegative")
+    if not isinstance(n_steps, (int, np.integer)) or isinstance(n_steps, bool) or n_steps < 2:
+        raise ValidationError("n_steps must be an integer of at least 2")
+    if anchor not in (0, 1):
+        raise ValidationError("anchor must be 0 or 1")
     measure = as_measure(bath)
-    beta = measure.beta
-    w0 = omega0 if anchor == 0 else -omega0
-    freqs = (-abs(omega0), 0.0, abs(omega0))
+    h0 = tls_hamiltonian(omega0)
+    jumps = [bohr_decompose(spectral_decompose(h0), pauli_coupling(1.0))]
+    freqs = np.array(jumps[0].frequencies)
     coeffs = _GridCoefficients(measure, freqs, t_final, n_steps)
-    grid = coeffs.grid
-    t_idx = len(grid) - 1
-    s_idx = np.arange(len(grid))
-
-    tuples = four_tuples((-0.5 * w0, 0.5 * w0), 0).tuples
-    total = 0.0 + 0.0j
-    for tup in tuples:
-        w = (None,) + tup  # 1-based access
-        fw = np.zeros(len(grid), dtype=complex)
-
-        def value(factor, swap):  # with swap, s and t trade places
-            idx = t_idx if (factor[3] == "t") != swap else s_idx
-            return coeffs.tilde(factor[0], -w[int(factor[1])], w[int(factor[2])], idx)
-
-        for coeff, f1, f2, exps in _F_TERMS:
-            weight = math.exp(-beta * sum(w[int(i)] for i in exps)) if exps else 1.0
-            term_ts, term_st = (coeff * weight * value(f1, swap) * value(f2, swap) for swap in (False, True))
-            fw += term_ts - term_st
-        # phase e^{i sum(w) t} = 1 on zero-sum tuples
-        total += 0.5 * coeffs._cumulative_simpson(fw, grid)[-1]
-    return complex(total)
+    phase = np.exp(1j * np.multiply.outer(coeffs.grid, np.subtract.outer(freqs, freqs)))
+    gam, gam_c = coeffs.gam[:, None, :], coeffs.gam.conj()[:, :, None]
+    pair = phase * (gam + gam_c), phase * (gam - gam_c) / 2.0j
+    rate = _assemble(jumps, *(x[-1] for x in pair))
+    exponent = _assemble(jumps, *(coeffs._cumulative_simpson(x, coeffs.grid)[-1] for x in pair))
+    energies = h0.diagonal().real
+    weight = vectorize(np.diag(np.exp(-measure.beta * (energies - energies[anchor]))))
+    element = unvectorize(exponent @ (rate @ weight) - rate @ (exponent @ weight))[anchor, anchor]
+    return complex(0.5 * element)
 
 
 def fourth_order_solve_tls(bath, omega0, beta=None, equation="redfield", config=DEFAULT_QUAD):

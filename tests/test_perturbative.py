@@ -3,14 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from meanforce.bath import OhmicBath, SpectralMeasure, as_measure
+from meanforce.bath import DiscreteBath, OhmicBath, SpectralMeasure, as_measure
 from meanforce.corrections import (
     build_upsilon_table,
     kossakowski_redfield,
     tls_diagonal_steady,
 )
 from meanforce.errors import DomainError, ValidationError
-from meanforce.operators import bohr_decompose, pauli_coupling, spectral_decompose
+from meanforce.generators import (
+    build_cumulant_exponent,
+    interaction_redfield_generator,
+    unvectorize,
+    vectorize,
+)
+from meanforce.operators import bohr_decompose, pauli_coupling, spectral_decompose, tls_hamiltonian
 from meanforce.perturbative import (
     alpha_weight,
     four_tuples,
@@ -207,10 +213,10 @@ class TestG40:
         measure = SpectralMeasure(beta=tiny, density=None,
                                   atoms=((W0, 0.8), (-W0, 0.8)), scale=W0, support=W0)
         coeffs = _GridCoefficients(measure, (-W0, W0), 6.0, 600)
-        idx = np.arange(len(coeffs.grid))
-        combo = math.exp(-tiny * W0) * coeffs.gamma_pair(W0, W0, idx) \
-            - coeffs.gamma_pair(-W0, -W0, idx)
-        assert np.abs(combo).max() <= 1e-10 * np.abs(coeffs.gamma_pair(W0, W0, idx)).max()
+        # gamma(w, w, s) = Gamma(w, s) + Gamma(w, s)^*, one column per frequency
+        gamma = coeffs.gam + coeffs.gam.conj()
+        combo = math.exp(-tiny * W0) * gamma[:, 1] - gamma[:, 0]
+        assert np.abs(combo).max() <= 1e-10 * np.abs(gamma[:, 1]).max()
 
     @pytest.mark.parametrize("t_max", [3.0, 6.0])
     def test_grid_correlation_matches_quadpack(self, bath, t_max):
@@ -256,6 +262,51 @@ class TestG40:
     def test_beta_mismatch_rejected(self, bath):
         with pytest.raises(ValidationError):
             g40_tls(bath, W0, beta=2.0)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"omega0": 0.0}, DomainError),
+        ({"omega0": math.nan}, ValidationError),
+        ({"omega0": math.inf}, ValidationError),
+        ({"omega0": -math.inf}, ValidationError),
+        ({"t_final": -6.0}, ValidationError),
+        ({"t_final": math.nan}, ValidationError),
+        ({"t_final": math.inf}, ValidationError),
+        ({"n_steps": 0}, ValidationError),
+        ({"n_steps": 1}, ValidationError),
+        ({"n_steps": 2.5}, ValidationError),
+        ({"anchor": 2}, ValidationError),
+        ({"anchor": -1}, ValidationError),
+    ], ids=["omega0_zero", "omega0_nan", "omega0_inf", "omega0_minus_inf", "t_final_negative",
+            "t_final_nan", "t_final_inf", "n_steps_zero", "n_steps_one", "n_steps_fraction",
+            "anchor_two", "anchor_minus_one"])
+    def test_direct_route_rejects_bad_arguments(self, bath, kwargs, error):
+        args = {"omega0": W0, "t_final": 6.0, "n_steps": 1200, "anchor": 0} | kwargs
+        with pytest.raises(error):
+            g40_tls_direct(bath, **args)
+
+    def test_direct_route_vanishes_at_zero_time(self, bath):
+        assert g40_tls_direct(bath, W0, t_final=0.0, n_steps=2) == 0.0
+
+    @pytest.mark.parametrize("t_final", [3.0, 6.0])
+    @pytest.mark.parametrize("anchor", [0, 1])
+    @pytest.mark.parametrize("reservoir", [
+        OhmicBath(beta=1.0, coupling=1.0, cutoff=2.0),
+        OhmicBath(beta=1.0, coupling=1.0, cutoff=5.0),
+        DiscreteBath(1.0, ((0.7, 0.5), (1.3, 0.4), (2.5, 0.3))),
+    ], ids=["ohmic_cutoff_2", "ohmic_cutoff_5", "discrete_three_modes"])
+    def test_direct_route_matches_production_commutator(self, reservoir, anchor, t_final):
+        # the grid oracle against <k|(1/2)[K_T, L_T] e^{-beta(H0 - E_k)}|k> from the
+        # production cumulant exponent and interaction-picture Redfield generator, which
+        # read the frequency walk, not the time grid; the grid resolves C(s) on these baths
+        h0 = tls_hamiltonian(W0)
+        jumps = [bohr_decompose(spectral_decompose(h0), pauli_coupling(1.0))]
+        exponent = build_cumulant_exponent(h0, jumps, reservoir, 1.0, t_final).matrix
+        rate = interaction_redfield_generator(jumps, reservoir, 1.0, t_final).matrix
+        energies = h0.diagonal().real
+        weight = vectorize(np.diag(np.exp(-BETA * (energies - energies[anchor]))))
+        expect = 0.5 * unvectorize(exponent @ (rate @ weight) - rate @ (exponent @ weight))[anchor, anchor]
+        direct = g40_tls_direct(reservoir, W0, t_final, n_steps=int(200 * t_final), anchor=anchor)
+        assert abs(direct - expect) <= 1e-6 * abs(expect)
 
 
 class TestFourthOrderSolve:
